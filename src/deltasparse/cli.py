@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import statistics
 import sys
 from dataclasses import dataclass
@@ -69,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--source", required=True, type=int, help="source vertex label")
     run_p.add_argument("--delta", type=float, default=1.0, help="bucket width (default 1.0)")
     run_p.add_argument("--backend", choices=("unfused", "fused"), default="unfused")
-    run_p.add_argument("--workers", type=int, default=1)
-    run_p.add_argument("--chunks-per-worker", type=int, default=1)
     run_p.add_argument("--verify", action="store_true", help="check against the reference solver")
     run_p.add_argument("--repeat", type=int, default=1, help="timed repetitions, median reported")
     run_p.add_argument("--skip-empty-buckets", action="store_true")
@@ -148,7 +147,7 @@ def run(config: RunConfig) -> int:
 
     print(
         f"n={matrix.n} m={matrix.nnz} delta={config.delta:g} "
-        f"backend={config.backend.kind} workers={config.backend.workers} "
+        f"backend={config.backend.kind} "
         f"outer_iterations={result.outer_iterations} inner_phases={result.inner_phases} "
         f"median_time_s={statistics.median(times):.6f}",
         file=sys.stderr,
@@ -209,11 +208,8 @@ def main(argv: list[str] | None = None) -> int:
             return 3
         return selftest(cases=args.cases, seed=args.seed, inject_fault=args.inject_fault)
 
-    if args.delta <= 0:
-        print("deltasparse: error: --delta must be positive", file=sys.stderr)
-        return 3
-    if args.workers < 1 or args.chunks_per_worker < 1:
-        print("deltasparse: error: --workers and --chunks-per-worker must be >= 1", file=sys.stderr)
+    if not 0 < args.delta < math.inf:
+        print("deltasparse: error: --delta must be a positive finite number", file=sys.stderr)
         return 3
     if args.repeat < 1:
         print("deltasparse: error: --repeat must be >= 1", file=sys.stderr)
@@ -222,9 +218,7 @@ def main(argv: list[str] | None = None) -> int:
         graph=GraphFile(path=args.graph, format=args.format, directed=args.directed),
         source=args.source,
         delta=args.delta,
-        backend=BackendChoice(
-            kind=args.backend, workers=args.workers, chunks_per_worker=args.chunks_per_worker
-        ),
+        backend=BackendChoice(args.backend),
         verify=args.verify,
         repeat=args.repeat,
         skip_empty_buckets=args.skip_empty_buckets,

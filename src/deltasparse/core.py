@@ -1,4 +1,4 @@
-"""Sparse containers and the semiring algebra shared by every kernel.
+"""Sparse containers and builders shared by every kernel.
 
 Entries are stored explicitly; an absent entry stands for the container
 role's implicit identity (+inf for min-plus distance vectors, false for
@@ -9,8 +9,7 @@ construction: kernels always build new ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,10 +19,6 @@ VALUE_DTYPE = np.float64
 __all__ = [
     "SparseVector",
     "SparseMatrix",
-    "Semiring",
-    "MIN_PLUS",
-    "PLUS_TIMES",
-    "BOOL_OR_AND",
     "vector_build",
     "matrix_build",
     "matrix_transpose_view",
@@ -299,27 +294,3 @@ def matrix_transpose_view(matrix: SparseMatrix) -> SparseMatrix:
         view._transposed = matrix
         matrix._transposed = view
     return matrix._transposed
-
-
-@dataclass(frozen=True)
-class Semiring:
-    """Scalar algebra bundle: an associative commutative reduction with its
-    identity, plus the elementwise combine it pairs with."""
-
-    name: str
-    add: Callable
-    add_identity: float
-    multiply: Callable
-
-
-def _or_f64(a, b):
-    return np.logical_or(a, b).astype(VALUE_DTYPE)
-
-
-def _and_f64(a, b):
-    return np.logical_and(a, b).astype(VALUE_DTYPE)
-
-
-MIN_PLUS = Semiring("min-plus", np.minimum, math.inf, np.add)
-PLUS_TIMES = Semiring("plus-times", np.add, 0.0, np.multiply)
-BOOL_OR_AND = Semiring("or-and", _or_f64, 0.0, _and_f64)

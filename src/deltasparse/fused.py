@@ -1,18 +1,18 @@
-"""Loop-merged kernel variants and the range-partitioned parallel executor.
+"""Loop-merged kernel variants.
 
 Each fused kernel computes, in one traversal, what a short chain of the
 plain kernels computes with materialized intermediates. Outputs are always
 entry- and bit-identical to the unfused chain: per output index both paths
 reduce the same operands in the same canonical order (ascending source
-index), so results do not depend on the backend or on the worker count.
+index), so results do not depend on the backend or on how a call is cut
+into ranges.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -22,37 +22,26 @@ from .ops import _positions
 __all__ = [
     "BackendChoice",
     "bucket_bounds",
-    "partition_ranges",
-    "parallel_execute",
     "fused_masked_relax",
     "fused_bucket_update",
 ]
 
-R = TypeVar("R")
-
-_POOLS: dict[int, ThreadPoolExecutor] = {}
-
-# Measured dispatch break-even for gather-and-reduce range work on this
-# substrate: below roughly this many touched entries per call, pool handoff
-# and interpreter-lock convoying cost more than the overlap buys back.
-PARALLEL_GRAIN = 4 << 20
+# Touched entries per range. A large call runs as ceil(work / RANGE_ENTRIES)
+# contiguous index ranges one after another, which keeps each range's
+# sort/gather/reduce working set in cache. On a 10^7-edge graph a sweep of
+# 16 Ki..1 Mi ran fastest at 32-64 Ki (see README, Performance notes).
+RANGE_ENTRIES = 64 << 10
 
 
 @dataclass(frozen=True)
 class BackendChoice:
-    """Which kernel family runs, and with how much parallelism."""
+    """Which kernel family runs."""
 
     kind: str = "unfused"
-    workers: int = 1
-    chunks_per_worker: int = 1
 
     def __post_init__(self) -> None:
         if self.kind not in ("unfused", "fused"):
             raise ValueError(f"backend kind must be 'unfused' or 'fused', got {self.kind!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.chunks_per_worker < 1:
-            raise ValueError(f"chunks_per_worker must be >= 1, got {self.chunks_per_worker}")
 
 
 def bucket_bounds(index: int, delta: float) -> tuple[float, float]:
@@ -61,45 +50,27 @@ def bucket_bounds(index: int, delta: float) -> tuple[float, float]:
     return index * delta, (index + 1) * delta
 
 
-def _pool(workers: int) -> ThreadPoolExecutor:
-    pool = _POOLS.get(workers)
-    if pool is None:
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="deltasparse")
-        _POOLS[workers] = pool
-    return pool
-
-
-def partition_ranges(
-    length: int, worker_count: int, chunks_per_worker: int = 1
-) -> list[tuple[int, int]]:
+def _partition_ranges(length: int, chunks: int) -> list[tuple[int, int]]:
     """Contiguous, evenly sized ranges covering [0, length). Degenerates to
     at most `length` nonempty ranges when asked for more chunks than items."""
-    chunks = max(1, min(worker_count * chunks_per_worker, max(length, 1)))
+    chunks = max(1, min(chunks, max(length, 1)))
     bounds = np.linspace(0, length, chunks + 1).astype(int)
     return [(int(bounds[k]), int(bounds[k + 1])) for k in range(chunks)]
 
 
-def parallel_execute(
-    range_kernel: Callable[[int, int], R],
-    length: int,
-    worker_count: int,
-    chunks_per_worker: int = 1,
-    work_size: int | None = None,
-) -> list[R]:
-    """Run `range_kernel(lo, hi)` over an even partition of [0, length).
-
-    Results come back ordered by range, so concatenating them reproduces the
-    sequential output exactly; the schedule cannot reorder anything. When
-    `work_size` (total entries the call will touch) is given and sits under
-    PARALLEL_GRAIN, the same ranges run on the calling thread instead of the
-    pool; the result list is identical either way.
-    """
-    ranges = partition_ranges(length, worker_count, chunks_per_worker)
-    if worker_count == 1 or (work_size is not None and work_size < PARALLEL_GRAIN):
-        return [range_kernel(lo, hi) for lo, hi in ranges]
-    pool = _pool(worker_count)
-    futures = [pool.submit(range_kernel, lo, hi) for lo, hi in ranges]
-    return [f.result() for f in futures]
+def _run_ranges(
+    range_kernel: Callable[[int, int], tuple[np.ndarray, ...]], length: int, work: int
+) -> tuple[np.ndarray, ...]:
+    """Run `range_kernel(lo, hi)` over [0, length) cut into one range per
+    RANGE_ENTRIES of `work` (entries the call touches), in index order, and
+    concatenate its output arrays position by position. Range outputs cover
+    disjoint, ascending index spans, so the result equals one whole-range
+    call exactly."""
+    ranges = _partition_ranges(length, -(-work // RANGE_ENTRIES))
+    parts = [range_kernel(lo, hi) for lo, hi in ranges]
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _relax_range(
@@ -128,8 +99,6 @@ def fused_masked_relax(
     t: SparseVector,
     selector: SparseVector,
     transposed: SparseMatrix,
-    workers: int = 1,
-    chunks_per_worker: int = 1,
 ) -> SparseVector:
     """Relax along the matrix from the entries of t selected by a mask.
 
@@ -149,15 +118,11 @@ def fused_masked_relax(
     gated = np.full(t.length, math.inf, dtype=VALUE_DTYPE)
     pos, found = _positions(t.indices, selector.indices)
     gated[selector.indices[found]] = t.values[pos[found]]
-    parts = parallel_execute(
+    idx, val = _run_ranges(
         lambda lo, hi: _relax_range(gated, transposed, lo, hi),
         transposed.nrows,
-        workers,
-        chunks_per_worker,
-        work_size=transposed.nnz,
+        transposed.nnz,
     )
-    idx = np.concatenate([p[0] for p in parts])
-    val = np.concatenate([p[1] for p in parts])
     return SparseVector(transposed.nrows, idx, val)
 
 
@@ -197,8 +162,6 @@ def fused_bucket_update(
     settled: SparseVector,
     bucket_index: int,
     delta: float,
-    workers: int = 1,
-    chunks_per_worker: int = 1,
 ) -> tuple[SparseVector, SparseVector, SparseVector]:
     """One traversal producing (new tentative, new bucket, settled).
 
@@ -211,16 +174,11 @@ def fused_bucket_update(
     if requests.length != t.length or settled.length != t.length:
         raise ValueError("operand lengths disagree")
     lo_val, hi_val = bucket_bounds(bucket_index, delta)
-    parts = parallel_execute(
+    merged_idx, merged_val, bucket_idx = _run_ranges(
         lambda lo, hi: _bucket_update_range(t, requests, lo, hi, lo_val, hi_val),
         t.length,
-        workers,
-        chunks_per_worker,
-        work_size=t.nnz + requests.nnz,
+        t.nnz + requests.nnz,
     )
-    merged_idx = np.concatenate([p[0] for p in parts])
-    merged_val = np.concatenate([p[1] for p in parts])
-    bucket_idx = np.concatenate([p[2] for p in parts])
     new_t = SparseVector(t.length, merged_idx, merged_val)
     new_bucket = mask_from_indices(t.length, bucket_idx)
     return new_t, new_bucket, settled

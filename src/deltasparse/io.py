@@ -58,7 +58,6 @@ class GraphFile:
     path: str
     format: str  # "mtx" | "edges"
     directed: bool = True
-    default_weight: float = 1.0
 
 
 class LabelMap:
@@ -267,9 +266,7 @@ def load_graph(spec: GraphFile) -> tuple[SparseMatrix, LabelMap]:
     """Dispatch on the declared format. For Matrix Market files the header's
     symmetry decides directedness; the flag only steers edge lists."""
     if spec.format == "mtx":
-        return load_matrix_market(spec.path, default_weight=spec.default_weight)
+        return load_matrix_market(spec.path)
     if spec.format == "edges":
-        return load_edge_list(
-            spec.path, directed=spec.directed, default_weight=spec.default_weight
-        )
+        return load_edge_list(spec.path, directed=spec.directed)
     raise ValueError(f"unknown graph format {spec.format!r}")

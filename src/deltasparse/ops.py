@@ -21,7 +21,6 @@ import numpy as np
 
 from .core import (
     INDEX_DTYPE,
-    MIN_PLUS,
     VALUE_DTYPE,
     SparseMatrix,
     SparseVector,
@@ -32,14 +31,12 @@ __all__ = [
     "UnaryPredicate",
     "BinaryOp",
     "MIN",
-    "PLUS",
     "TIMES",
     "LESS",
     "OR",
     "greater_than",
     "positive_at_most",
     "in_half_open",
-    "always_true",
     "apply_vector",
     "filter_vector",
     "filter_matrix",
@@ -72,10 +69,6 @@ def in_half_open(lo: float, hi: float) -> UnaryPredicate:
     return UnaryPredicate(lambda v: (v >= lo) & (v < hi), f"{lo:g} <= x < {hi:g}")
 
 
-def always_true() -> UnaryPredicate:
-    return UnaryPredicate(lambda v: np.ones(v.shape, dtype=bool), "true")
-
-
 @dataclass(frozen=True)
 class BinaryOp:
     """Elementwise combine. `boolean` ops yield structural 1.0/0.0 results;
@@ -91,7 +84,6 @@ class BinaryOp:
 
 
 MIN = BinaryOp(np.minimum, "min", commutative=True)
-PLUS = BinaryOp(np.add, "+", commutative=True)
 TIMES = BinaryOp(np.multiply, "*", commutative=True)
 LESS = BinaryOp(
     lambda a, b: np.less(a, b).astype(VALUE_DTYPE), "a < b", commutative=False, boolean=True
@@ -256,7 +248,7 @@ def vxm_min_plus(
         return SparseVector(transposed.nrows)
     src = transposed.col
     pos, found = _positions(v.indices, src)
-    cand = np.where(found, v.values[pos] + transposed.val, MIN_PLUS.add_identity)
+    cand = np.where(found, v.values[pos] + transposed.val, math.inf)
     # reduce only over non-empty rows: consecutive starts then delimit each
     # row's candidate segment exactly, with no empty-segment corner cases
     lengths = np.diff(transposed.indptr)

@@ -34,8 +34,6 @@ from .fused import (
     bucket_bounds,
     fused_bucket_update,
     fused_masked_relax,
-    parallel_execute,
-    partition_ranges,
 )
 from .ops import (
     LESS,
@@ -87,64 +85,17 @@ class SsspResult:
     elapsed: float
 
 
-def _split_range(
-    matrix: SparseMatrix, delta: float, lo: int, hi: int
-) -> tuple[np.ndarray, ...]:
-    e0, e1 = int(matrix.indptr[lo]), int(matrix.indptr[hi])
-    col = matrix.col[e0:e1]
-    w = matrix.val[e0:e1]
-    light_keep = (w > 0) & (w <= delta)
-    heavy_keep = w > delta
-    bounds = matrix.indptr[lo : hi + 1] - e0
-    lsum = np.concatenate([[0], np.cumsum(light_keep)])
-    hsum = np.concatenate([[0], np.cumsum(heavy_keep)])
-    lc = (lsum[bounds[1:]] - lsum[bounds[:-1]]).astype(INDEX_DTYPE)
-    hc = (hsum[bounds[1:]] - hsum[bounds[:-1]]).astype(INDEX_DTYPE)
-    return lc, col[light_keep], w[light_keep], hc, col[heavy_keep], w[heavy_keep]
-
-
-def split_edges(
-    matrix: SparseMatrix,
-    delta: float,
-    workers: int = 1,
-    chunks_per_worker: int = 1,
-) -> tuple[SparseMatrix, SparseMatrix]:
+def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
     """Partition edges into (light, heavy) by weight against delta.
 
     Every input entry lands in exactly one output with its value untouched.
     Both results come back with their transposed views already built, since
-    the solver multiplies through the views every iteration. With more than
-    one worker the two filters run as independent range-split tasks.
+    the solver multiplies through the views every iteration.
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    if workers == 1:
-        light = filter_matrix(matrix, positive_at_most(delta))
-        heavy = filter_matrix(matrix, greater_than(delta))
-    else:
-        parts = parallel_execute(
-            lambda lo, hi: _split_range(matrix, delta, lo, hi),
-            matrix.n,
-            workers,
-            chunks_per_worker,
-            work_size=matrix.nnz,
-        )
-        lc = np.concatenate([p[0] for p in parts])
-        light_indptr = np.concatenate([[0], np.cumsum(lc)]).astype(INDEX_DTYPE)
-        hc = np.concatenate([p[3] for p in parts])
-        heavy_indptr = np.concatenate([[0], np.cumsum(hc)]).astype(INDEX_DTYPE)
-        light = SparseMatrix(
-            matrix.n,
-            light_indptr,
-            np.concatenate([p[1] for p in parts]),
-            np.concatenate([p[2] for p in parts]),
-        )
-        heavy = SparseMatrix(
-            matrix.n,
-            heavy_indptr,
-            np.concatenate([p[4] for p in parts]),
-            np.concatenate([p[5] for p in parts]),
-        )
+    light = filter_matrix(matrix, positive_at_most(delta))
+    heavy = filter_matrix(matrix, greater_than(delta))
     matrix_transpose_view(light)
     matrix_transpose_view(heavy)
     return light, heavy
@@ -180,23 +131,13 @@ def relax_light_phase(state: SsspState) -> SsspState:
     )
 
 
-def _relax_light_phase_fused(state: SsspState, backend: BackendChoice) -> SsspState:
+def _relax_light_phase_fused(state: SsspState) -> SsspState:
     requests = fused_masked_relax(
-        state.tentative,
-        state.bucket,
-        matrix_transpose_view(state.light),
-        workers=backend.workers,
-        chunks_per_worker=backend.chunks_per_worker,
+        state.tentative, state.bucket, matrix_transpose_view(state.light)
     )
     settled = ewise_add_vector(state.settled, state.bucket, OR)
     tentative, bucket, settled = fused_bucket_update(
-        state.tentative,
-        requests,
-        settled,
-        state.bucket_index,
-        state.delta,
-        workers=backend.workers,
-        chunks_per_worker=backend.chunks_per_worker,
+        state.tentative, requests, settled, state.bucket_index, state.delta
     )
     return replace(
         state, tentative=tentative, requests=requests, bucket=bucket, settled=settled
@@ -215,13 +156,9 @@ def relax_heavy(state: SsspState) -> SsspState:
     return replace(state, tentative=tentative, requests=requests)
 
 
-def _relax_heavy_fused(state: SsspState, backend: BackendChoice) -> SsspState:
+def _relax_heavy_fused(state: SsspState) -> SsspState:
     requests = fused_masked_relax(
-        state.tentative,
-        state.settled,
-        matrix_transpose_view(state.heavy),
-        workers=backend.workers,
-        chunks_per_worker=backend.chunks_per_worker,
+        state.tentative, state.settled, matrix_transpose_view(state.heavy)
     )
     tentative = ewise_add_vector(state.tentative, requests, MIN)
     return replace(state, tentative=tentative, requests=requests)
@@ -261,9 +198,7 @@ def delta_stepping(
 
     fused = backend.kind == "fused"
     start = time.perf_counter()
-    light, heavy = split_edges(
-        matrix, delta, workers=backend.workers, chunks_per_worker=backend.chunks_per_worker
-    )
+    light, heavy = split_edges(matrix, delta)
 
     # total light passes across the run are bounded by the vertex count
     # times the per-bucket pass bound; beyond that something cycles
@@ -291,7 +226,7 @@ def delta_stepping(
         )
         while state.bucket.nnz:
             state = (
-                _relax_light_phase_fused(state, backend) if fused else relax_light_phase(state)
+                _relax_light_phase_fused(state) if fused else relax_light_phase(state)
             )
             phases += 1
             if phases > phase_ceiling:
@@ -299,7 +234,7 @@ def delta_stepping(
                     f"light phase count exceeded ceiling {phase_ceiling}; "
                     "relaxation is not converging"
                 )
-        state = _relax_heavy_fused(state, backend) if fused else relax_heavy(state)
+        state = _relax_heavy_fused(state) if fused else relax_heavy(state)
         t = state.tentative
         outer += 1
         if skip_empty_buckets:

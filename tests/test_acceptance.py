@@ -6,9 +6,9 @@ Criterion map:
   2 union-combine pass-through examples, hazard and mask fix included
   3 light/heavy edge partition is exact
   4 fused backend bit-equals unfused, plus a mass bucket-update differential
-  5 worker counts 1/2/4/8 give identical outputs with the pool forced on
+  5 range decomposition: 1-, 3-, 17-entry and real-size ranges agree bit for bit
   6 unit-weight graphs at width 1 behave like breadth-first search
-  7 fused is not slower than unfused; 4 workers within 5% of 1 worker
+  7 fused is not slower than unfused
   8 loaders reproduce exact triple sets and report exact error lines
   9 termination on disconnected graphs and heavy-gap stars within the bound
 """
@@ -194,27 +194,26 @@ def test_criterion_4_fusion_transparency(corpus, unfused_memo):
     assert ok, (mismatches[:5], differential_failures)
 
 
-def test_criterion_5_parallel_determinism(corpus, unfused_memo, monkeypatch):
-    # with the grain floor removed every multi-worker call really does cross
-    # the pool, so agreement here is not the sequential fallback agreeing
-    # with itself
-    monkeypatch.setattr(fused_mod, "PARALLEL_GRAIN", 0)
+def test_criterion_5_parallel_determinism(corpus, monkeypatch):
+    # a 1-entry range size cuts every fused call into one range per index,
+    # so agreement here is not the one-range path agreeing with itself
     delta = 1.0
+    sizes = (1, 3, 17, fused_mod.RANGE_ENTRIES)
     mismatches = []
     for case, (matrix, source, _) in enumerate(corpus):
-        results = [
-            delta_stepping(
-                matrix, source, delta, backend=BackendChoice("fused", workers=w)
-            ).distances
-            for w in (1, 2, 4, 8)
-        ]
+        results = []
+        for entries in sizes:
+            monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+            results.append(
+                delta_stepping(matrix, source, delta, backend=BackendChoice("fused")).distances
+            )
         if any(r != results[0] for r in results[1:]):
             mismatches.append(case)
     ok = not mismatches
     record_acceptance(
         f"criterion 5: {'PASS' if ok else 'FAIL'} "
-        f"workers 1/2/4/8 agree bit for bit on all {len(corpus)} graphs "
-        f"with the pool forced on ({len(mismatches)} mismatches)"
+        f"range sizes {'/'.join(map(str, sizes))} agree bit for bit on all "
+        f"{len(corpus)} graphs ({len(mismatches)} mismatches)"
     )
     assert ok, mismatches[:5]
 
@@ -262,24 +261,17 @@ def test_criterion_7_performance_direction():
 
     unfused_t, unfused_d = median_time(BackendChoice("unfused"), 3)
     fused_t, fused_d = median_time(BackendChoice("fused"), 3)
-    w1_t, w1_d = median_time(BackendChoice("fused", workers=1), 5)
-    w4_t, w4_d = median_time(
-        BackendChoice("fused", workers=4, chunks_per_worker=2), 5
-    )
 
-    same = fused_d == unfused_d and w1_d == unfused_d and w4_d == unfused_d
-    ok = same and fused_t <= unfused_t and w4_t <= 1.05 * w1_t
+    same = fused_d == unfused_d
+    ok = same and fused_t <= unfused_t
     record_acceptance(
         f"criterion 7: {'PASS' if ok else 'FAIL'} n={n} m={matrix.nnz}: "
         f"fused/unfused {fused_t / unfused_t:.2f} "
-        f"(fused {fused_t:.3f}s vs unfused {unfused_t:.3f}s), "
-        f"w4/w1 {w4_t / w1_t:.2f} (w4 {w4_t:.3f}s vs w1 {w1_t:.3f}s); "
-        f"informational speedups: fusion x{unfused_t / fused_t:.2f}, "
-        f"4 workers x{w1_t / w4_t:.2f}"
+        f"(fused {fused_t:.3f}s vs unfused {unfused_t:.3f}s); "
+        f"informational speedup: fusion x{unfused_t / fused_t:.2f}"
     )
     assert same
     assert fused_t <= unfused_t
-    assert w4_t <= 1.05 * w1_t
 
 
 def test_criterion_8_loader_round_trip(tmp_path):

@@ -52,10 +52,11 @@ def test_run_directed_edges(edge_path, capsys):
     assert parse_distances(captured.out) == {0: 0.0, 1: 1.0, 2: 2.5, 3: 4.0}
     labels = [int(line.split("\t")[0]) for line in captured.out.splitlines()]
     assert labels == sorted(labels)
-    for field in ("n=4", "m=3", "delta=1", "backend=unfused", "workers=1"):
-        assert field in captured.err
-    assert "outer_iterations=" in captured.err
-    assert "median_time_s=" in captured.err
+    summary = captured.err.strip().splitlines()[-1].split()
+    assert summary[:4] == ["n=4", "m=3", "delta=1", "backend=unfused"]
+    assert [field.split("=")[0] for field in summary[4:]] == [
+        "outer_iterations", "inner_phases", "median_time_s"
+    ]
 
 
 def test_run_default_is_undirected(edge_path, capsys):
@@ -150,11 +151,12 @@ def test_usage_errors_exit_3(edge_path, capsys):
     assert run_cli(*base, "--nonsense") == 3
     assert run_cli(*base, "--delta", "0") == 3
     assert run_cli(*base, "--delta", "-1") == 3
-    assert run_cli(*base, "--workers", "0") == 3
-    assert run_cli(*base, "--chunks-per-worker", "0") == 3
+    assert run_cli(*base, "--delta", "nan") == 3
+    assert run_cli(*base, "--delta", "inf") == 3
     assert run_cli(*base, "--repeat", "0") == 3
     captured = capsys.readouterr()
     assert "deltasparse: error:" in captured.err
+    assert "--delta must be a positive finite number" in captured.err
 
 
 def test_run_output_file(edge_path, tmp_path, capsys):
@@ -184,7 +186,7 @@ def test_run_backends_print_identical_distances(edge_path, capsys):
     ]
     run_cli(*base)
     unfused_out = capsys.readouterr().out
-    run_cli(*base, "--backend", "fused", "--workers", "4", "--chunks-per-worker", "2")
+    run_cli(*base, "--backend", "fused")
     fused_out = capsys.readouterr().out
     assert fused_out == unfused_out
 

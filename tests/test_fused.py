@@ -1,5 +1,5 @@
 """Fused gather-relax and bucket-update kernels must match the composed
-kernel chain bit for bit, with or without the worker pool engaged."""
+kernel chain bit for bit, however a call is cut into ranges."""
 
 from __future__ import annotations
 
@@ -23,8 +23,6 @@ from deltasparse import (
     mask_from_indices,
     matrix_build,
     matrix_transpose_view,
-    parallel_execute,
-    partition_ranges,
     vector_build,
     vxm_min_plus,
 )
@@ -49,23 +47,18 @@ def test_bucket_bounds_values():
 
 
 def test_backend_choice_validation():
-    BackendChoice()
-    BackendChoice(kind="fused", workers=4, chunks_per_worker=2)
+    assert BackendChoice().kind == "unfused"
+    assert BackendChoice("fused").kind == "fused"
     with pytest.raises(ValueError):
         BackendChoice(kind="turbo")
-    with pytest.raises(ValueError):
-        BackendChoice(workers=0)
-    with pytest.raises(ValueError):
-        BackendChoice(chunks_per_worker=0)
 
 
 def test_partition_ranges_cover_contiguously():
     rng = np.random.default_rng(47)
     for _ in range(50):
         length = int(rng.integers(0, 500))
-        workers = int(rng.integers(1, 9))
-        chunks = int(rng.integers(1, 4))
-        ranges = partition_ranges(length, workers, chunks)
+        chunks = int(rng.integers(1, 25))
+        ranges = fused_mod._partition_ranges(length, chunks)
         assert ranges[0][0] == 0
         assert ranges[-1][1] == length
         for (_, a_hi), (b_lo, _) in zip(ranges, ranges[1:]):
@@ -76,32 +69,9 @@ def test_partition_ranges_cover_contiguously():
 
 
 def test_partition_ranges_degenerate_cases():
-    assert partition_ranges(0, 4, 2) == [(0, 0)]
-    assert partition_ranges(3, 8, 1) == [(0, 1), (1, 2), (2, 3)]
-
-
-def test_parallel_execute_matches_sequential():
-    def square_range(lo, hi):
-        return [i * i for i in range(lo, hi)]
-
-    want = [i * i for i in range(100)]
-    for workers in (1, 2, 4):
-        parts = parallel_execute(square_range, 100, workers)
-        flat = [x for part in parts for x in part]
-        assert flat == want
-
-
-def test_parallel_execute_small_work_skips_pool(monkeypatch):
-    calls = []
-
-    def probe(lo, hi):
-        calls.append((lo, hi))
-        return hi - lo
-
-    monkeypatch.setattr(fused_mod, "PARALLEL_GRAIN", 10_000)
-    parts = parallel_execute(probe, 40, 4, work_size=10)
-    assert sum(parts) == 40
-    assert calls == partition_ranges(40, 4, 1)
+    assert fused_mod._partition_ranges(0, 8) == [(0, 0)]
+    assert fused_mod._partition_ranges(3, 8) == [(0, 1), (1, 2), (2, 3)]
+    assert fused_mod._partition_ranges(5, 0) == [(0, 5)]
 
 
 # ---------------------------------------------------------------- fused relax
@@ -139,16 +109,17 @@ def test_fused_relax_matches_composed_chain():
         assert got == composed_relax(t, selector, view)
 
 
-def test_fused_relax_workers_agree():
+def test_fused_relax_workers_agree(monkeypatch):
+    # from one range per row down to a few ranges; each cut must equal one range
     rng = np.random.default_rng(59)
     a = random_matrix(rng, 80, 400)
     t = random_sparse_vector(rng, 80)
     selector = random_mask(rng, 80)
     view = matrix_transpose_view(a)
     base = fused_masked_relax(t, selector, view)
-    for workers in (2, 4):
-        for chunks in (1, 3):
-            assert fused_masked_relax(t, selector, view, workers, chunks) == base
+    for entries in (1, 3, 17, 100):
+        monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+        assert fused_masked_relax(t, selector, view) == base
 
 
 def test_fused_relax_rejects_mismatched_operands():
@@ -211,15 +182,16 @@ def test_bucket_update_matches_composed_chain():
         assert new_settled == settled
 
 
-def test_bucket_update_workers_agree():
+def test_bucket_update_workers_agree(monkeypatch):
     rng = np.random.default_rng(67)
     t = random_sparse_vector(rng, 200, max_entries=150)
     requests = random_sparse_vector(rng, 200, max_entries=150)
     settled = random_mask(rng, 200)
     base = fused_bucket_update(t, requests, settled, 1, 3.0)
-    for workers in (2, 4):
-        got = fused_bucket_update(t, requests, settled, 1, 3.0, workers, 2)
-        assert got[0] == base[0] and got[1] == base[1]
+    for entries in (1, 3, 17, 100):
+        monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+        got = fused_bucket_update(t, requests, settled, 1, 3.0)
+        assert got[0] == base[0] and got[1] == base[1] and got[2] is settled
 
 
 def test_bucket_update_rejects_mismatched_operands():
@@ -228,7 +200,7 @@ def test_bucket_update_rejects_mismatched_operands():
 
 
 def test_pooled_path_is_bit_identical(monkeypatch):
-    # force the pool to engage even at toy sizes, then compare with sequential
+    # one range per touched entry at toy sizes, compared with the one-range call
     rng = np.random.default_rng(71)
     cases = []
     for _ in range(30):
@@ -239,7 +211,6 @@ def test_pooled_path_is_bit_identical(monkeypatch):
         view = matrix_transpose_view(a)
         cases.append((t, selector, view, fused_masked_relax(t, selector, view)))
 
-    monkeypatch.setattr(fused_mod, "PARALLEL_GRAIN", 0)
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", 1)
     for t, selector, view, want in cases:
-        for workers in (2, 4):
-            assert fused_masked_relax(t, selector, view, workers, 2) == want
+        assert fused_masked_relax(t, selector, view) == want

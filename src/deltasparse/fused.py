@@ -1,22 +1,36 @@
-"""Loop-merged kernel variants.
+"""Push relaxation over dense state: the fused backend's kernels.
 
-Each fused kernel computes, in one traversal, what a short chain of the
-plain kernels computes with materialized intermediates. Outputs are always
-entry- and bit-identical to the unfused chain: per output index both paths
-reduce the same operands in the same canonical order (ascending source
-index), so results do not depend on the backend or on how a call is cut
-into ranges.
+The fused solver keeps its state dense: tentative distances are one float64
+array with +inf for an absent entry, the bucket is an index array and the
+settled set a bool array. A relaxation *pushes* from the frontier: it
+gathers the frontier's rows of the row-major light or heavy matrix, forms
+t[i] + w per out-edge, sorts the candidates by target, takes each target's
+minimum with np.minimum.reduceat, and lowers t[j] to min(t[j], request).
+The work is the frontier's out-edges, not every edge of the matrix, and no
+transposed view is ever built.
+
+Bit identity with the unfused chain: every candidate is the same single
+float sum t[i] + w that the composed (min,+) product forms, and the minimum
+of the same multiset does not depend on the order it is taken in, so each
+target receives the same request. Weights are > 0, so every request is
+> 0, and "request < dense t" (+inf where t holds nothing) selects exactly
+the requests that the unfused comparison with its pass-through rule calls
+improving.
+
+A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
+slices, one after another. Every slice forms its candidates from the
+frontier values read on entry, so the cut never changes a result.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .core import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, SparseVector, mask_from_indices
+from .core import matrix_transpose_view
 from .ops import _positions
 
 __all__ = [
@@ -26,10 +40,10 @@ __all__ = [
     "fused_bucket_update",
 ]
 
-# Touched entries per range. A large call runs as ceil(work / RANGE_ENTRIES)
-# contiguous index ranges one after another, which keeps each range's
-# sort/gather/reduce working set in cache. On a 10^7-edge graph a sweep of
-# 16 Ki..1 Mi ran fastest at 32-64 Ki (see README, Performance notes).
+# Frontier out-edges per push slice. Slices bound the push's temporaries
+# (about 43 bytes per out-edge of a slice) rather than buy speed: on a
+# 3*10^6-edge graph one slice ran as fast as any cut (README, Performance
+# notes).
 RANGE_ENTRIES = 64 << 10
 
 
@@ -54,45 +68,47 @@ def _partition_ranges(length: int, chunks: int) -> list[tuple[int, int]]:
     """Contiguous, evenly sized ranges covering [0, length). Degenerates to
     at most `length` nonempty ranges when asked for more chunks than items."""
     chunks = max(1, min(chunks, max(length, 1)))
+    if chunks == 1:
+        return [(0, length)]
     bounds = np.linspace(0, length, chunks + 1).astype(int)
     return [(int(bounds[k]), int(bounds[k + 1])) for k in range(chunks)]
 
 
-def _run_ranges(
-    range_kernel: Callable[[int, int], tuple[np.ndarray, ...]], length: int, work: int
-) -> tuple[np.ndarray, ...]:
-    """Run `range_kernel(lo, hi)` over [0, length) cut into one range per
-    RANGE_ENTRIES of `work` (entries the call touches), in index order, and
-    concatenate its output arrays position by position. Range outputs cover
-    disjoint, ascending index spans, so the result equals one whole-range
-    call exactly."""
-    ranges = _partition_ranges(length, -(-work // RANGE_ENTRIES))
-    parts = [range_kernel(lo, hi) for lo, hi in ranges]
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+def _push(
+    values: np.ndarray, frontier: np.ndarray, matrix: SparseMatrix, dense: np.ndarray
+) -> np.ndarray:
+    """Lower dense[j] to the minimum of values[k] + w over the out-edges
+    (frontier[k], j, w) of the row-major `matrix`; return the lowered
+    targets, sorted and distinct.
 
-
-def _relax_range(
-    gated: np.ndarray,
-    transposed: SparseMatrix,
-    lo: int,
-    hi: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    # one pass over the edge segment writing outputs [lo, hi): a straight
-    # gather out of the gated operand, then a per-row min over the rows
-    # that hold any edges (consecutive non-empty starts delimit segments
-    # exactly, so reduceat sees no empty-segment corner cases)
-    e0, e1 = int(transposed.indptr[lo]), int(transposed.indptr[hi])
-    if e0 == e1:
-        return np.empty(0, dtype=INDEX_DTYPE), np.empty(0, dtype=VALUE_DTYPE)
-    cand = np.take(gated, transposed.col[e0:e1]) + transposed.val[e0:e1]
-    lengths = np.diff(transposed.indptr[lo : hi + 1])
-    nonempty = np.flatnonzero(lengths > 0).astype(INDEX_DTYPE)
-    starts = transposed.indptr[lo:hi][nonempty] - e0
-    mins = np.minimum.reduceat(cand, starts)
-    keep = np.isfinite(mins)
-    return (lo + nonempty[keep]).astype(INDEX_DTYPE), mins[keep]
+    `values` must not alias `dense`: candidates come from the values as
+    given, however many slices lower `dense` before them.
+    """
+    starts = matrix.indptr[frontier]
+    counts = matrix.indptr[frontier + 1] - starts
+    ends = np.cumsum(counts)
+    offsets = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    # slice k takes the frontier vertices whose out-edges end in edge range k
+    edge_cuts = [0] + [hi for _, hi in _partition_ranges(total, -(-total // RANGE_ENTRIES))]
+    cuts = np.searchsorted(ends, edge_cuts, side="right")
+    lowered = [np.empty(0, dtype=INDEX_DTYPE)]
+    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        if a == b or offsets[a] == ends[b - 1]:
+            continue
+        eid = np.repeat(starts[a:b] - offsets[a:b], counts[a:b]) + np.arange(
+            offsets[a], ends[b - 1]
+        )
+        target = matrix.col[eid]
+        order = np.argsort(target)
+        target = target[order]
+        cand = (np.repeat(values[a:b], counts[a:b]) + matrix.val[eid])[order]
+        heads = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+        target, request = target[heads], np.minimum.reduceat(cand, heads)
+        better = request < dense[target]
+        dense[target[better]] = request[better]
+        lowered.append(target[better])
+    return lowered[-1] if len(lowered) <= 2 else np.unique(np.concatenate(lowered))
 
 
 def fused_masked_relax(
@@ -103,11 +119,9 @@ def fused_masked_relax(
     """Relax along the matrix from the entries of t selected by a mask.
 
     Equals vxm_min_plus(ewise_mult_vector(t, selector, TIMES), transposed)
-    for a structural selector (stored values 1.0), without materializing the
-    intermediate: the selection is folded into one gated dense operand built
-    per call, so the edge traversal is a single gather per entry. Candidates
-    are identical to the composed form, hence so are the results, bit for
-    bit.
+    for a structural selector (stored values 1.0), bit for bit. The push
+    reads the row-major matrix through the view's cached back-reference,
+    so passing a view built by matrix_transpose_view costs nothing.
     """
     if selector.length != t.length:
         raise ValueError(f"selector length {selector.length} does not match {t.length}")
@@ -115,45 +129,12 @@ def fused_masked_relax(
         raise ValueError(f"matrix dimension {transposed.ncols} does not match {t.length}")
     if t.nnz == 0 or selector.nnz == 0 or transposed.nnz == 0:
         return SparseVector(transposed.nrows)
-    gated = np.full(t.length, math.inf, dtype=VALUE_DTYPE)
     pos, found = _positions(t.indices, selector.indices)
-    gated[selector.indices[found]] = t.values[pos[found]]
-    idx, val = _run_ranges(
-        lambda lo, hi: _relax_range(gated, transposed, lo, hi),
-        transposed.nrows,
-        transposed.nnz,
+    dense = np.full(t.length, math.inf, dtype=VALUE_DTYPE)
+    lowered = _push(
+        t.values[pos[found]], selector.indices[found], matrix_transpose_view(transposed), dense
     )
-    return SparseVector(transposed.nrows, idx, val)
-
-
-def _bucket_update_range(
-    t: SparseVector,
-    requests: SparseVector,
-    lo: int,
-    hi: int,
-    lo_val: float,
-    hi_val: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t0, t1 = np.searchsorted(t.indices, [lo, hi])
-    r0, r1 = np.searchsorted(requests.indices, [lo, hi])
-    t_idx, t_val = t.indices[t0:t1], t.values[t0:t1]
-    r_idx, r_val = requests.indices[r0:r1], requests.values[r0:r1]
-
-    union = np.union1d(t_idx, r_idx)
-    pt, in_t = _positions(t_idx, union)
-    pr, in_r = _positions(r_idx, union)
-    tv = t_val[pt] if t_idx.size else np.zeros(union.size, dtype=VALUE_DTYPE)
-    rv = r_val[pr] if r_idx.size else np.zeros(union.size, dtype=VALUE_DTYPE)
-    merged = np.where(in_t & in_r, np.minimum(tv, rv), np.where(in_t, tv, rv))
-
-    # bucket membership among the requests: inside the value window and
-    # strictly improving; where t holds nothing the request's own value
-    # decides by truthiness, mirroring the unfused comparison pass-through
-    pos, have_t = _positions(t_idx, r_idx)
-    old = t_val[pos] if t_idx.size else np.zeros(r_idx.size, dtype=VALUE_DTYPE)
-    improve_val = np.where(have_t, np.less(r_val, old).astype(VALUE_DTYPE), r_val)
-    bucket_idx = r_idx[(r_val >= lo_val) & (r_val < hi_val) & (improve_val != 0.0)]
-    return union, merged, bucket_idx
+    return SparseVector(transposed.nrows, lowered, dense[lowered])
 
 
 def fused_bucket_update(
@@ -163,22 +144,24 @@ def fused_bucket_update(
     bucket_index: int,
     delta: float,
 ) -> tuple[SparseVector, SparseVector, SparseVector]:
-    """One traversal producing (new tentative, new bucket, settled).
+    """One pass producing (new tentative, new bucket, settled).
 
     Replaces the unfused chain of range filter, masked improving comparison,
-    mask intersection, and min merge. The settled set rides along untouched:
-    its union with the outgoing bucket happens before this call in both
-    backends, so the triple leaves here exactly as the unfused sequence
-    leaves it.
+    mask intersection, and min merge. Where t holds nothing, the unfused
+    comparison passes the request through and its truthiness decides, so a
+    0.0 request is not improving there. The settled set rides along
+    untouched: its union with the outgoing bucket happens before this call,
+    so the triple leaves here exactly as the unfused sequence leaves it.
     """
     if requests.length != t.length or settled.length != t.length:
         raise ValueError("operand lengths disagree")
     lo_val, hi_val = bucket_bounds(bucket_index, delta)
-    merged_idx, merged_val, bucket_idx = _run_ranges(
-        lambda lo, hi: _bucket_update_range(t, requests, lo, hi, lo_val, hi_val),
-        t.length,
-        t.nnz + requests.nnz,
-    )
-    new_t = SparseVector(t.length, merged_idx, merged_val)
-    new_bucket = mask_from_indices(t.length, bucket_idx)
-    return new_t, new_bucket, settled
+    dense = np.full(t.length, math.inf, dtype=VALUE_DTYPE)
+    dense[t.indices] = t.values
+    idx, req = requests.indices, requests.values
+    old = dense[idx]
+    improving = np.where(old == math.inf, req != 0.0, req < old)
+    new_bucket = mask_from_indices(t.length, idx[(req >= lo_val) & (req < hi_val) & improving])
+    dense[idx] = np.minimum(old, req)
+    kept = np.flatnonzero(dense != math.inf)
+    return SparseVector(t.length, kept, dense[kept]), new_bucket, settled

@@ -7,9 +7,10 @@ tentative distance falls back into the bucket's value window, then relaxes
 heavy edges once from everything the bucket processed. Unreachable vertices
 simply stay absent from the distance vector.
 
-Two interchangeable backends drive the inner loop: the unfused one composes
-the public kernels verbatim, the fused one runs the loop-merged variants.
-Their outputs are bit-identical by construction and tested as such.
+Two interchangeable backends drive the loop: the unfused one composes the
+public kernels verbatim over sparse vectors, the fused one keeps dense state
+and pushes along the frontier's out-edges (see fused.py). Their outputs are
+bit-identical by construction and tested as such.
 """
 
 from __future__ import annotations
@@ -29,12 +30,7 @@ from .core import (
     matrix_transpose_view,
     vector_build,
 )
-from .fused import (
-    BackendChoice,
-    bucket_bounds,
-    fused_bucket_update,
-    fused_masked_relax,
-)
+from .fused import BackendChoice, _push, bucket_bounds
 from .ops import (
     LESS,
     MIN,
@@ -85,17 +81,21 @@ class SsspResult:
     elapsed: float
 
 
+def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
+    light = filter_matrix(matrix, positive_at_most(delta))
+    return light, filter_matrix(matrix, greater_than(delta))
+
+
 def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
     """Partition edges into (light, heavy) by weight against delta.
 
     Every input entry lands in exactly one output with its value untouched.
     Both results come back with their transposed views already built, since
-    the solver multiplies through the views every iteration.
+    the unfused solver multiplies through the views every iteration.
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    light = filter_matrix(matrix, positive_at_most(delta))
-    heavy = filter_matrix(matrix, greater_than(delta))
+    light, heavy = _partition(matrix, delta)
     matrix_transpose_view(light)
     matrix_transpose_view(heavy)
     return light, heavy
@@ -131,19 +131,6 @@ def relax_light_phase(state: SsspState) -> SsspState:
     )
 
 
-def _relax_light_phase_fused(state: SsspState) -> SsspState:
-    requests = fused_masked_relax(
-        state.tentative, state.bucket, matrix_transpose_view(state.light)
-    )
-    settled = ewise_add_vector(state.settled, state.bucket, OR)
-    tentative, bucket, settled = fused_bucket_update(
-        state.tentative, requests, settled, state.bucket_index, state.delta
-    )
-    return replace(
-        state, tentative=tentative, requests=requests, bucket=bucket, settled=settled
-    )
-
-
 def relax_heavy(state: SsspState) -> SsspState:
     """Single heavy relaxation from the whole settled set of this bucket.
 
@@ -156,21 +143,92 @@ def relax_heavy(state: SsspState) -> SsspState:
     return replace(state, tentative=tentative, requests=requests)
 
 
-def _relax_heavy_fused(state: SsspState) -> SsspState:
-    requests = fused_masked_relax(
-        state.tentative, state.settled, matrix_transpose_view(state.heavy)
-    )
-    tentative = ewise_add_vector(state.tentative, requests, MIN)
-    return replace(state, tentative=tentative, requests=requests)
+def _count_phase(phases: int, ceiling: int) -> int:
+    phases += 1
+    if phases > ceiling:
+        raise RuntimeError(
+            f"light phase count exceeded ceiling {ceiling}; relaxation is not converging"
+        )
+    return phases
 
 
-def _bucket_index_of(value: float, delta: float) -> int:
+def _next_index(index: int, delta: float, skip: bool, values: np.ndarray) -> int | None:
+    """Bucket after `index`: the next one in one-step mode; when skipping,
+    the one whose window holds the smallest finite value beyond this
+    window, or None if there is none."""
+    if not skip:
+        return index + 1
+    beyond = values[(values >= bucket_bounds(index, delta)[1]) & (values < math.inf)]
+    if not beyond.size:
+        return None
+    value = float(beyond.min())
     index = int(value // delta)
     while index * delta > value:
         index -= 1
     while (index + 1) * delta <= value:
         index += 1
     return index
+
+
+def _solve_unfused(
+    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, skip: bool, ceiling: int
+) -> tuple[SparseVector, int, int]:
+    n = light.n
+    t = vector_build(n, [(source, 0.0)])
+    index: int | None = 0
+    outer = phases = 0
+    while t.nnz and float(t.values.max()) >= index * delta:
+        state = SsspState(
+            tentative=t,
+            requests=SparseVector(n),
+            bucket=compute_bucket(t, index, delta),
+            settled=SparseVector(n),
+            light=light,
+            heavy=heavy,
+            bucket_index=index,
+            delta=delta,
+            source=source,
+        )
+        while state.bucket.nnz:
+            state = relax_light_phase(state)
+            phases = _count_phase(phases, ceiling)
+        t = relax_heavy(state).tentative
+        outer += 1
+        index = _next_index(index, delta, skip, t.values)
+        if index is None:
+            break
+    return t, outer, phases
+
+
+def _solve_fused(
+    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, skip: bool, ceiling: int
+) -> tuple[SparseVector, int, int]:
+    # the unfused loop step for step over dense state (see fused.py): t is
+    # +inf where unreached; a light push from the window [lo, hi) lowers t
+    # to values >= lo over positive weights and returns the lowered targets,
+    # so those below hi form the next bucket
+    n = light.n
+    t = np.full(n, math.inf, dtype=VALUE_DTYPE)
+    t[source] = 0.0
+    index: int | None = 0
+    outer = phases = 0
+    while np.any((t >= index * delta) & (t < math.inf)):
+        lo, hi = bucket_bounds(index, delta)
+        bucket = np.flatnonzero((t >= lo) & (t < hi))
+        settled = np.zeros(n, dtype=bool)
+        while bucket.size:
+            settled[bucket] = True
+            lowered = _push(t[bucket], bucket, light, t)
+            bucket = lowered[t[lowered] < hi]
+            phases = _count_phase(phases, ceiling)
+        frontier = np.flatnonzero(settled)
+        _push(t[frontier], frontier, heavy, t)
+        outer += 1
+        index = _next_index(index, delta, skip, t)
+        if index is None:
+            break
+    reached = np.flatnonzero(t < math.inf)
+    return SparseVector(n, reached, t[reached]), outer, phases
 
 
 def delta_stepping(
@@ -198,7 +256,8 @@ def delta_stepping(
 
     fused = backend.kind == "fused"
     start = time.perf_counter()
-    light, heavy = split_edges(matrix, delta)
+    # the fused backend pushes along rows, so it needs no transposed views
+    light, heavy = _partition(matrix, delta) if fused else split_edges(matrix, delta)
 
     # total light passes across the run are bounded by the vertex count
     # times the per-bucket pass bound; beyond that something cycles
@@ -206,44 +265,10 @@ def delta_stepping(
         per_bucket = int(math.ceil(delta / float(light.val.min()))) + 2
     else:
         per_bucket = 2
-    phase_ceiling = matrix.n * per_bucket
-
-    t = vector_build(matrix.n, [(source, 0.0)])
-    index = 0
-    outer = 0
-    phases = 0
-    while t.nnz and float(t.values.max()) >= index * delta:
-        state = SsspState(
-            tentative=t,
-            requests=SparseVector(matrix.n),
-            bucket=compute_bucket(t, index, delta),
-            settled=SparseVector(matrix.n),
-            light=light,
-            heavy=heavy,
-            bucket_index=index,
-            delta=delta,
-            source=source,
-        )
-        while state.bucket.nnz:
-            state = (
-                _relax_light_phase_fused(state) if fused else relax_light_phase(state)
-            )
-            phases += 1
-            if phases > phase_ceiling:
-                raise RuntimeError(
-                    f"light phase count exceeded ceiling {phase_ceiling}; "
-                    "relaxation is not converging"
-                )
-        state = _relax_heavy_fused(state) if fused else relax_heavy(state)
-        t = state.tentative
-        outer += 1
-        if skip_empty_buckets:
-            beyond = t.values[t.values >= bucket_bounds(index, delta)[1]]
-            if beyond.size == 0:
-                break
-            index = _bucket_index_of(float(beyond.min()), delta)
-        else:
-            index += 1
+    solve = _solve_fused if fused else _solve_unfused
+    t, outer, phases = solve(
+        light, heavy, source, delta, skip_empty_buckets, matrix.n * per_bucket
+    )
     elapsed = time.perf_counter() - start
     return SsspResult(distances=t, outer_iterations=outer, inner_phases=phases, elapsed=elapsed)
 

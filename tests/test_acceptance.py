@@ -243,6 +243,7 @@ def test_criterion_6_unit_weight_bucket_counts():
     assert not failures, failures
 
 
+@pytest.mark.slow
 def test_criterion_7_performance_direction():
     rng = np.random.default_rng(7)
     n, m = 100_000, 1_050_000

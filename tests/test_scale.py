@@ -1,0 +1,53 @@
+"""Both backends against a second, independent oracle at scale:
+scipy.sparse.csgraph.dijkstra (compiled, so 10^5-vertex graphs check in a
+blink). scipy is a test-only dependency; the module skips without it."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+csgraph = pytest.importorskip("scipy.sparse.csgraph")
+sparse = pytest.importorskip("scipy.sparse")
+
+from deltasparse import BackendChoice, delta_stepping, matrix_build, random_graph  # noqa: E402
+from deltasparse.cli import REL_TOLERANCE  # noqa: E402
+
+pytestmark = pytest.mark.slow
+
+
+def scipy_distances(matrix, source):
+    graph = sparse.csr_matrix((matrix.val, matrix.col, matrix.indptr), shape=(matrix.n, matrix.n))
+    dist = csgraph.dijkstra(graph, directed=True, indices=source)
+    reach = np.flatnonzero(np.isfinite(dist))
+    return reach, dist[reach]
+
+
+def solve_both(matrix, source, delta):
+    for kind in ("unfused", "fused"):
+        yield delta_stepping(matrix, source, delta, backend=BackendChoice(kind)).distances
+
+
+def test_random_graph_int_weights_match_exactly():
+    matrix = random_graph(100_000, 1_000_000, np.random.default_rng(5), weights="int")
+    reach, want = scipy_distances(matrix, 0)
+    assert reach.size > 99_000
+    for got in solve_both(matrix, 0, 3.0):
+        assert np.array_equal(got.indices, reach)
+        assert np.array_equal(got.values, want)
+
+
+def test_grid_float_weights_within_tolerance():
+    side = 200
+    rng = np.random.default_rng(6)
+    ids = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    tails, heads = np.concatenate([u, v]), np.concatenate([v, u])
+    weights = 10.0 * (1.0 - rng.random(tails.size))
+    matrix = matrix_build(side * side, np.column_stack([tails, heads, weights]))
+    reach, want = scipy_distances(matrix, 0)
+    assert reach.size == side * side
+    for got in solve_both(matrix, 0, 5.0):
+        assert np.array_equal(got.indices, reach)
+        assert np.all(np.abs(got.values - want) <= REL_TOLERANCE * (1.0 + want))

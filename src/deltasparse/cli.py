@@ -17,6 +17,7 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,8 +138,10 @@ def run(config: RunConfig) -> int:
         if not ok:
             code = 2
 
-    lines = sorted((labels.to_external(i), v) for i, v in distances.items())
-    text = "".join(f"{label}\t{value!r}\n" for label, value in lines)
+    externals = labels.externals
+    reached = [externals[i] for i in distances.indices.tolist()]
+    lines = sorted(zip(reached, distances.values.tolist()), key=itemgetter(0))
+    text = "".join([f"{label}\t{value!r}\n" for label, value in lines])
     if config.output is None:
         sys.stdout.write(text)
     else:

@@ -15,10 +15,15 @@ import numpy as np
 
 INDEX_DTYPE = np.int64
 VALUE_DTYPE = np.float64
+# one edge as matrix_build's integer entry point takes it
+EDGE_DTYPE = np.dtype([("row", INDEX_DTYPE), ("col", INDEX_DTYPE), ("weight", VALUE_DTYPE)])
+# largest n for which every row*n + col key fits in int64
+_MAX_KEYED_DIMENSION = 3_037_000_499
 
 __all__ = [
     "SparseVector",
     "SparseMatrix",
+    "EDGE_DTYPE",
     "vector_build",
     "matrix_build",
     "matrix_transpose_view",
@@ -245,32 +250,48 @@ def matrix_build(
 ) -> SparseMatrix:
     """Validating constructor from (row, col, weight) triples.
 
-    Weights must be strictly positive and finite. Duplicate coordinates are
-    collapsed with min. Self-loop triples are dropped silently; loaders that
-    care count them before calling in here.
+    `triples` is either rows of three numbers or an array of EDGE_DTYPE
+    records; the records keep their integer coordinates and skip the float
+    table. Weights must be strictly positive and finite. Duplicate
+    coordinates are collapsed with min. Self-loop triples are dropped
+    silently; loaders that care count them before calling in here.
     """
-    arr = _as_float_table(triples, 3)
-    rows = _integral(arr[:, 0], "row indices")
-    cols = _integral(arr[:, 1], "column indices")
-    vals = arr[:, 2]
+    if isinstance(triples, np.ndarray) and triples.dtype == EDGE_DTYPE:
+        rows, cols, vals = triples["row"], triples["col"], triples["weight"]
+    else:
+        arr = _as_float_table(triples, 3)
+        rows = _integral(arr[:, 0], "row indices")
+        cols = _integral(arr[:, 1], "column indices")
+        vals = arr[:, 2]
+    if n > _MAX_KEYED_DIMENSION:
+        raise ValueError(f"dimension {n} too large for row*n + col keys")
     if rows.size:
-        both = np.concatenate([rows, cols])
-        if both.min() < 0 or both.max() >= n:
+        if min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n:
             raise ValueError(f"vertex index out of range for dimension {n}")
         if not np.all(np.isfinite(vals) & (vals > 0)):
             bad = vals[~(np.isfinite(vals) & (vals > 0))][0]
             raise ValueError(f"edge weights must be strictly positive, got {bad}")
     off_diag = rows != cols
-    rows, cols, vals = rows[off_diag], cols[off_diag], vals[off_diag]
-    if rows.size:
-        order = np.lexsort((vals, cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        first = np.ones(rows.size, dtype=bool)
-        first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        rows, cols, vals = rows[first], cols[first], vals[first]
+    key = rows[off_diag]
+    key *= n
+    key += cols[off_diag]
+    key, vals = _min_by_key(key, vals[off_diag])
+    rows = key // n
     counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(n, dtype=INDEX_DTYPE)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
-    return SparseMatrix(n, indptr, cols, vals)
+    return SparseMatrix(n, indptr, key - rows * n, vals)
+
+
+def _min_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sort by key and keep the smallest value of each run of equal keys
+    (the min of a run does not depend on the order the sort left it in)."""
+    order = np.argsort(key)
+    key, vals = key[order], vals[order]
+    repeat = key[1:] == key[:-1]
+    if not repeat.any():
+        return key, vals
+    starts = np.flatnonzero(np.concatenate([[True], ~repeat]))
+    return key[starts], np.minimum.reduceat(vals, starts)
 
 
 def matrix_transpose_view(matrix: SparseMatrix) -> SparseMatrix:

@@ -82,8 +82,24 @@ class SsspResult:
 
 
 def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
-    light = filter_matrix(matrix, positive_at_most(delta))
-    return light, filter_matrix(matrix, greater_than(delta))
+    """The fused path's split in one pass: stored weights are finite and
+    > 0, so heavy (weight > delta) is exactly the complement of light, and
+    both results equal split_edges' filter_matrix pair."""
+    light = matrix.val <= delta
+    light_ptr = np.concatenate([[0], np.cumsum(light)])[matrix.indptr]
+    heavy = ~light
+    # np.compress gathers several times faster than boolean indexing here
+    return (
+        SparseMatrix(
+            matrix.n, light_ptr, np.compress(light, matrix.col), np.compress(light, matrix.val)
+        ),
+        SparseMatrix(
+            matrix.n,
+            matrix.indptr - light_ptr,
+            np.compress(heavy, matrix.col),
+            np.compress(heavy, matrix.val),
+        ),
+    )
 
 
 def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
@@ -95,7 +111,8 @@ def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Spars
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    light, heavy = _partition(matrix, delta)
+    light = filter_matrix(matrix, positive_at_most(delta))
+    heavy = filter_matrix(matrix, greater_than(delta))
     matrix_transpose_view(light)
     matrix_transpose_view(heavy)
     return light, heavy

@@ -137,6 +137,56 @@ def test_run_malformed_file(tmp_path, capsys):
     assert "bad.mtx:1:" in captured.err
 
 
+@pytest.mark.parametrize(
+    "fmt, data, lineno",
+    [
+        ("edges", b"0 1 2.0\n1 2 \xff\xfe\n", 2),
+        ("edges", b"# caf\xc3\xa9\r\n0 1\r\n\r1 2\xc3\n", 4),
+        ("mtx", b"%%MatrixMarket matrix coordinate real general\n% \xff\n2 2 1\n1 2 1.0\n", 2),
+    ],
+)
+def test_run_invalid_utf8_is_a_parse_error(tmp_path, capsys, fmt, data, lineno):
+    p = tmp_path / "bad.txt"
+    p.write_bytes(data)
+    code = run_cli("run", "--graph", str(p), "--format", fmt, "--source", "1")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == f"deltasparse: {p}:{lineno}: not valid UTF-8\n"
+
+
+def test_run_invalid_utf8_on_stdin(monkeypatch, capsys):
+    # standard input ends lines at \n only, so the lone \r does not count
+    raw = io.BytesIO(b"0 1\r\n1 2\r3 4\n\x80\n")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(raw, encoding="utf-8"))
+    code = run_cli("run", "--graph", "-", "--format", "edges", "--source", "0")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "deltasparse: -:3: not valid UTF-8\n"
+
+
+def test_run_output_pins_labels_beyond_int64(tmp_path, capsys):
+    p = tmp_path / "big.edges"
+    p.write_text(
+        "18446744073709551621 9223372036854775808 0.1\n"
+        "9223372036854775808 7 0.2\n"
+        "7 3 2.5\n"
+        "3 18446744073709551621 1\n"
+    )
+    for backend in ("unfused", "fused"):
+        code = run_cli(
+            "run", "--graph", str(p), "--format", "edges", "--directed",
+            "--source", "18446744073709551621", "--backend", backend,
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == (
+            "3\t2.8\n"
+            "7\t0.30000000000000004\n"
+            "9223372036854775808\t0.1\n"
+            "18446744073709551621\t0.0\n"
+        )
+
+
 def test_run_unknown_source_label(edge_path, capsys):
     code = run_cli("run", "--graph", edge_path, "--format", "edges", "--source", "17")
     captured = capsys.readouterr()

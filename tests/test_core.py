@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from deltasparse import (
+    EDGE_DTYPE,
     SparseMatrix,
     SparseVector,
     mask_from_indices,
@@ -152,6 +153,25 @@ def test_matrix_build_rejects_bad_input():
             matrix_build(3, [(0, 1, w)])
     with pytest.raises(ValueError):
         matrix_build(3, [(0.5, 1, 1.0)])
+
+
+def test_matrix_build_edge_records_equal_float_table():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 4 * n))
+        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
+        vals = rng.integers(1, 4, m) * (1.0 if rng.random() < 0.5 else 0.1)
+        edges = np.empty(m, dtype=EDGE_DTYPE)
+        edges["row"], edges["col"], edges["weight"] = rows, cols, vals
+        built = matrix_build(n, edges)
+        built.check_invariants()
+        assert built == matrix_build(n, np.column_stack([rows, cols, vals]))
+
+
+def test_matrix_build_rejects_dimension_beyond_int64_keys():
+    with pytest.raises(ValueError, match="too large"):
+        matrix_build(3_037_000_500, np.empty(0, dtype=EDGE_DTYPE))
 
 
 def test_matrix_row_access():

@@ -18,12 +18,25 @@ from deltasparse import (
     mask_from_indices,
     matrix_build,
     random_graph,
+    split_edges,
     vector_build,
 )
 
 from test_fused import composed_bucket_update
 
 FUSED = BackendChoice("fused")
+
+
+def test_one_pass_partition_equals_split_edges():
+    rng = np.random.default_rng(3)
+    for case in range(40):
+        matrix = random_graph(int(rng.integers(1, 40)), int(rng.integers(0, 160)), rng, "float")
+        delta = float(rng.choice([0.5, 1.0, 3.0, 7.5, 100.0]))
+        light, heavy = deltasparse.sssp._partition(matrix, delta)
+        want_light, want_heavy = split_edges(matrix, delta)
+        assert light == want_light and heavy == want_heavy, case
+        light.check_invariants()
+        heavy.check_invariants()
 
 
 def test_bucket_update_zero_request_where_t_is_absent():

@@ -7,7 +7,7 @@ gathers the frontier's rows of the row-major light or heavy matrix, forms
 t[i] + w per out-edge, sorts the candidates by target, takes each target's
 minimum with np.minimum.reduceat, and lowers t[j] to min(t[j], request).
 The work is the frontier's out-edges, not every edge of the matrix, and no
-transposed view is ever built.
+transposed view is ever built. ops.vxm_min_plus runs the same _push.
 
 Bit identity with the unfused chain: every candidate is the same single
 float sum t[i] + w that the composed (min,+) product forms, and the minimum
@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, SparseVector, mask_from_indices
-from .core import matrix_transpose_view
-from .ops import _positions
+from .core import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, SparseVector, _positions
+from .core import mask_from_indices, matrix_transpose_view
 
 __all__ = [
     "BackendChoice",

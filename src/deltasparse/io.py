@@ -28,7 +28,8 @@ from typing import Iterable, TextIO
 
 import numpy as np
 
-from .core import EDGE_DTYPE, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, matrix_build
+from .core import _MAX_KEYED_DIMENSION, EDGE_DTYPE, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
+from .core import matrix_build
 
 __all__ = [
     "GraphFile",
@@ -233,6 +234,8 @@ def _mm_header(path: str, lines: TextIO) -> tuple[int, int, bool, bool, int]:
             raise ParseError(path, lineno, f"graph matrix must be square, got {nr}x{nc}")
         if nr < 1:
             raise ParseError(path, lineno, "matrix dimension must be positive")
+        if nr > _MAX_KEYED_DIMENSION:
+            raise ParseError(path, lineno, f"matrix dimension {nr} exceeds {_MAX_KEYED_DIMENSION}")
         return nr, declared, field == "pattern", symmetry == "symmetric", lineno
     raise ParseError(path, lineno, "missing size line")
 

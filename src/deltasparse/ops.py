@@ -20,12 +20,14 @@ from typing import Callable
 import numpy as np
 
 from .core import (
-    INDEX_DTYPE,
     VALUE_DTYPE,
     SparseMatrix,
     SparseVector,
+    _positions,
     mask_from_indices,
+    matrix_transpose_view,
 )
+from .fused import _push
 
 __all__ = [
     "UnaryPredicate",
@@ -98,20 +100,6 @@ def _require_length(actual: int, expected: int, what: str) -> None:
         raise ValueError(f"{what}: length {actual} does not match {expected}")
 
 
-def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per query: insertion position in sorted_idx plus a membership flag.
-
-    Positions are clipped so they are always safe to gather with; gathered
-    values are only meaningful where the flag is set.
-    """
-    if sorted_idx.size == 0:
-        return np.zeros(queries.size, dtype=INDEX_DTYPE), np.zeros(queries.size, dtype=bool)
-    pos = np.searchsorted(sorted_idx, queries)
-    safe = np.minimum(pos, sorted_idx.size - 1)
-    found = (pos < sorted_idx.size) & (sorted_idx[safe] == queries)
-    return safe, found
-
-
 def _gate(indices: np.ndarray, mask: SparseVector) -> np.ndarray:
     _, found = _positions(mask.indices, indices)
     return found
@@ -147,25 +135,15 @@ def filter_vector(vec: SparseVector, pred: UnaryPredicate) -> SparseVector:
     return mask_from_indices(vec.length, vec.indices[keep])
 
 
-def _filter_rows(
-    matrix: SparseMatrix, keep: np.ndarray, lo: int, hi: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    e0, e1 = int(matrix.indptr[lo]), int(matrix.indptr[hi])
-    seg = keep[e0:e1]
-    # per-row kept counts via prefix sums; immune to empty-row edge cases
-    csum = np.concatenate([[0], np.cumsum(seg)])
-    bounds = matrix.indptr[lo : hi + 1] - e0
-    counts = csum[bounds[1:]] - csum[bounds[:-1]]
-    return counts.astype(INDEX_DTYPE), matrix.col[e0:e1][seg], matrix.val[e0:e1][seg]
-
-
 def filter_matrix(matrix: SparseMatrix, pred: UnaryPredicate) -> SparseMatrix:
     """Keep exactly the entries whose weight satisfies the predicate,
     preserving coordinates and values."""
     keep = pred(matrix.val)
-    counts, col, val = _filter_rows(matrix, keep, 0, matrix.n)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
-    return SparseMatrix(matrix.n, indptr, col, val)
+    indptr = np.concatenate([[0], np.cumsum(keep)])[matrix.indptr]
+    # np.compress gathers several times faster than boolean indexing here
+    return SparseMatrix(
+        matrix.n, indptr, np.compress(keep, matrix.col), np.compress(keep, matrix.val)
+    )
 
 
 def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,21 +172,23 @@ def ewise_add_vector(
     _require_length(v.length, u.length, "ewise_add operand")
     if mask is not None:
         _require_length(mask.length, u.length, "mask")
-    if u.nnz == 0 and v.nnz == 0:
-        return SparseVector(u.length)
-    union = np.union1d(u.indices, v.indices)
+    # linear merge of two sorted, duplicate-free index sets: op combines the
+    # shared entries in u's slots, then v's own entries go in at their places
+    pos = np.searchsorted(u.indices, v.indices)
+    if u.nnz:
+        both = u.indices[np.minimum(pos, u.nnz - 1)] == v.indices
+    else:
+        both = np.zeros(v.nnz, dtype=bool)
+    out = u.values.copy()
+    out[pos[both]] = op(u.values[pos[both]], v.values[both])
+    idx = np.insert(u.indices, pos[~both], v.indices[~both])
+    out = np.insert(out, pos[~both], v.values[~both])
     if mask is not None:
-        union = union[_gate(union, mask)]
-    pu, in_u = _positions(u.indices, union)
-    pv, in_v = _positions(v.indices, union)
-    uval = u.values[pu] if u.nnz else np.zeros(union.size, dtype=VALUE_DTYPE)
-    vval = v.values[pv] if v.nnz else np.zeros(union.size, dtype=VALUE_DTYPE)
-    both = in_u & in_v
-    out = np.where(both, op(uval, vval), np.where(in_u, uval, vval))
+        keep = _gate(idx, mask)
+        idx, out = idx[keep], out[keep]
     if op.boolean:
-        idx, out = _finalize_boolean(union, out)
-        return SparseVector(u.length, idx, out)
-    return SparseVector(u.length, union, out)
+        idx, out = _finalize_boolean(idx, out)
+    return SparseVector(u.length, idx, out)
 
 
 def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
@@ -232,32 +212,31 @@ def vxm_min_plus(
     transposed: SparseMatrix,
     mask: SparseVector | None = None,
 ) -> SparseVector:
-    """(min,+) vector-matrix product, reading the matrix through its
-    transposed view.
+    """(min,+) vector-matrix product, taking the matrix as its transposed
+    view.
 
     The caller passes the transposed view T of the logical multiplicand M
-    (row j of T lists M's entries that write output j), so the hot loop is
-    a gather: out[j] = min over stored i of v[i] + M[i][j]. Outputs whose
-    reduction stays at the identity (+inf) are absent, and a mask, when
-    given, gates which outputs are kept.
+    (row j of T lists M's entries that write output j), and out[j] = min
+    over stored i of v[i] + M[i][j]. The product pushes: it reaches M itself
+    through the view's cached back-reference and relaxes only the out-edges
+    of v's stored entries, with the fused backend's own push, so the work is
+    v's out-edges rather than every edge of T. Outputs whose reduction stays
+    at the identity (+inf) are absent, and a mask, when given, gates which
+    outputs are kept.
+
+    For finite values of v this is bit-equal to gathering over T: every
+    candidate is the same single float sum v[i] + M[i][j], and the minimum
+    of a multiset of floats does not depend on the order it is taken in (a
+    sum with a weight > 0 is never -0.0, so no signed-zero tie can tell two
+    orders apart).
     """
     _require_length(v.length, transposed.ncols, "vxm operand")
     if mask is not None:
         _require_length(mask.length, transposed.nrows, "mask")
     if v.nnz == 0 or transposed.nnz == 0:
         return SparseVector(transposed.nrows)
-    src = transposed.col
-    pos, found = _positions(v.indices, src)
-    cand = np.where(found, v.values[pos] + transposed.val, math.inf)
-    # reduce only over non-empty rows: consecutive starts then delimit each
-    # row's candidate segment exactly, with no empty-segment corner cases
-    lengths = np.diff(transposed.indptr)
-    nonempty = np.flatnonzero(lengths > 0).astype(INDEX_DTYPE)
-    mins = np.minimum.reduceat(cand, transposed.indptr[nonempty])
-    keep = np.isfinite(mins)
-    out_idx = nonempty[keep]
-    out_val = mins[keep]
+    dense = np.full(transposed.nrows, math.inf, dtype=VALUE_DTYPE)
+    out_idx = _push(v.values, v.indices, matrix_transpose_view(transposed), dense)
     if mask is not None:
-        sel = _gate(out_idx, mask)
-        out_idx, out_val = out_idx[sel], out_val[sel]
-    return SparseVector(transposed.nrows, out_idx, out_val)
+        out_idx = out_idx[_gate(out_idx, mask)]
+    return SparseVector(transposed.nrows, out_idx, dense[out_idx])

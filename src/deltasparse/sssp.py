@@ -106,16 +106,20 @@ def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Spars
     """Partition edges into (light, heavy) by weight against delta.
 
     Every input entry lands in exactly one output with its value untouched.
-    Both results come back with their transposed views already built, since
-    the unfused solver multiplies through the views every iteration.
+    Both results come back linked to their transposed views, since the
+    unfused solver multiplies through the views every iteration. Filtering
+    keeps coordinates, so each view is the same filter applied to the
+    matrix's own transpose, which is built once and cached on the matrix.
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    light = filter_matrix(matrix, positive_at_most(delta))
-    heavy = filter_matrix(matrix, greater_than(delta))
-    matrix_transpose_view(light)
-    matrix_transpose_view(heavy)
-    return light, heavy
+    transposed = matrix_transpose_view(matrix)
+    parts = []
+    for pred in (positive_at_most(delta), greater_than(delta)):
+        part, view = filter_matrix(matrix, pred), filter_matrix(transposed, pred)
+        part._transposed, view._transposed = view, part
+        parts.append(part)
+    return parts[0], parts[1]
 
 
 def compute_bucket(t: SparseVector, index: int, delta: float) -> SparseVector:

@@ -137,6 +137,22 @@ def test_run_malformed_file(tmp_path, capsys):
     assert "bad.mtx:1:" in captured.err
 
 
+@pytest.mark.parametrize("dimension", [3_037_000_500, 10_000_000_000])
+def test_run_mtx_dimension_beyond_keys_is_a_parse_error(tmp_path, capsys, dimension):
+    # rejected at the size line, before anything of size n is allocated
+    p = tmp_path / "huge.mtx"
+    p.write_text(
+        f"%%MatrixMarket matrix coordinate real general\n{dimension} {dimension} 1\n1 2 1.0\n"
+    )
+    code = run_cli("run", "--graph", str(p), "--format", "mtx", "--source", "1")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == (
+        f"deltasparse: {p}:2: matrix dimension {dimension} exceeds 3037000499\n"
+    )
+
+
 @pytest.mark.parametrize(
     "fmt, data, lineno",
     [

@@ -24,10 +24,10 @@ from deltasparse import (
     matrix_build,
     matrix_transpose_view,
     vector_build,
-    vxm_min_plus,
 )
 
 from conftest import random_mask, random_sparse_vector
+from kernel_reference import pull_vxm_min_plus
 
 
 def random_matrix(rng, n, m):
@@ -78,8 +78,9 @@ def test_partition_ranges_degenerate_cases():
 
 
 def composed_relax(t, selector, transposed):
+    # the pull product, so the push relax is checked against another method
     frontier = ewise_mult_vector(t, selector, TIMES)
-    return vxm_min_plus(frontier, transposed)
+    return pull_vxm_min_plus(frontier, transposed)
 
 
 def test_fused_relax_hand_case():

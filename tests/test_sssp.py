@@ -14,6 +14,7 @@ import deltasparse.fused as fused_mod
 from deltasparse import (
     BackendChoice,
     LESS,
+    SparseMatrix,
     SparseVector,
     TIMES,
     bucket_bounds,
@@ -26,6 +27,7 @@ from deltasparse import (
     in_half_open,
     mask_from_indices,
     matrix_build,
+    matrix_transpose_view,
     random_connected_unit_graph,
     random_graph,
     relax_heavy,
@@ -83,6 +85,37 @@ def test_split_edges_prebuilds_transposed_views():
     light, heavy = split_edges(a, 1.0)
     assert light._transposed is not None
     assert heavy._transposed is not None
+
+
+def test_split_edges_views_equal_fresh_transposes():
+    # each view is a filter of the cached transpose of the input; it must be
+    # exactly the transpose of its part, built from scratch
+    rng = np.random.default_rng(79)
+    for case in range(30):
+        n = int(rng.integers(1, 40))
+        kind = "int" if case % 2 else "float"
+        a = random_graph(n, int(rng.integers(0, 4 * n)), rng, weights=kind)
+        for delta in DELTAS:
+            for part in split_edges(a, delta):
+                view = part._transposed
+                uncached = SparseMatrix(part.n, part.indptr, part.col, part.val)
+                assert view == matrix_transpose_view(uncached)
+                view.check_invariants()
+                assert view._transposed is part
+
+
+def test_split_edges_transposes_the_input_once(monkeypatch):
+    rng = np.random.default_rng(83)
+    a = random_graph(30, 120, rng, weights="float")
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
+    split_edges(a, 1.0)
+    cached = a._transposed
+    assert len(sorts) == 1 and cached is not None
+    for delta in (*DELTAS, 1.0):
+        split_edges(a, delta)
+    assert len(sorts) == 1 and a._transposed is cached
 
 
 def test_split_edges_partition_invariant():

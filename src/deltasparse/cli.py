@@ -6,7 +6,8 @@ prints one "label<TAB>distance" line per reachable vertex; `selftest` runs
 an embedded randomized oracle suite.
 
 Exit codes: 0 success, 1 load or parse failure, 2 verification mismatch,
-3 bad flags (including a source label the graph does not have).
+3 bad flags (including a source label the graph does not have, or a
+delta too small for the solver to bucket the graph's distances).
 """
 
 from __future__ import annotations
@@ -118,13 +119,18 @@ def run(config: RunConfig) -> int:
     result = None
     times = []
     for _ in range(config.repeat):
-        result = delta_stepping(
-            matrix,
-            internal_source,
-            config.delta,
-            backend=config.backend,
-            skip_empty_buckets=config.skip_empty_buckets,
-        )
+        try:
+            result = delta_stepping(
+                matrix,
+                internal_source,
+                config.delta,
+                backend=config.backend,
+                skip_empty_buckets=config.skip_empty_buckets,
+            )
+        except ValueError as exc:
+            # a delta the solver cannot bucket this graph's distances with
+            print(f"deltasparse: error: {exc}", file=sys.stderr)
+            return 3
         times.append(result.elapsed)
     assert result is not None
     distances = _perturb(result.distances) if config.inject_fault else result.distances

@@ -18,8 +18,11 @@ the requests that the unfused comparison with its pass-through rule calls
 improving.
 
 A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
-slices, one after another. Every slice forms its candidates from the
-frontier values read on entry, so the cut never changes a result.
+slices, one after another, through one slice body (_relax). Every slice
+forms its candidates from the frontier values read on entry, so the cut
+never changes a result. A push that fits in one slice, the common case,
+runs the body once with no cutting at all; a cut push merges the slices'
+sorted lowered targets with one sort and an adjacent-duplicate pass.
 """
 
 from __future__ import annotations
@@ -87,27 +90,50 @@ def _push(
     counts = matrix.indptr[frontier + 1] - starts
     ends = np.cumsum(counts)
     offsets = ends - counts
+    # edge e of the frontier's out-edges is matrix entry base[k] + e, where
+    # k is the frontier vertex it belongs to
+    base = starts - offsets
     total = int(ends[-1]) if ends.size else 0
+    if total == 0:
+        return np.empty(0, dtype=INDEX_DTYPE)
+    if total <= RANGE_ENTRIES:
+        return _relax(values, base, counts, 0, total, matrix, dense)
     # slice k takes the frontier vertices whose out-edges end in edge range k
     edge_cuts = [0] + [hi for _, hi in _partition_ranges(total, -(-total // RANGE_ENTRIES))]
     cuts = np.searchsorted(ends, edge_cuts, side="right")
-    lowered = [np.empty(0, dtype=INDEX_DTYPE)]
-    for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        if a == b or offsets[a] == ends[b - 1]:
-            continue
-        eid = np.repeat(starts[a:b] - offsets[a:b], counts[a:b]) + np.arange(
-            offsets[a], ends[b - 1]
-        )
-        target = matrix.col[eid]
-        order = np.argsort(target)
-        target = target[order]
-        cand = (np.repeat(values[a:b], counts[a:b]) + matrix.val[eid])[order]
-        heads = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
-        target, request = target[heads], np.minimum.reduceat(cand, heads)
-        better = request < dense[target]
-        dense[target[better]] = request[better]
-        lowered.append(target[better])
-    return lowered[-1] if len(lowered) <= 2 else np.unique(np.concatenate(lowered))
+    lowered = [
+        _relax(values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense)
+        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
+        if a < b
+    ]
+    # each slice's targets are sorted and distinct, but a later slice may
+    # lower a target again: one sort, then drop adjacent repeats
+    merged = np.sort(np.concatenate(lowered))
+    return merged[np.diff(merged, prepend=-1) > 0]
+
+
+def _relax(
+    values: np.ndarray,
+    base: np.ndarray,
+    counts: np.ndarray,
+    lo: int,
+    hi: int,
+    matrix: SparseMatrix,
+    dense: np.ndarray,
+) -> np.ndarray:
+    """One push slice: the frontier vertices with these values, entry bases
+    and out-degrees own the frontier out-edges [lo, hi). Lowers `dense` and
+    returns the lowered targets, sorted and distinct."""
+    eid = np.repeat(base, counts) + np.arange(lo, hi)
+    target = matrix.col[eid]
+    order = np.argsort(target)
+    target = target[order]
+    cand = (np.repeat(values, counts) + matrix.val[eid])[order]
+    heads = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
+    target, request = target[heads], np.minimum.reduceat(cand, heads)
+    better = request < dense[target]
+    dense[target[better]] = request[better]
+    return target[better]
 
 
 def fused_masked_relax(

@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .core import (
+    INDEX_DTYPE,
     VALUE_DTYPE,
     SparseMatrix,
     SparseVector,
@@ -154,6 +155,24 @@ def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.
     return idx, np.ones(idx.size, dtype=VALUE_DTYPE)
 
 
+def _common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in `a` and in `b` of the indices both sorted, duplicate-free
+    arrays hold, in increasing index order. The smaller array is probed into
+    the larger one, so the cost is O(min log max) rather than O(max)."""
+    if a.size <= b.size:
+        pb, found = _positions(b, a)
+        return found.nonzero()[0], pb[found]
+    pa, found = _positions(a, b)
+    return pa[found], found.nonzero()[0]
+
+
+def _restrict(vec: SparseVector, mask: SparseVector) -> SparseVector:
+    if vec.indices is mask.indices:  # a vector masked by its own structure
+        return vec
+    keep, _ = _common(vec.indices, mask.indices)
+    return SparseVector(vec.length, vec.indices[keep], vec.values[keep])
+
+
 def ewise_add_vector(
     u: SparseVector,
     v: SparseVector,
@@ -168,24 +187,41 @@ def ewise_add_vector(
     they had compared true. Gate with mask=<the domain you care about>
     (typically the left operand) to suppress them. Boolean ops normalize
     surviving entries to 1.0 and drop entries evaluating to 0.0.
+
+    A mask restricts where the union is computed, not only what it keeps:
+    both operands are cut down to the mask's indices before the merge, so a
+    masked call costs about |mask| log n plus the merge of what is left.
+    The output is the same as merging everything and then gating by the
+    mask, since (u | v) & m == (u & m) | (v & m) with the same values.
     """
     _require_length(v.length, u.length, "ewise_add operand")
     if mask is not None:
         _require_length(mask.length, u.length, "mask")
-    # linear merge of two sorted, duplicate-free index sets: op combines the
-    # shared entries in u's slots, then v's own entries go in at their places
+        u, v = _restrict(u, mask), _restrict(v, mask)
+    # linear merge of two sorted, duplicate-free index sets: v's own entries
+    # land at their insertion slot plus the count of own entries before
+    # them, u's entries fill the remaining slots in order, and op combines
+    # the shared entries in their u slots
     pos = np.searchsorted(u.indices, v.indices)
     if u.nnz:
         both = u.indices[np.minimum(pos, u.nnz - 1)] == v.indices
     else:
         both = np.zeros(v.nnz, dtype=bool)
-    out = u.values.copy()
-    out[pos[both]] = op(u.values[pos[both]], v.values[both])
-    idx = np.insert(u.indices, pos[~both], v.indices[~both])
-    out = np.insert(out, pos[~both], v.values[~both])
-    if mask is not None:
-        keep = _gate(idx, mask)
-        idx, out = idx[keep], out[keep]
+    own = ~both
+    pos_own = pos[own]
+    slots = pos_own + np.arange(pos_own.size)
+    from_u = np.ones(u.nnz + pos_own.size, dtype=bool)
+    from_u[slots] = False
+    idx = np.empty(from_u.size, dtype=INDEX_DTYPE)
+    idx[from_u] = u.indices
+    idx[slots] = v.indices[own]
+    out = np.empty(from_u.size, dtype=VALUE_DTYPE)
+    out[from_u] = u.values
+    out[slots] = v.values[own]
+    shared = pos[both]
+    out[shared + np.searchsorted(pos_own, shared, "right")] = op(
+        u.values[shared], v.values[both]
+    )
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
     return SparseVector(u.length, idx, out)
@@ -193,13 +229,16 @@ def ewise_add_vector(
 
 def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
     """Intersection combine (Hadamard for op=*): output only where both
-    inputs hold an entry."""
+    inputs hold an entry, with op(u value, v value).
+
+    The smaller operand is probed into the larger one, so selecting a few
+    entries out of a long vector costs the few, not the long one."""
     _require_length(v.length, u.length, "ewise_mult operand")
     if u.nnz == 0 or v.nnz == 0:
         return SparseVector(u.length)
-    pv, in_v = _positions(v.indices, u.indices)
-    idx = u.indices[in_v]
-    out = op(u.values[in_v], v.values[pv[in_v]])
+    pu, pv = _common(u.indices, v.indices)
+    idx = u.indices[pu]
+    out = op(u.values[pu], v.values[pv])
     if out.dtype != VALUE_DTYPE:
         out = out.astype(VALUE_DTYPE)
     if op.boolean:

@@ -173,22 +173,41 @@ def _count_phase(phases: int, ceiling: int) -> int:
     return phases
 
 
+# Steps _next_index may take from the float quotient to the bucket window.
+# The steps needed grow with the float spacing of value / delta: sampled
+# quotients below 2**63 (spacing <= 1024) needed at most 1.5 spacings.
+WINDOW_STEPS = 1 << 11
+
+
 def _next_index(index: int, delta: float, skip: bool, values: np.ndarray) -> int | None:
     """Bucket after `index`: the next one in one-step mode; when skipping,
     the one whose window holds the smallest finite value beyond this
-    window, or None if there is none."""
+    window, or None if there is none. Raises ValueError when delta is too
+    small for the float windows to resolve that value."""
     if not skip:
         return index + 1
     beyond = values[(values >= bucket_bounds(index, delta)[1]) & (values < math.inf)]
     if not beyond.size:
         return None
     value = float(beyond.min())
-    index = int(value // delta)
-    while index * delta > value:
-        index -= 1
-    while (index + 1) * delta <= value:
-        index += 1
-    return index
+    quotient = value // delta
+    if quotient < math.inf:
+        # the float quotient can be off by a few windows; step to the window
+        # whose float endpoints hold the value. Where value / delta is so
+        # large that index and index + 1 round to the same float, stepping
+        # cannot reach a window, so the search is bounded
+        index = int(quotient)
+        for _ in range(WINDOW_STEPS):
+            if index * delta > value:
+                index -= 1
+            elif (index + 1) * delta <= value:
+                index += 1
+            else:
+                return index
+    raise ValueError(
+        f"delta {delta!r} is too small to place distance {value!r} "
+        "in a bucket window [i*delta, (i+1)*delta)"
+    )
 
 
 def _solve_unfused(
@@ -266,7 +285,9 @@ def delta_stepping(
     per outer iteration; `skip_empty_buckets` jumps over index gaps instead
     (identical distances, fewer iterations). Terminates when no stored
     tentative distance is at or beyond the current window start. Elapsed
-    time covers everything from the edge split onward.
+    time covers everything from the edge split onward. Raises ValueError
+    for a source out of range, a delta that is not positive and finite,
+    and, when skipping, a delta too small to place a distance in a window.
     """
     if backend is None:
         backend = BackendChoice()

@@ -1,9 +1,11 @@
-"""The earlier bodies of two public kernels, kept as test references.
+"""The earlier bodies of three public kernels, kept as test references.
 
-pull_vxm_min_plus gathers over every edge of the transposed view, and
+pull_vxm_min_plus gathers over every edge of the transposed view,
 union1d_ewise_add_vector merges through np.union1d and two position
-lookups. Both are verbatim copies of the code the work-efficient kernels
-replaced; the tests require the kernels to bit-equal them.
+lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
+whatever their sizes. Each is a verbatim copy of the code the
+work-efficient kernels replaced; the tests require the kernels to bit-equal
+them.
 """
 
 from __future__ import annotations
@@ -86,3 +88,19 @@ def pull_vxm_min_plus(
         sel = _gate(out_idx, mask)
         out_idx, out_val = out_idx[sel], out_val[sel]
     return SparseVector(transposed.nrows, out_idx, out_val)
+
+
+def probe_all_ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
+    """Intersection combine (Hadamard for op=*): output only where both
+    inputs hold an entry."""
+    _require_length(v.length, u.length, "ewise_mult operand")
+    if u.nnz == 0 or v.nnz == 0:
+        return SparseVector(u.length)
+    pv, in_v = _positions(v.indices, u.indices)
+    idx = u.indices[in_v]
+    out = op(u.values[in_v], v.values[pv[in_v]])
+    if out.dtype != VALUE_DTYPE:
+        out = out.astype(VALUE_DTYPE)
+    if op.boolean:
+        idx, out = _finalize_boolean(idx, out)
+    return SparseVector(u.length, idx, out)

@@ -4,6 +4,8 @@ distance output, verification, fault injection, and the selftest command."""
 from __future__ import annotations
 
 import io
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -267,6 +269,40 @@ def test_run_skip_empty_buckets_same_distances(edge_path, capsys):
     run_cli(*base, "--skip-empty-buckets")
     skipping = capsys.readouterr().out
     assert skipping == plain
+
+
+@contextmanager
+def time_limit(seconds):
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+@pytest.mark.parametrize("delta", ["1e-300", "5e-324"])
+def test_run_tiny_delta_skipping_is_a_usage_error(tmp_path, capsys, delta, backend):
+    # distance 1 at delta 1e-300 lies near bucket 1e300, where neighbouring
+    # bucket indices round to one float; at the subnormal 5e-324 the
+    # quotient itself overflows. Either way no window can be found, and the
+    # run must say so rather than hang or raise.
+    path = tmp_path / "path.edges"
+    path.write_text("0 1 1\n1 2 1\n")
+    with time_limit(5):
+        code = run_cli(
+            "run", "--graph", str(path), "--format", "edges", "--source", "0",
+            "--delta", delta, "--skip-empty-buckets", "--backend", backend,
+        )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("deltasparse: error: delta ") and f"delta {float(delta)!r}" in err
+    assert "distance 1.0" in err
 
 
 def test_run_repeat_reports_median(edge_path, capsys):

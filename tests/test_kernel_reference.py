@@ -1,5 +1,6 @@
-"""The push vxm_min_plus and the linear-merge ewise_add_vector must bit-equal
-the pull and union1d bodies they replaced (tests/kernel_reference.py)."""
+"""The push vxm_min_plus, the linear-merge ewise_add_vector and the
+smaller-side ewise_mult_vector must bit-equal the pull, union1d and
+probe-all bodies they replaced (tests/kernel_reference.py)."""
 
 from __future__ import annotations
 
@@ -15,6 +16,8 @@ from deltasparse import (
     SparseMatrix,
     SparseVector,
     ewise_add_vector,
+    ewise_mult_vector,
+    mask_from_indices,
     matrix_build,
     matrix_transpose_view,
     vector_build,
@@ -22,10 +25,18 @@ from deltasparse import (
 )
 
 from conftest import random_mask
-from kernel_reference import pull_vxm_min_plus, union1d_ewise_add_vector
+from kernel_reference import (
+    probe_all_ewise_mult_vector,
+    pull_vxm_min_plus,
+    union1d_ewise_add_vector,
+)
 
 OPS = (MIN, LESS, OR, TIMES)
-SHAPES = ("random", "disjoint", "identical", "empty_u", "empty_v", "both_empty")
+# long_u / long_v: one operand holds every index, the other 1 to 5 of them,
+# as when a bucket selects from the whole tentative vector
+SHAPES = (
+    "random", "disjoint", "identical", "empty_u", "empty_v", "both_empty", "long_u", "long_v"
+)
 
 
 def random_values(rng, k):
@@ -39,10 +50,22 @@ def vector_on(rng, n, idx):
     return vector_build(n, np.column_stack([idx, random_values(rng, len(idx))]))
 
 
+def few(rng, n):
+    return np.sort(rng.choice(n, size=min(n, int(rng.integers(1, 6))), replace=False))
+
+
+def length_for(rng, shape):
+    return int(rng.integers(1, 300 if shape.startswith("long") else 40))
+
+
 def operands(rng, n, shape):
     """Two vectors of length n whose index sets relate as `shape` says."""
     perm = rng.permutation(n)
     k = int(rng.integers(0, n + 1))
+    if shape == "long_u":
+        return vector_on(rng, n, perm), vector_on(rng, n, few(rng, n))
+    if shape == "long_v":
+        return vector_on(rng, n, few(rng, n)), vector_on(rng, n, perm)
     if shape == "random":
         other = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
         return vector_on(rng, n, perm[:k]), vector_on(rng, n, other)
@@ -62,12 +85,27 @@ def operands(rng, n, shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_ewise_add_equals_union1d_reference(op, shape):
     rng = np.random.default_rng([89, OPS.index(op), SHAPES.index(shape)])
-    for case in range(30):
-        n = int(rng.integers(1, 40))
+    for case in range(48):
+        n = length_for(rng, shape)
         u, v = operands(rng, n, shape)
-        mask = (None, random_mask(rng, n), u, v)[case % 4]
+        tiny = mask_from_indices(n, few(rng, n))
+        held = np.union1d(u.indices, v.indices)
+        outside = mask_from_indices(n, np.setdiff1d(np.arange(n), held))
+        mask = (None, random_mask(rng, n), u, v, tiny, outside)[case % 6]
         got = ewise_add_vector(u, v, op, mask=mask)
         assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
+        got.check_invariants()
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_ewise_mult_equals_probe_all_reference(op, shape):
+    rng = np.random.default_rng([101, OPS.index(op), SHAPES.index(shape)])
+    for _ in range(30):
+        n = length_for(rng, shape)
+        u, v = operands(rng, n, shape)
+        got = ewise_mult_vector(u, v, op)
+        assert got == probe_all_ewise_mult_vector(u, v, op)
         got.check_invariants()
 
 

@@ -10,6 +10,7 @@ import pytest
 csgraph = pytest.importorskip("scipy.sparse.csgraph")
 sparse = pytest.importorskip("scipy.sparse")
 
+import deltasparse.fused as fused_mod  # noqa: E402
 from deltasparse import BackendChoice, delta_stepping, matrix_build, random_graph  # noqa: E402
 from deltasparse.cli import REL_TOLERANCE  # noqa: E402
 
@@ -51,3 +52,40 @@ def test_grid_float_weights_within_tolerance():
     for got in solve_both(matrix, 0, 5.0):
         assert np.array_equal(got.indices, reach)
         assert np.all(np.abs(got.values - want) <= REL_TOLERANCE * (1.0 + want))
+
+
+def rmat_graph(scale, edge_factor, rng):
+    """R-MAT (Chakrabarti, Zhan, Faloutsos, SDM 2004): each edge picks one
+    adjacency quadrant per level, so degrees are skewed and a few hubs own
+    many edges. Float weights in (0, 10]."""
+    n, m = 1 << scale, edge_factor << scale
+    tails = np.zeros(m, dtype=np.int64)
+    heads = np.zeros(m, dtype=np.int64)
+    for level in range(scale):
+        quadrant = rng.choice(4, size=m, p=(0.57, 0.19, 0.19, 0.05))
+        tails |= (quadrant >> 1) << level
+        heads |= (quadrant & 1) << level
+    weights = 10.0 * (1.0 - rng.random(m))
+    return matrix_build(n, np.column_stack([tails, heads, weights]))
+
+
+def test_rmat_hub_sources_float_weights_within_tolerance(monkeypatch):
+    matrix = rmat_graph(15, 16, np.random.default_rng(8))
+    sliced = []
+    partition = fused_mod._partition_ranges
+
+    def spy(length, chunks):
+        sliced.append(chunks)
+        return partition(length, chunks)
+
+    monkeypatch.setattr(fused_mod, "_partition_ranges", spy)
+    hubs = np.argsort(-np.diff(matrix.indptr), kind="stable")[:4]
+    for source in hubs.tolist():
+        reach, want = scipy_distances(matrix, source)
+        assert reach.size > matrix.n // 2
+        unfused, fused = solve_both(matrix, source, 1.0)
+        assert fused == unfused
+        assert np.array_equal(unfused.indices, reach)
+        assert np.all(np.abs(unfused.values - want) <= REL_TOLERANCE * (1.0 + want))
+    # hub frontiers exceed one push slice, so the slice merge ran
+    assert sliced

@@ -26,7 +26,7 @@ from .core import SparseVector
 from .fused import BackendChoice
 from .generate import random_graph
 from .io import GraphFile, GraphLoadError, load_graph
-from .sssp import delta_stepping, dijkstra_oracle
+from .sssp import DeltaTooSmall, delta_stepping, dijkstra_oracle
 
 __all__ = ["RunConfig", "run", "selftest", "main", "console_main"]
 
@@ -127,8 +127,7 @@ def run(config: RunConfig) -> int:
                 backend=config.backend,
                 skip_empty_buckets=config.skip_empty_buckets,
             )
-        except ValueError as exc:
-            # a delta the solver cannot bucket this graph's distances with
+        except DeltaTooSmall as exc:
             print(f"deltasparse: error: {exc}", file=sys.stderr)
             return 3
         times.append(result.elapsed)

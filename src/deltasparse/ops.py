@@ -101,9 +101,20 @@ def _require_length(actual: int, expected: int, what: str) -> None:
         raise ValueError(f"{what}: length {actual} does not match {expected}")
 
 
+def _common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in `a` and in `b` of the indices both sorted, duplicate-free
+    arrays hold, in increasing index order. The smaller array is probed into
+    the larger one, so the cost is O(min log max) rather than O(max)."""
+    if a.size <= b.size:
+        pb, found = _positions(b, a)
+        return found.nonzero()[0], pb[found]
+    pa, found = _positions(a, b)
+    return pa[found], found.nonzero()[0]
+
+
 def _gate(indices: np.ndarray, mask: SparseVector) -> np.ndarray:
-    _, found = _positions(mask.indices, indices)
-    return found
+    """Increasing positions of the entries of `indices` the mask holds."""
+    return _common(indices, mask.indices)[0]
 
 
 def apply_vector(
@@ -155,21 +166,8 @@ def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.
     return idx, np.ones(idx.size, dtype=VALUE_DTYPE)
 
 
-def _common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Positions in `a` and in `b` of the indices both sorted, duplicate-free
-    arrays hold, in increasing index order. The smaller array is probed into
-    the larger one, so the cost is O(min log max) rather than O(max)."""
-    if a.size <= b.size:
-        pb, found = _positions(b, a)
-        return found.nonzero()[0], pb[found]
-    pa, found = _positions(a, b)
-    return pa[found], found.nonzero()[0]
-
-
 def _restrict(vec: SparseVector, mask: SparseVector) -> SparseVector:
-    if vec.indices is mask.indices:  # a vector masked by its own structure
-        return vec
-    keep, _ = _common(vec.indices, mask.indices)
+    keep = _gate(vec.indices, mask)
     return SparseVector(vec.length, vec.indices[keep], vec.values[keep])
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 import time
 from dataclasses import dataclass, replace
 
@@ -173,41 +174,63 @@ def _count_phase(phases: int, ceiling: int) -> int:
     return phases
 
 
-# Steps _next_index may take from the float quotient to the bucket window.
-# The steps needed grow with the float spacing of value / delta: sampled
-# quotients below 2**63 (spacing <= 1024) needed at most 1.5 spacings.
-WINDOW_STEPS = 1 << 11
+class DeltaTooSmall(ValueError):
+    """No float bucket window [i*delta, (i+1)*delta) holds a distance: the
+    window index it would need lies beyond the float range."""
+
+
+def _window_start(index: int, delta: float) -> float:
+    try:
+        return index * delta
+    except OverflowError:  # the index itself has no float
+        return math.inf
+
+
+def _window_of(value: float, delta: float) -> int:
+    """Index of the bucket whose float window [i*delta, (i+1)*delta) holds
+    value: the largest i with i*delta <= value, as i*delta never decreases
+    with i. The float quotient can be off by many windows where it exceeds
+    2**53, since a run of neighbouring indices then rounds to one float, so
+    the search gallops from the quotient and bisects: its steps grow with
+    the log of that run's length, not with the length. Raises DeltaTooSmall
+    when the window's end is past the float range."""
+    quotient = value // delta
+    low = int(min(quotient, sys.float_info.max))
+    if _window_start(low, delta) <= value:
+        step, high = 1, low + 1
+        while _window_start(high, delta) <= value:
+            low, step = high, step * 2
+            high = low + step
+    else:
+        step, high = 1, low
+        low = high - 1
+        while _window_start(low, delta) > value:
+            high, step = low, step * 2
+            low = max(high - step, 0)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if _window_start(middle, delta) <= value:
+            low = middle
+        else:
+            high = middle
+    if not _window_start(low + 1, delta) < math.inf:
+        raise DeltaTooSmall(
+            f"delta {delta!r} is too small to place distance {value!r} in a "
+            "bucket window [i*delta, (i+1)*delta) of finite floats"
+        )
+    return low
 
 
 def _next_index(index: int, delta: float, skip: bool, values: np.ndarray) -> int | None:
     """Bucket after `index`: the next one in one-step mode; when skipping,
     the one whose window holds the smallest finite value beyond this
-    window, or None if there is none. Raises ValueError when delta is too
-    small for the float windows to resolve that value."""
+    window, or None if there is none."""
     if not skip:
         return index + 1
     beyond = values[(values >= bucket_bounds(index, delta)[1]) & (values < math.inf)]
     if not beyond.size:
         return None
-    value = float(beyond.min())
-    quotient = value // delta
-    if quotient < math.inf:
-        # the float quotient can be off by a few windows; step to the window
-        # whose float endpoints hold the value. Where value / delta is so
-        # large that index and index + 1 round to the same float, stepping
-        # cannot reach a window, so the search is bounded
-        index = int(quotient)
-        for _ in range(WINDOW_STEPS):
-            if index * delta > value:
-                index -= 1
-            elif (index + 1) * delta <= value:
-                index += 1
-            else:
-                return index
-    raise ValueError(
-        f"delta {delta!r} is too small to place distance {value!r} "
-        "in a bucket window [i*delta, (i+1)*delta)"
-    )
+    return _window_of(float(beyond.min()), delta)
 
 
 def _solve_unfused(
@@ -287,7 +310,8 @@ def delta_stepping(
     tentative distance is at or beyond the current window start. Elapsed
     time covers everything from the edge split onward. Raises ValueError
     for a source out of range, a delta that is not positive and finite,
-    and, when skipping, a delta too small to place a distance in a window.
+    and, when skipping, DeltaTooSmall (a ValueError) for a delta too small
+    to place a distance in a float window.
     """
     if backend is None:
         backend = BackendChoice()

@@ -4,8 +4,8 @@ pull_vxm_min_plus gathers over every edge of the transposed view,
 union1d_ewise_add_vector merges through np.union1d and two position
 lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
 whatever their sizes. Each is a verbatim copy of the code the
-work-efficient kernels replaced; the tests require the kernels to bit-equal
-them.
+work-efficient kernels replaced, as is _gate, the mask probe they shared;
+the tests require the kernels to bit-equal them.
 """
 
 from __future__ import annotations
@@ -16,7 +16,12 @@ import numpy as np
 
 from deltasparse import SparseMatrix, SparseVector
 from deltasparse.core import INDEX_DTYPE, VALUE_DTYPE, _positions
-from deltasparse.ops import BinaryOp, _finalize_boolean, _gate, _require_length
+from deltasparse.ops import BinaryOp, _finalize_boolean, _require_length
+
+
+def _gate(indices: np.ndarray, mask: SparseVector) -> np.ndarray:
+    _, found = _positions(mask.indices, indices)
+    return found
 
 
 def union1d_ewise_add_vector(

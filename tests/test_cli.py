@@ -285,20 +285,35 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("backend", ["unfused", "fused"])
-@pytest.mark.parametrize("delta", ["1e-300", "5e-324"])
-def test_run_tiny_delta_skipping_is_a_usage_error(tmp_path, capsys, delta, backend):
-    # distance 1 at delta 1e-300 lies near bucket 1e300, where neighbouring
-    # bucket indices round to one float; at the subnormal 5e-324 the
-    # quotient itself overflows. Either way no window can be found, and the
-    # run must say so rather than hang or raise.
+def run_path_tiny_delta(tmp_path, delta, backend):
     path = tmp_path / "path.edges"
     path.write_text("0 1 1\n1 2 1\n")
     with time_limit(5):
-        code = run_cli(
+        return run_cli(
             "run", "--graph", str(path), "--format", "edges", "--source", "0",
             "--delta", delta, "--skip-empty-buckets", "--backend", backend,
         )
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+@pytest.mark.parametrize("delta", ["1e-17", "1e-20", "1e-300"])
+def test_run_tiny_delta_skipping_solves(tmp_path, capsys, delta, backend):
+    # distance 1 at these deltas lies near bucket 1e17, 1e20 or 1e300, where
+    # runs of neighbouring bucket indices round to one float; a window still
+    # holds each distance, so the run must find it quickly and solve
+    code = run_path_tiny_delta(tmp_path, delta, backend)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert parse_distances(captured.out) == {0: 0.0, 1: 1.0, 2: 2.0}
+    assert "outer_iterations=3 inner_phases=3" in captured.err
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+@pytest.mark.parametrize("delta", ["5e-324", "3e-310"])
+def test_run_tiny_delta_skipping_is_a_usage_error(tmp_path, capsys, delta, backend):
+    # distance 1 would need a bucket index beyond the float range, so no
+    # window holds it, and the run must say so rather than hang or raise
+    code = run_path_tiny_delta(tmp_path, delta, backend)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("deltasparse: error: delta ") and f"delta {float(delta)!r}" in err

@@ -35,7 +35,7 @@ from deltasparse import (
     split_edges,
     vector_build,
 )
-from deltasparse.sssp import SsspState
+from deltasparse.sssp import DeltaTooSmall, SsspState, _window_of
 
 DELTAS = (0.5, 1.0, 3.0, 11.0)
 
@@ -391,6 +391,48 @@ def test_skip_empty_buckets_same_distances_fewer_iterations():
         skipping = delta_stepping(a, source, delta, skip_empty_buckets=True)
         assert skipping.distances == plain.distances
         assert skipping.outer_iterations <= plain.outer_iterations
+
+
+def stepped_window(value, delta):
+    # the window search by single steps from the float quotient
+    index = int(value // delta)
+    while index * delta > value:
+        index -= 1
+    while (index + 1) * delta <= value:
+        index += 1
+    return index
+
+
+def test_window_of_matches_single_steps():
+    rng = np.random.default_rng(17)
+    for _ in range(2000):
+        # quotients up to about 1e21, where one float spans 2**17 indices
+        delta = float(10.0 ** rng.uniform(-18, 2))
+        value = float(10.0 ** rng.uniform(-2, 3))
+        if value >= delta:
+            assert _window_of(value, delta) == stepped_window(value, delta)
+    for _ in range(500):
+        # values exactly on, just below and just above a window start
+        delta = float(10.0 ** rng.uniform(-6, 2))
+        start = int(rng.integers(1, 10**12)) * delta
+        for value in (start, math.nextafter(start, 0.0), math.nextafter(start, math.inf)):
+            assert _window_of(value, delta) == stepped_window(value, delta)
+
+
+@pytest.mark.parametrize("delta", [1e-20, 1e-100, 1e-300, 1e-305])
+@pytest.mark.parametrize("value", [1e-5, 0.7, 1.0, 123.456])
+def test_window_of_holds_value_at_huge_quotients(delta, value):
+    index = _window_of(value, delta)
+    lo, hi = bucket_bounds(index, delta)
+    assert lo <= value < hi < math.inf
+    assert _window_of(math.nextafter(hi, 0.0), delta) == index
+    assert _window_of(hi, delta) > index
+
+
+@pytest.mark.parametrize("delta", [5e-324, 1e-320, 3e-310])
+def test_window_of_rejects_index_past_float_range(delta):
+    with pytest.raises(DeltaTooSmall, match="too small to place distance 1.0"):
+        _window_of(1.0, delta)
 
 
 def test_distances_invariant_across_deltas():

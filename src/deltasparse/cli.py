@@ -7,7 +7,7 @@ an embedded randomized oracle suite.
 
 Exit codes: 0 success, 1 load or parse failure, 2 verification mismatch,
 3 bad flags (including a source label the graph does not have, or a
-delta too small for the solver to bucket the graph's distances).
+delta so small that a distance needs a bucket index past the float range).
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ prints one "label<TAB>distance" line per reachable vertex; `selftest` runs
 an embedded randomized oracle suite.
 
 Exit codes: 0 success, 1 load or parse failure, 2 verification mismatch,
-3 bad flags (including a source label the graph does not have, or a
-delta so small that a distance needs a bucket index past the float range).
+3 bad flags (including a source label the graph does not have, a delta so
+small that a distance needs a bucket index past the float range, or an
+--output path that cannot be written).
 """
 
 from __future__ import annotations
@@ -150,8 +151,16 @@ def run(config: RunConfig) -> int:
     if config.output is None:
         sys.stdout.write(text)
     else:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            print(
+                f"deltasparse: error: cannot write --output {config.output}: {reason}",
+                file=sys.stderr,
+            )
+            return 3
 
     print(
         f"n={matrix.n} m={matrix.nnz} delta={config.delta:g} "
@@ -180,17 +189,17 @@ def selftest(cases: int = 50, seed: int = 0, inject_fault: bool = False) -> int:
         delta = float(deltas[int(rng.integers(0, len(deltas)))])
 
         expected = dijkstra_oracle(matrix, source)
-        got = delta_stepping(matrix, source, delta).distances
-        fused = delta_stepping(
-            matrix, source, delta, backend=BackendChoice("fused")
-        ).distances
+        unfused = delta_stepping(matrix, source, delta)
+        fused = delta_stepping(matrix, source, delta, backend=BackendChoice("fused"))
+        got = unfused.distances
         if inject_fault and case == 0:
             got = _perturb(got)
 
         ok, deviation = _deviations(got, expected)
         if kind == "int" and deviation != 0.0:
             ok = False
-        if not ok or fused != got:
+        counts = [(r.outer_iterations, r.inner_phases) for r in (unfused, fused)]
+        if not ok or fused.distances != got or counts[0] != counts[1]:
             reason = "fused/unfused mismatch" if ok else f"max deviation {deviation:g}"
             print(
                 f"selftest case {case} FAILED ({reason}): "

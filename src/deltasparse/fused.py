@@ -1,13 +1,17 @@
-"""Push relaxation over dense state: the fused backend's kernels.
+"""The fused backend's kernels over dense state.
 
-The fused solver keeps its state dense: tentative distances are one float64
-array with +inf for an absent entry, the bucket is an index array and the
-settled set a bool array. A relaxation *pushes* from the frontier: it
-gathers the frontier's rows of the row-major light or heavy matrix, forms
-t[i] + w per out-edge, sorts the candidates by target, takes each target's
-minimum with np.minimum.reduceat, and lowers t[j] to min(t[j], request).
-The work is the frontier's out-edges, not every edge of the matrix, and no
-transposed view is ever built. ops.vxm_min_plus runs the same _push.
+The fused solver (sssp._solve_fused) keeps tentative distances in one
+float64 array, +inf where absent; the bucket is an index array and the
+settled set a bool array. It has two kernels: _push, the one
+gather-and-reduce relax, and the inline bucket test
+`lowered[t[lowered] < hi]`, the one combined tentative/bucket update. A
+push gathers the frontier's rows of the row-major light or heavy matrix,
+forms t[i] + w per out-edge, sorts the candidates by target, takes each
+target's minimum with np.minimum.reduceat, lowers t[j] to min(t[j],
+request) and returns the lowered targets; those below the window's end are
+the next bucket. The work is the frontier's out-edges, not every edge of
+the matrix, and no transposed view is ever built. ops.vxm_min_plus runs the
+same _push.
 
 Bit identity with the unfused chain: every candidate is the same single
 float sum t[i] + w that the composed (min,+) product forms, and the minimum
@@ -27,20 +31,13 @@ sorted lowered targets with one sort and an adjacent-duplicate pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, SparseVector, _positions
-from .core import mask_from_indices, matrix_transpose_view
+from .core import INDEX_DTYPE, SparseMatrix
 
-__all__ = [
-    "BackendChoice",
-    "bucket_bounds",
-    "fused_masked_relax",
-    "fused_bucket_update",
-]
+__all__ = ["BackendChoice", "bucket_bounds"]
 
 # Frontier out-edges per push slice. Slices bound the push's temporaries
 # (about 43 bytes per out-edge of a slice) rather than buy speed: on a
@@ -66,16 +63,6 @@ def bucket_bounds(index: int, delta: float) -> tuple[float, float]:
     return index * delta, (index + 1) * delta
 
 
-def _partition_ranges(length: int, chunks: int) -> list[tuple[int, int]]:
-    """Contiguous, evenly sized ranges covering [0, length). Degenerates to
-    at most `length` nonempty ranges when asked for more chunks than items."""
-    chunks = max(1, min(chunks, max(length, 1)))
-    if chunks == 1:
-        return [(0, length)]
-    bounds = np.linspace(0, length, chunks + 1).astype(int)
-    return [(int(bounds[k]), int(bounds[k + 1])) for k in range(chunks)]
-
-
 def _push(
     values: np.ndarray, frontier: np.ndarray, matrix: SparseMatrix, dense: np.ndarray
 ) -> np.ndarray:
@@ -98,8 +85,9 @@ def _push(
         return np.empty(0, dtype=INDEX_DTYPE)
     if total <= RANGE_ENTRIES:
         return _relax(values, base, counts, 0, total, matrix, dense)
-    # slice k takes the frontier vertices whose out-edges end in edge range k
-    edge_cuts = [0] + [hi for _, hi in _partition_ranges(total, -(-total // RANGE_ENTRIES))]
+    # slice k takes the frontier vertices whose out-edges end in the k-th of
+    # ceil(total / RANGE_ENTRIES) evenly sized edge ranges
+    edge_cuts = np.linspace(0, total, -(-total // RANGE_ENTRIES) + 1).astype(int)
     cuts = np.searchsorted(ends, edge_cuts, side="right")
     lowered = [
         _relax(values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense)
@@ -134,59 +122,3 @@ def _relax(
     better = request < dense[target]
     dense[target[better]] = request[better]
     return target[better]
-
-
-def fused_masked_relax(
-    t: SparseVector,
-    selector: SparseVector,
-    transposed: SparseMatrix,
-) -> SparseVector:
-    """Relax along the matrix from the entries of t selected by a mask.
-
-    Equals vxm_min_plus(ewise_mult_vector(t, selector, TIMES), transposed)
-    for a structural selector (stored values 1.0), bit for bit. The push
-    reads the row-major matrix through the view's cached back-reference,
-    so passing a view built by matrix_transpose_view costs nothing.
-    """
-    if selector.length != t.length:
-        raise ValueError(f"selector length {selector.length} does not match {t.length}")
-    if transposed.ncols != t.length:
-        raise ValueError(f"matrix dimension {transposed.ncols} does not match {t.length}")
-    if t.nnz == 0 or selector.nnz == 0 or transposed.nnz == 0:
-        return SparseVector(transposed.nrows)
-    pos, found = _positions(t.indices, selector.indices)
-    dense = np.full(t.length, math.inf, dtype=VALUE_DTYPE)
-    lowered = _push(
-        t.values[pos[found]], selector.indices[found], matrix_transpose_view(transposed), dense
-    )
-    return SparseVector(transposed.nrows, lowered, dense[lowered])
-
-
-def fused_bucket_update(
-    t: SparseVector,
-    requests: SparseVector,
-    settled: SparseVector,
-    bucket_index: int,
-    delta: float,
-) -> tuple[SparseVector, SparseVector, SparseVector]:
-    """One pass producing (new tentative, new bucket, settled).
-
-    Replaces the unfused chain of range filter, masked improving comparison,
-    mask intersection, and min merge. Where t holds nothing, the unfused
-    comparison passes the request through and its truthiness decides, so a
-    0.0 request is not improving there. The settled set rides along
-    untouched: its union with the outgoing bucket happens before this call,
-    so the triple leaves here exactly as the unfused sequence leaves it.
-    """
-    if requests.length != t.length or settled.length != t.length:
-        raise ValueError("operand lengths disagree")
-    lo_val, hi_val = bucket_bounds(bucket_index, delta)
-    dense = np.full(t.length, math.inf, dtype=VALUE_DTYPE)
-    dense[t.indices] = t.values
-    idx, req = requests.indices, requests.values
-    old = dense[idx]
-    improving = np.where(old == math.inf, req != 0.0, req < old)
-    new_bucket = mask_from_indices(t.length, idx[(req >= lo_val) & (req < hi_val) & improving])
-    dense[idx] = np.minimum(old, req)
-    kept = np.flatnonzero(dense != math.inf)
-    return SparseVector(t.length, kept, dense[kept]), new_bucket, settled

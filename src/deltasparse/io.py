@@ -197,8 +197,13 @@ def load_matrix_market(
         lines = _text(data, newline)
         entries = _walk_mm(path, lines, _mm_header(path, lines), default_weight)
     del data, lines  # free the text before the build
-    n, _, _, symmetric, _ = header
-    return _build(path, n, *entries, mirror=symmetric), LabelMap(list(range(1, n + 1)))
+    n, _, _, symmetric, size_line = header
+    try:
+        return _build(path, n, *entries, mirror=symmetric), LabelMap(list(range(1, n + 1)))
+    except MemoryError:
+        raise ValidationError(
+            path, size_line, f"matrix dimension {n} is too large to allocate"
+        ) from None
 
 
 def _mm_header(path: str, lines: TextIO) -> tuple[int, int, bool, bool, int]:

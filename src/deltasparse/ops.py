@@ -79,21 +79,16 @@ class BinaryOp:
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     description: str
-    commutative: bool
     boolean: bool = False
 
     def __call__(self, a, b):
         return self.fn(a, b)
 
 
-MIN = BinaryOp(np.minimum, "min", commutative=True)
-TIMES = BinaryOp(np.multiply, "*", commutative=True)
-LESS = BinaryOp(
-    lambda a, b: np.less(a, b).astype(VALUE_DTYPE), "a < b", commutative=False, boolean=True
-)
-OR = BinaryOp(
-    lambda a, b: np.logical_or(a, b).astype(VALUE_DTYPE), "or", commutative=True, boolean=True
-)
+MIN = BinaryOp(np.minimum, "min")
+TIMES = BinaryOp(np.multiply, "*")
+LESS = BinaryOp(lambda a, b: np.less(a, b).astype(VALUE_DTYPE), "a < b", boolean=True)
+OR = BinaryOp(lambda a, b: np.logical_or(a, b).astype(VALUE_DTYPE), "or", boolean=True)
 
 
 def _require_length(actual: int, expected: int, what: str) -> None:

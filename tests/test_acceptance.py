@@ -5,7 +5,8 @@ Criterion map:
   1 oracle agreement on a 700-graph corpus across four bucket widths
   2 union-combine pass-through examples, hazard and mask fix included
   3 light/heavy edge partition is exact
-  4 fused backend bit-equals unfused, plus a mass bucket-update differential
+  4 fused backend bit-equals unfused step by step: same light/heavy steps,
+    same distances after each, same bucket after each light step
   5 range decomposition: 1-, 3-, 17-entry and real-size ranges agree bit for bit
   6 unit-weight graphs at width 1 behave like breadth-first search
   7 fused is not slower than unfused
@@ -22,6 +23,7 @@ import numpy as np
 import pytest
 
 import deltasparse.fused as fused_mod
+import deltasparse.sssp as sssp
 from deltasparse import (
     BackendChoice,
     LESS,
@@ -30,7 +32,6 @@ from deltasparse import (
     dijkstra_oracle,
     ewise_add_vector,
     filter_matrix,
-    fused_bucket_update,
     greater_than,
     load_edge_list,
     load_matrix_market,
@@ -40,10 +41,10 @@ from deltasparse import (
     random_graph,
     vector_build,
 )
+from deltasparse.core import INDEX_DTYPE
 from deltasparse.io import GraphLoadError
 
-from conftest import random_mask, random_sparse_vector, record_acceptance
-from test_fused import composed_bucket_update
+from conftest import record_acceptance
 
 CORPUS_SEED = 20260816
 DELTAS = (0.5, 1.0, 3.0, 11.0)
@@ -66,21 +67,6 @@ def corpus():
     return graphs
 
 
-@pytest.fixture(scope="module")
-def unfused_memo():
-    """Unfused distances keyed by (corpus index, delta), filled on demand so
-    criteria 1 and 4 solve each pair once between them."""
-    return {}
-
-
-def solve_unfused(memo, corpus, case, delta):
-    key = (case, delta)
-    if key not in memo:
-        matrix, source, _ = corpus[case]
-        memo[key] = delta_stepping(matrix, source, delta).distances
-    return memo[key]
-
-
 def within_float_tolerance(got, want):
     if not np.array_equal(got.indices, want.indices):
         return False
@@ -89,13 +75,13 @@ def within_float_tolerance(got, want):
     return bool(np.all(np.abs(got.values - want.values) <= REL_TOL * (1.0 + want.values)))
 
 
-def test_criterion_1_oracle_agreement(corpus, unfused_memo):
+def test_criterion_1_oracle_agreement(corpus):
     start = time.perf_counter()
     failures = []
     for case, (matrix, source, kind) in enumerate(corpus):
         want = dijkstra_oracle(matrix, source)
         for delta in DELTAS:
-            got = solve_unfused(unfused_memo, corpus, case, delta)
+            got = delta_stepping(matrix, source, delta).distances
             if kind == "int":
                 ok = np.array_equal(got.indices, want.indices) and np.array_equal(
                     got.values, want.values
@@ -157,41 +143,82 @@ def test_criterion_3_partition_invariant():
     assert failures == 0
 
 
-def test_criterion_4_fusion_transparency(corpus, unfused_memo):
+def step_recorder(monkeypatch):
+    """Log every relaxation step both backends take, as (kind, frontier,
+    finite tentative indices, their values), all as raw bytes. The fused
+    solve's pushes are told apart by the light matrix its split returned."""
+    log = []
+    partition, push = sssp._partition, sssp._push
+    light_phase, heavy = sssp.relax_light_phase, sssp.relax_heavy
+    split = []
+
+    def record(kind, frontier, indices, values):
+        frontier, indices = frontier.astype(INDEX_DTYPE), indices.astype(INDEX_DTYPE)
+        log.append((kind, frontier.tobytes(), indices.tobytes(), values.tobytes()))
+
+    def fused_partition(matrix, delta):
+        split[:] = partition(matrix, delta)
+        return tuple(split)
+
+    def fused_push(values, frontier, matrix, dense):
+        lowered = push(values, frontier, matrix, dense)
+        reached = np.flatnonzero(dense < math.inf)
+        record("light" if matrix is split[0] else "heavy", frontier, reached, dense[reached])
+        return lowered
+
+    def unfused_light(state):
+        out = light_phase(state)
+        record("light", state.bucket.indices, out.tentative.indices, out.tentative.values)
+        return out
+
+    def unfused_heavy(state):
+        out = heavy(state)
+        record("heavy", state.settled.indices, out.tentative.indices, out.tentative.values)
+        return out
+
+    monkeypatch.setattr(sssp, "_partition", fused_partition)
+    monkeypatch.setattr(sssp, "_push", fused_push)
+    monkeypatch.setattr(sssp, "relax_light_phase", unfused_light)
+    monkeypatch.setattr(sssp, "relax_heavy", unfused_heavy)
+    return log
+
+
+def test_criterion_4_fusion_transparency(corpus, monkeypatch):
+    # Equal step logs mean the same light/heavy sequence and bit-equal
+    # tentative distances after every step. A light step's next bucket is
+    # the frontier of the step after it, or empty when that step is heavy,
+    # so they also mean bit-equal buckets after every light step.
+    log = step_recorder(monkeypatch)
     mismatches = []
+    steps = 0
     for case, (matrix, source, _) in enumerate(corpus):
         for delta in DELTAS:
-            want = solve_unfused(unfused_memo, corpus, case, delta)
-            got = delta_stepping(
-                matrix, source, delta, backend=BackendChoice("fused")
-            ).distances
-            if got != want:
-                mismatches.append((case, delta))
+            for skip in (False, True):
+                logs = []
+                for kind in ("unfused", "fused"):
+                    log.clear()
+                    result = delta_stepping(
+                        matrix,
+                        source,
+                        delta,
+                        backend=BackendChoice(kind),
+                        skip_empty_buckets=skip,
+                    )
+                    logs.append((result.distances, list(log)))
+                (want, want_steps), (got, got_steps) = logs
+                steps += len(want_steps)
+                if got != want or got_steps != want_steps:
+                    mismatches.append((case, delta, skip))
 
-    rng = np.random.default_rng(CORPUS_SEED + 4)
-    differential_failures = 0
-    for _ in range(10_000):
-        n = int(rng.integers(1, 65))
-        t = random_sparse_vector(rng, n)
-        requests = random_sparse_vector(rng, n)
-        settled = random_mask(rng, n)
-        delta = float(rng.choice(DELTAS))
-        index = int(rng.integers(0, 6))
-        new_t, bucket, new_settled = fused_bucket_update(
-            t, requests, settled, index, delta
-        )
-        want_t, want_bucket = composed_bucket_update(t, requests, index, delta)
-        if new_t != want_t or bucket != want_bucket or new_settled != settled:
-            differential_failures += 1
-
-    ok = not mismatches and differential_failures == 0
+    ok = not mismatches and steps > 0
     record_acceptance(
         f"criterion 4: {'PASS' if ok else 'FAIL'} "
-        f"fused backend bit-equals unfused on all {len(corpus)}x{len(DELTAS)} runs "
-        f"({len(mismatches)} mismatches); 10^4 bucket-update differential cases "
-        f"({differential_failures} failures)"
+        f"fused backend bit-equals unfused step by step on all {len(corpus)}x{len(DELTAS)} "
+        f"runs in one-step and skip modes: {steps} paired light/heavy steps, equal "
+        f"distances after every step and equal buckets after every light step "
+        f"({len(mismatches)} runs differ)"
     )
-    assert ok, (mismatches[:5], differential_failures)
+    assert ok, mismatches[:5]
 
 
 def test_criterion_5_parallel_determinism(corpus, monkeypatch):

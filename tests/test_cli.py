@@ -6,9 +6,12 @@ from __future__ import annotations
 import io
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import pytest
 
+import deltasparse.cli
+import deltasparse.io
 from deltasparse import delta_stepping, load_edge_list
 from deltasparse.cli import main
 
@@ -155,6 +158,22 @@ def test_run_mtx_dimension_beyond_keys_is_a_parse_error(tmp_path, capsys, dimens
     )
 
 
+def test_run_mtx_dimension_too_large_to_allocate(tmp_path, monkeypatch, capsys):
+    # the build stands in for a size that passes the key limit but not the
+    # allocator, so the test allocates nothing of that size
+    def out_of_memory(n, edges):
+        raise MemoryError
+
+    monkeypatch.setattr(deltasparse.io, "matrix_build", out_of_memory)
+    p = tmp_path / "big.mtx"
+    p.write_text("%%MatrixMarket matrix coordinate real general\n% note\n5 5 1\n1 2 1.0\n")
+    code = run_cli("run", "--graph", str(p), "--format", "mtx", "--source", "1")
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"deltasparse: {p}:3: matrix dimension 5 is too large to allocate\n"
+
+
 @pytest.mark.parametrize(
     "fmt, data, lineno",
     [
@@ -245,6 +264,20 @@ def test_run_output_file(edge_path, tmp_path, capsys):
     assert code == 0
     assert captured.out == ""
     assert parse_distances(out.read_text()) == {0: 0.0, 1: 1.0, 2: 2.5, 3: 4.0}
+
+
+def test_run_output_into_missing_directory_is_a_usage_error(edge_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "d.tsv"
+    code = run_cli(
+        "run", "--graph", edge_path, "--format", "edges", "--source", "0", "--output", str(out)
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"deltasparse: error: cannot write --output {out}: No such file or directory\n"
+    )
+    assert not out.parent.exists()
 
 
 def test_run_backends_print_identical_distances(edge_path, capsys):
@@ -376,3 +409,18 @@ def test_selftest_detects_injected_fault(capsys):
     assert code == 2
     assert "selftest case 0 FAILED" in captured.out
     assert "seed=1" in captured.out
+
+
+def test_selftest_reports_unequal_counts(monkeypatch, capsys):
+    # equal distances with one extra fused phase must still fail the case
+    def bumped(*args, **kwargs):
+        result = delta_stepping(*args, **kwargs)
+        if kwargs.get("backend") is not None and kwargs["backend"].kind == "fused":
+            return replace(result, inner_phases=result.inner_phases + 1)
+        return result
+
+    monkeypatch.setattr(deltasparse.cli, "delta_stepping", bumped)
+    code = run_cli("selftest", "--cases", "3", "--seed", "1")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "selftest case 0 FAILED (fused/unfused mismatch)" in captured.out

@@ -256,6 +256,8 @@ def test_exports_resolve_and_retired_names_are_gone():
         "BOOL_OR_AND",
         "PLUS",
         "always_true",
+        "fused_masked_relax",
+        "fused_bucket_update",
     )
     for name in retired:
         assert not hasattr(deltasparse, name), name

@@ -1,6 +1,6 @@
-"""The fused solver over dense state: the public bucket-update adapter keeps
-the unfused pass-through rule, the solve builds no transposed view, and bucket
-windows stay exact where index * delta is computed at large magnitudes."""
+"""The fused solver over dense state: its one-pass split equals split_edges,
+the solve builds no transposed view, and bucket windows stay exact where
+index * delta is computed at large magnitudes."""
 
 from __future__ import annotations
 
@@ -8,21 +8,15 @@ import numpy as np
 import pytest
 
 import deltasparse.core
-import deltasparse.fused
 import deltasparse.sssp
 from deltasparse import (
     BackendChoice,
     delta_stepping,
     dijkstra_oracle,
-    fused_bucket_update,
-    mask_from_indices,
     matrix_build,
     random_graph,
     split_edges,
-    vector_build,
 )
-
-from test_fused import composed_bucket_update
 
 FUSED = BackendChoice("fused")
 
@@ -37,21 +31,6 @@ def test_one_pass_partition_equals_split_edges():
         assert light == want_light and heavy == want_heavy, case
         light.check_invariants()
         heavy.check_invariants()
-
-
-def test_bucket_update_zero_request_where_t_is_absent():
-    # 0.0 is falsy under the pass-through rule: not improving where t holds
-    # nothing, although 0.0 < +inf would call it improving
-    t = vector_build(3, [(1, 0.5)])
-    requests = vector_build(3, [(0, 0.0), (2, 0.25)])
-    settled = mask_from_indices(3, [1])
-    new_t, bucket, new_settled = fused_bucket_update(t, requests, settled, 0, 1.0)
-    want_t, want_bucket = composed_bucket_update(t, requests, 0, 1.0)
-    assert new_t == want_t
-    assert bucket == want_bucket
-    assert list(bucket.indices) == [2]
-    assert new_t.to_dict() == {0: 0.0, 1: 0.5, 2: 0.25}
-    assert new_settled is settled
 
 
 def test_fused_solve_builds_no_transpose(monkeypatch):
@@ -71,7 +50,7 @@ def test_fused_solve_builds_no_transpose(monkeypatch):
     def refuse(matrix):
         raise AssertionError("the fused path built a transposed view")
 
-    for module in (deltasparse.sssp, deltasparse.fused, deltasparse.core):
+    for module in (deltasparse.sssp, deltasparse.core):
         monkeypatch.setattr(module, "matrix_transpose_view", refuse)
     for a, source, delta, want in cases:
         for skip, base in zip((False, True), want):

@@ -71,7 +71,6 @@ class SsspState:
     heavy: SparseMatrix
     bucket_index: int
     delta: float
-    source: int
 
 
 @dataclass(frozen=True)
@@ -193,7 +192,12 @@ def _window_of(value: float, delta: float) -> int:
     2**53, since a run of neighbouring indices then rounds to one float, so
     the search gallops from the quotient and bisects: its steps grow with
     the log of that run's length, not with the length. Raises DeltaTooSmall
-    when the window's end is past the float range."""
+    when value >= max float * delta, where i would pass the float range."""
+    if value >= sys.float_info.max * delta:
+        raise DeltaTooSmall(
+            f"delta {delta!r} is too small to place distance {value!r} in a "
+            "bucket window [i*delta, (i+1)*delta) with i in the float range"
+        )
     quotient = value // delta
     low = int(min(quotient, sys.float_info.max))
     if _window_start(low, delta) <= value:
@@ -213,34 +217,30 @@ def _window_of(value: float, delta: float) -> int:
             low = middle
         else:
             high = middle
-    if not _window_start(low + 1, delta) < math.inf:
-        raise DeltaTooSmall(
-            f"delta {delta!r} is too small to place distance {value!r} in a "
-            "bucket window [i*delta, (i+1)*delta) of finite floats"
-        )
     return low
 
 
-def _next_index(index: int, delta: float, skip: bool, values: np.ndarray) -> int | None:
-    """Bucket after `index`: the next one in one-step mode; when skipping,
-    the one whose window holds the smallest finite value beyond this
-    window, or None if there is none."""
-    if not skip:
+def _next_index(index: int, delta: float, values: np.ndarray) -> int | None:
+    """First bucket after `index` whose window holds a finite value, or None.
+    One boolean scan settles the common case, a value in window index + 1;
+    past an empty window, _window_of places the smallest value beyond."""
+    hi = bucket_bounds(index, delta)[1]
+    if np.any((values >= hi) & (values < _window_start(index + 2, delta))):
         return index + 1
-    beyond = values[(values >= bucket_bounds(index, delta)[1]) & (values < math.inf)]
+    beyond = np.compress((values >= hi) & (values < math.inf), values)
     if not beyond.size:
         return None
     return _window_of(float(beyond.min()), delta)
 
 
 def _solve_unfused(
-    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, skip: bool, ceiling: int
-) -> tuple[SparseVector, int, int]:
+    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, ceiling: int
+) -> tuple[SparseVector, int, int, int]:
     n = light.n
     t = vector_build(n, [(source, 0.0)])
     index: int | None = 0
-    outer = phases = 0
-    while t.nnz and float(t.values.max()) >= index * delta:
+    buckets = last = phases = 0
+    while index is not None:
         state = SsspState(
             tentative=t,
             requests=SparseVector(n),
@@ -250,22 +250,19 @@ def _solve_unfused(
             heavy=heavy,
             bucket_index=index,
             delta=delta,
-            source=source,
         )
         while state.bucket.nnz:
             state = relax_light_phase(state)
             phases = _count_phase(phases, ceiling)
         t = relax_heavy(state).tentative
-        outer += 1
-        index = _next_index(index, delta, skip, t.values)
-        if index is None:
-            break
-    return t, outer, phases
+        buckets, last = buckets + 1, index
+        index = _next_index(index, delta, t.values)
+    return t, buckets, last, phases
 
 
 def _solve_fused(
-    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, skip: bool, ceiling: int
-) -> tuple[SparseVector, int, int]:
+    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, ceiling: int
+) -> tuple[SparseVector, int, int, int]:
     # the unfused loop step for step over dense state (see fused.py): t is
     # +inf where unreached; a light push from the window [lo, hi) lowers t
     # to values >= lo over positive weights and returns the lowered targets,
@@ -274,8 +271,8 @@ def _solve_fused(
     t = np.full(n, math.inf, dtype=VALUE_DTYPE)
     t[source] = 0.0
     index: int | None = 0
-    outer = phases = 0
-    while np.any((t >= index * delta) & (t < math.inf)):
+    buckets = last = phases = 0
+    while index is not None:
         lo, hi = bucket_bounds(index, delta)
         bucket = np.flatnonzero((t >= lo) & (t < hi))
         settled = np.zeros(n, dtype=bool)
@@ -286,12 +283,10 @@ def _solve_fused(
             phases = _count_phase(phases, ceiling)
         frontier = np.flatnonzero(settled)
         _push(t[frontier], frontier, heavy, t)
-        outer += 1
-        index = _next_index(index, delta, skip, t)
-        if index is None:
-            break
+        buckets, last = buckets + 1, index
+        index = _next_index(index, delta, t)
     reached = np.flatnonzero(t < math.inf)
-    return SparseVector(n, reached, t[reached]), outer, phases
+    return SparseVector(n, reached, t[reached]), buckets, last, phases
 
 
 def delta_stepping(
@@ -304,14 +299,14 @@ def delta_stepping(
 ) -> SsspResult:
     """Solve single-source shortest paths over strictly positive weights.
 
-    Iterates buckets in increasing index order, advancing by exactly one
-    per outer iteration; `skip_empty_buckets` jumps over index gaps instead
-    (identical distances, fewer iterations). Terminates when no stored
-    tentative distance is at or beyond the current window start. Elapsed
-    time covers everything from the edge split onward. Raises ValueError
-    for a source out of range, a delta that is not positive and finite,
-    and, when skipping, DeltaTooSmall (a ValueError) for a delta too small
-    to place a distance in a float window.
+    Visits, in increasing index order, only the buckets whose window holds
+    a tentative distance; an empty one would relax nothing. The mode sets
+    only how `outer_iterations` counts them: every window up to the last
+    bucket by default, or just the buckets with `skip_empty_buckets`.
+    Elapsed time covers everything from the edge split onward. Raises
+    ValueError for a source out of range, a delta that is not positive and
+    finite, and DeltaTooSmall (a ValueError) for a delta too small to place
+    a distance in a float window.
     """
     if backend is None:
         backend = BackendChoice()
@@ -325,17 +320,15 @@ def delta_stepping(
     # the fused backend pushes along rows, so it needs no transposed views
     light, heavy = _partition(matrix, delta) if fused else split_edges(matrix, delta)
 
-    # total light passes across the run are bounded by the vertex count
-    # times the per-bucket pass bound; beyond that something cycles
-    if light.nnz:
-        per_bucket = int(math.ceil(delta / float(light.val.min()))) + 2
-    else:
-        per_bucket = 2
+    # total light passes are bounded by the vertex count times the per-bucket
+    # pass bound, beyond which something cycles; float addition is monotone,
+    # so no walk with a cycle beats a simple path, and n passes bound a bucket
+    ratio = delta / float(light.val.min()) if light.nnz else 0.0
+    per_bucket = int(math.ceil(min(ratio, matrix.n))) + 2
     solve = _solve_fused if fused else _solve_unfused
-    t, outer, phases = solve(
-        light, heavy, source, delta, skip_empty_buckets, matrix.n * per_bucket
-    )
+    t, buckets, last, phases = solve(light, heavy, source, delta, matrix.n * per_bucket)
     elapsed = time.perf_counter() - start
+    outer = buckets if skip_empty_buckets else last + 1
     return SsspResult(distances=t, outer_iterations=outer, inner_phases=phases, elapsed=elapsed)
 
 

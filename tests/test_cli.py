@@ -14,6 +14,7 @@ import deltasparse.cli
 import deltasparse.io
 from deltasparse import delta_stepping, load_edge_list
 from deltasparse.cli import main
+from deltasparse.sssp import _window_of
 
 EDGE_FILE = "0 1 1.0\n1 2 1.5\n0 3 4.0\n"
 MTX_FILE = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 2.0\n2 3 1.0\n"
@@ -318,13 +319,14 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_path_tiny_delta(tmp_path, delta, backend):
+def run_path_tiny_delta(tmp_path, delta, backend, skip=True):
     path = tmp_path / "path.edges"
     path.write_text("0 1 1\n1 2 1\n")
+    flags = ["--skip-empty-buckets"] if skip else []
     with time_limit(5):
         return run_cli(
             "run", "--graph", str(path), "--format", "edges", "--source", "0",
-            "--delta", delta, "--skip-empty-buckets", "--backend", backend,
+            "--delta", delta, *flags, "--backend", backend,
         )
 
 
@@ -351,6 +353,42 @@ def test_run_tiny_delta_skipping_is_a_usage_error(tmp_path, capsys, delta, backe
     assert code == 3
     assert err.startswith("deltasparse: error: delta ") and f"delta {float(delta)!r}" in err
     assert "distance 1.0" in err
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+@pytest.mark.parametrize("delta", ["1e-17", "1e-20", "1e-300"])
+def test_run_tiny_delta_one_step_solves(tmp_path, capsys, delta, backend):
+    # one-step mode counts every window up to distance 2, about 2/delta of
+    # them, but visits only the three that hold a vertex
+    code = run_path_tiny_delta(tmp_path, delta, backend, skip=False)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert parse_distances(captured.out) == {0: 0.0, 1: 1.0, 2: 2.0}
+    outer = _window_of(2.0, float(delta)) + 1
+    assert f"outer_iterations={outer} inner_phases=3" in captured.err
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+@pytest.mark.parametrize("delta", ["5e-324", "3e-310"])
+def test_run_tiny_delta_one_step_is_a_usage_error(tmp_path, capsys, delta, backend):
+    code = run_path_tiny_delta(tmp_path, delta, backend, skip=False)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("deltasparse: error:")
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+def test_run_huge_delta_over_tiny_light_weights(tmp_path, capsys, backend):
+    # delta / lightest weight overflows to inf, which the phase ceiling must survive
+    path = tmp_path / "tiny.edges"
+    path.write_text("0 1 1e-10\n1 2 1e-10\n")
+    code = run_cli(
+        "run", "--graph", str(path), "--format", "edges", "--directed", "--source", "0",
+        "--delta", "1e300", "--backend", backend,
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert parse_distances(captured.out) == {0: 0.0, 1: 1e-10, 2: 2e-10}
 
 
 def test_run_repeat_reports_median(edge_path, capsys):
@@ -424,3 +462,19 @@ def test_selftest_reports_unequal_counts(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "selftest case 0 FAILED (fused/unfused mismatch)" in captured.out
+
+
+def test_selftest_checks_skip_mode_counts(monkeypatch, capsys):
+    # an extra fused phase in skip mode only must still fail a case
+    def bumped(*args, **kwargs):
+        result = delta_stepping(*args, **kwargs)
+        if kwargs.get("backend") is not None and kwargs.get("skip_empty_buckets"):
+            return replace(result, inner_phases=result.inner_phases + 1)
+        return result
+
+    monkeypatch.setattr(deltasparse.cli, "delta_stepping", bumped)
+    code = run_cli("selftest", "--cases", "4", "--seed", "1")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "selftest case 2 FAILED (fused/unfused mismatch)" in captured.out
+    assert "skip_empty_buckets=True" in captured.out

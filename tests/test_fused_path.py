@@ -109,6 +109,21 @@ def test_window_arithmetic_at_large_magnitudes_skipping(scale):
     assert reach >= 1e15
 
 
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
+def test_window_arithmetic_at_large_magnitudes_one_step(scale):
+    # the same reach in one-step mode, which counts every window up to the
+    # largest distance but visits only those holding a vertex
+    rng = np.random.default_rng(int(np.log10(scale)))
+    reach = 0.0
+    for _ in range(8):
+        a = chain_graph(rng, scale, int(rng.integers(10, 40)))
+        result = check_backends_and_oracle(a, skip=False)
+        top = float(result.distances.values.max())
+        reach = max(reach, top / DELTA)
+        assert result.outer_iterations == deltasparse.sssp._window_of(top, DELTA) + 1
+    assert reach >= 1e15
+
+
 @pytest.mark.parametrize("scale", [0.07, 1.0, 30.0])
 def test_window_arithmetic_one_step_mode(scale):
     # the one-step mode walks every window, so its reach stays near 10^3 buckets

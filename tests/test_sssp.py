@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import deltasparse.fused as fused_mod
+import deltasparse.sssp as sssp_mod
 from deltasparse import (
     BackendChoice,
     LESS,
@@ -52,7 +53,6 @@ def fresh_state(matrix, source, delta, index=0, tentative=None):
         heavy=heavy,
         bucket_index=index,
         delta=delta,
-        source=source,
     )
 
 
@@ -276,7 +276,6 @@ def test_phase_by_phase_invariants():
                 heavy=heavy,
                 bucket_index=index,
                 delta=delta,
-                source=source,
             )
             lo, hi = bucket_bounds(index, delta)
             while state.bucket.nnz:
@@ -459,6 +458,96 @@ def test_connected_unit_graph_bucket_counts():
         assert result.outer_iterations == longest + 1
         # unit weights with unit windows settle each bucket in one pass
         assert result.inner_phases == result.outer_iterations
+
+
+# ---------------------------------------------------------- one bucket walk
+
+
+def heavy_step_recorder(monkeypatch):
+    """Record the frontier size of every heavy step in either backend: the
+    unfused relax_heavy calls and the fused pushes through the heavy part."""
+    sizes = []
+    partition, push, heavy = sssp_mod._partition, sssp_mod._push, sssp_mod.relax_heavy
+    split = []
+
+    def fused_partition(matrix, delta):
+        split[:] = partition(matrix, delta)
+        return tuple(split)
+
+    def fused_push(values, frontier, matrix, dense):
+        if matrix is split[1]:
+            sizes.append(frontier.size)
+        return push(values, frontier, matrix, dense)
+
+    def unfused_heavy(state):
+        sizes.append(state.settled.nnz)
+        return heavy(state)
+
+    monkeypatch.setattr(sssp_mod, "_partition", fused_partition)
+    monkeypatch.setattr(sssp_mod, "_push", fused_push)
+    monkeypatch.setattr(sssp_mod, "relax_heavy", unfused_heavy)
+    return sizes
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
+def test_one_step_visits_only_occupied_windows(monkeypatch, kind):
+    # 20,001 windows up to distance 2e4, of which three hold a vertex
+    a = matrix_build(3, [(0, 1, 1e4), (1, 2, 1e4)])
+    sizes = heavy_step_recorder(monkeypatch)
+    result = delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
+    assert result.distances.to_dict() == {0: 0.0, 1: 1e4, 2: 2e4}
+    assert (result.outer_iterations, result.inner_phases) == (20_001, 3)
+    assert sizes == [1, 1, 1]
+
+
+def test_one_step_work_equals_skip_mode_buckets(monkeypatch):
+    sizes = heavy_step_recorder(monkeypatch)
+    rng = np.random.default_rng(109)
+    for case in range(40):
+        n = int(rng.integers(1, 60))
+        kind = "int" if case % 2 == 0 else "float"
+        a = random_graph(n, int(rng.integers(0, 4 * n + 1)), rng, weights=kind)
+        source = int(rng.integers(0, n))
+        for delta in DELTAS + (0.1,):
+            skipping = delta_stepping(a, source, delta, skip_empty_buckets=True)
+            for backend in ("unfused", "fused"):
+                sizes.clear()
+                plain = delta_stepping(a, source, delta, backend=BackendChoice(backend))
+                reached = plain.distances
+                # one heavy step per occupied window, none for an empty one
+                assert len(sizes) == skipping.outer_iterations <= reached.nnz
+                assert min(sizes) > 0
+                last = _window_of(float(reached.values.max()), delta)
+                assert plain.outer_iterations == last + 1
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
+@pytest.mark.parametrize("delta", [1e300, 1e308])
+def test_huge_delta_over_tiny_light_weights(kind, delta):
+    # delta / lightest weight is inf, yet the phase ceiling stays finite
+    rng = np.random.default_rng(113)
+    tiny = random_graph(30, 120, rng, weights="float")
+    graphs = [
+        matrix_build(3, [(0, 1, 1e-10), (1, 2, 1e-10)]),
+        matrix_build(30, [(i, j, w * 1e-300) for i, j, w in zip(*tiny.triples())]),
+    ]
+    for a in graphs:
+        result = delta_stepping(a, 0, delta, backend=BackendChoice(kind))
+        assert result.distances == dijkstra_oracle(a, 0)
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
+def test_last_window_runs_to_inf(kind):
+    # window 17 at delta 1e307 ends past the float range, so it runs to inf;
+    # it holds 1.75e308 in both modes, which need no index beyond the floats
+    assert bucket_bounds(_window_of(1.75e308, 1e307), 1e307) == (1.7e308, math.inf)
+    a = matrix_build(2, [(0, 1, 1.75e308)])
+    for skip, outer in ((False, 18), (True, 2)):
+        result = delta_stepping(
+            a, 0, 1e307, backend=BackendChoice(kind), skip_empty_buckets=skip
+        )
+        assert result.distances == dijkstra_oracle(a, 0)
+        assert (result.outer_iterations, result.inner_phases) == (outer, 2)
 
 
 # ---------------------------------------------------------------- oracle

@@ -6,19 +6,21 @@ settled set a bool array. It has two kernels: _push, the one
 gather-and-reduce relax, and the inline bucket test
 `lowered[t[lowered] < hi]`, the one combined tentative/bucket update. A
 push gathers the frontier's rows of the row-major light or heavy matrix,
-forms t[i] + w per out-edge, sorts the candidates by target, takes each
-target's minimum with np.minimum.reduceat, lowers t[j] to min(t[j],
-request) and returns the lowered targets; those below the window's end are
-the next bucket. The work is the frontier's out-edges, not every edge of
-the matrix, and no transposed view is ever built. ops.vxm_min_plus runs the
-same _push.
+forms t[i] + w per out-edge, keeps the candidates below t[j] and lowers t
+by a scatter-min over them (np.minimum.at), then returns the lowered
+targets, sorted and distinct; those below the window's end are the next
+bucket. The work is the frontier's out-edges, not every edge of the
+matrix: nothing is sorted but the improving targets, and no transposed
+view is ever built. ops.vxm_min_plus runs the same _push.
 
 Bit identity with the unfused chain: every candidate is the same single
-float sum t[i] + w that the composed (min,+) product forms, and the minimum
-of the same multiset does not depend on the order it is taken in, so each
-target receives the same request. Weights are > 0, so every request is
-> 0, and "request < dense t" (+inf where t holds nothing) selects exactly
-the requests that the unfused comparison with its pass-through rule calls
+float sum t[i] + w that the composed (min,+) product forms, and a
+scatter-min leaves each target at the minimum of its candidates whatever
+order it visits them in, so each target receives the same request. Weights
+are > 0, so every candidate is > 0 and neither NaN nor -0.0 can occur, and
+a target has a candidate below t[j] (+inf where t holds nothing) exactly
+when its minimum request is below it: the pre-filter keeps exactly the
+targets that the unfused comparison with its pass-through rule calls
 improving.
 
 A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
@@ -40,9 +42,11 @@ from .core import INDEX_DTYPE, SparseMatrix
 __all__ = ["BackendChoice", "bucket_bounds"]
 
 # Frontier out-edges per push slice. Slices bound the push's temporaries
-# (about 43 bytes per out-edge of a slice) rather than buy speed: on a
-# 3*10^6-edge graph one slice ran as fast as any cut (README, Performance
-# notes).
+# rather than buy speed. The largest push of the acceptance criterion-7
+# solve (10^5 vertices, 1.05*10^6 edges, delta 3; 338,361 out-edges) peaked
+# at 13.0 MB under tracemalloc as one slice, about 38 bytes per out-edge,
+# and at 3.8 MB in 64 Ki slices; fused solves of that graph ran as fast,
+# within noise, at 64 Ki as in one slice (README, Performance notes).
 RANGE_ENTRIES = 64 << 10
 
 
@@ -67,7 +71,8 @@ def _push(
     values: np.ndarray, frontier: np.ndarray, matrix: SparseMatrix, dense: np.ndarray
 ) -> np.ndarray:
     """Lower dense[j] to the minimum of values[k] + w over the out-edges
-    (frontier[k], j, w) of the row-major `matrix`; return the lowered
+    (frontier[k], j, w) of the row-major `matrix` by a scatter-min, one
+    slice of at most RANGE_ENTRIES out-edges at a time; return the lowered
     targets, sorted and distinct.
 
     `values` must not alias `dense`: candidates come from the values as
@@ -110,15 +115,16 @@ def _relax(
     dense: np.ndarray,
 ) -> np.ndarray:
     """One push slice: the frontier vertices with these values, entry bases
-    and out-degrees own the frontier out-edges [lo, hi). Lowers `dense` and
-    returns the lowered targets, sorted and distinct."""
+    and out-degrees own the frontier out-edges [lo, hi). Keeps the out-edges
+    whose candidate is below `dense` at their target, lowers `dense` by a
+    scatter-min over them, and returns their targets, sorted and distinct."""
     eid = np.repeat(base, counts) + np.arange(lo, hi)
     target = matrix.col[eid]
-    order = np.argsort(target)
-    target = target[order]
-    cand = (np.repeat(values, counts) + matrix.val[eid])[order]
-    heads = np.flatnonzero(np.concatenate(([True], target[1:] != target[:-1])))
-    target, request = target[heads], np.minimum.reduceat(cand, heads)
-    better = request < dense[target]
-    dense[target[better]] = request[better]
-    return target[better]
+    cand = np.repeat(values, counts) + matrix.val[eid]
+    better = np.flatnonzero(cand < dense[target])
+    target = target[better]
+    np.minimum.at(dense, target, cand[better])
+    target = np.sort(target)
+    first = np.ones(target.size, dtype=bool)
+    first[1:] = target[1:] != target[:-1]
+    return target[first]

@@ -125,3 +125,50 @@ def test_pooled_path_is_bit_identical(monkeypatch):
         got_lowered, got_dense = push(*case)
         assert got_lowered.tobytes() == lowered.tobytes()
         assert got_dense.tobytes() == dense.tobytes()
+
+
+def fan_in_push(rng):
+    """Thirty to fifty frontier vertices send hundreds of out-edges into 20
+    targets, so each target receives dozens of requests, many of them tied
+    (integer values and weights); random_push gives about four. The dense
+    state is finite at about half the targets, and some of those hold
+    exactly their best request."""
+    n = 300
+    targets = rng.choice(n, size=20, replace=False)
+    frontier = np.sort(rng.choice(n, size=int(rng.integers(30, 51)), replace=False))
+    rows = np.repeat(frontier, targets.size)
+    cols = np.tile(targets, frontier.size)
+    keep = rng.random(rows.size) < 0.9
+    rows, cols = rows[keep], cols[keep]
+    # a tail of out-edges past the targets, so the fan-in shares its slices
+    tails = rng.choice(frontier, size=200)
+    rows = np.concatenate([rows, tails])
+    cols = np.concatenate([cols, rng.integers(0, n, tails.size)])
+    weights = rng.integers(1, 6, rows.size).astype(float)
+    matrix = matrix_build(n, np.column_stack([rows, cols, weights]))
+    values = rng.integers(0, 8, frontier.size).astype(float)
+    requests = pull_vxm_min_plus(SparseVector(n, frontier, values), matrix_transpose_view(matrix))
+    dense = np.full(n, math.inf)
+    best = dict(zip(requests.indices.tolist(), requests.values.tolist()))
+    for j in targets.tolist():
+        if rng.random() < 0.5:
+            dense[j] = best[j] + float(rng.choice([-1.0, 0.0, 0.0, 1.0]))
+    return matrix, frontier, values, dense, requests
+
+
+@pytest.mark.parametrize("entries", [fused_mod.RANGE_ENTRIES, 1, 7])
+def test_fused_relax_heavy_fan_in(monkeypatch, entries):
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    rng = np.random.default_rng(61)
+    ties = 0
+    for _ in range(12):
+        matrix, frontier, values, dense, requests = fan_in_push(rng)
+        lowered, got = push(matrix, frontier, values, dense)
+        better = requests.values < dense[requests.indices]
+        want = dense.copy()
+        want[requests.indices[better]] = requests.values[better]
+        assert lowered.tobytes() == requests.indices[better].tobytes()
+        assert got.tobytes() == want.tobytes()
+        ties += int(np.sum(requests.values == dense[requests.indices]))
+    # entries equal to their best request occur, and are not lowered
+    assert ties > 0

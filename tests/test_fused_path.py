@@ -126,7 +126,9 @@ def test_window_arithmetic_at_large_magnitudes_one_step(scale):
 
 @pytest.mark.parametrize("scale", [0.07, 1.0, 30.0])
 def test_window_arithmetic_one_step_mode(scale):
-    # the one-step mode walks every window, so its reach stays near 10^3 buckets
+    # one-step mode at everyday magnitudes: it counts every window up to the
+    # largest distance (1 to a few thousand here) but visits only those
+    # holding a vertex; its twin at large magnitudes is above
     rng = np.random.default_rng(int(scale * 100) + 7)
     for _ in range(6):
         a = chain_graph(rng, scale, int(rng.integers(3, 25)))

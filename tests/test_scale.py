@@ -38,13 +38,19 @@ def test_random_graph_int_weights_match_exactly():
         assert np.array_equal(got.values, want)
 
 
-def test_grid_float_weights_within_tolerance():
-    side = 200
-    rng = np.random.default_rng(6)
+def grid_arcs(side):
+    """Both arcs of every edge of an undirected side x side 4-neighbour grid,
+    as (tails, heads)."""
     ids = np.arange(side * side).reshape(side, side)
     u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    tails, heads = np.concatenate([u, v]), np.concatenate([v, u])
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def test_grid_float_weights_within_tolerance():
+    side = 200
+    rng = np.random.default_rng(6)
+    tails, heads = grid_arcs(side)
     weights = 10.0 * (1.0 - rng.random(tails.size))
     matrix = matrix_build(side * side, np.column_stack([tails, heads, weights]))
     reach, want = scipy_distances(matrix, 0)
@@ -52,6 +58,32 @@ def test_grid_float_weights_within_tolerance():
     for got in solve_both(matrix, 0, 5.0):
         assert np.array_equal(got.indices, reach)
         assert np.all(np.abs(got.values - want) <= REL_TOLERANCE * (1.0 + want))
+
+
+def test_high_diameter_grid_int_weights_match_exactly():
+    # about a thousand outer iterations of tiny frontiers: the road-network
+    # shape that the random graphs above do not reach
+    side = 500
+    rng = np.random.default_rng(9)
+    tails, heads = grid_arcs(side)
+    weights = rng.integers(1, 1001, tails.size // 2).astype(float)
+    weights = np.concatenate([weights, weights])
+    matrix = matrix_build(side * side, np.column_stack([tails, heads, weights]))
+    reach, want = scipy_distances(matrix, 0)
+    assert reach.size == side * side
+    runs = [
+        delta_stepping(matrix, 0, 200.0, backend=BackendChoice(kind))
+        for kind in ("unfused", "fused")
+    ]
+    for run in runs:
+        assert np.array_equal(run.distances.indices, reach)
+        assert np.array_equal(run.distances.values, want)
+    unfused, fused = runs
+    assert (fused.outer_iterations, fused.inner_phases) == (
+        unfused.outer_iterations,
+        unfused.inner_phases,
+    )
+    assert unfused.outer_iterations > 1000
 
 
 def rmat_graph(scale, edge_factor, rng):

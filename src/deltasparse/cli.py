@@ -20,7 +20,6 @@ import statistics
 import sys
 from dataclasses import dataclass
 from functools import partial
-from operator import itemgetter
 
 import numpy as np
 
@@ -149,9 +148,14 @@ def run(config: RunConfig) -> int:
         if not ok:
             code = 2
 
-    externals = labels.externals
-    reached = [externals[i] for i in distances.indices.tolist()]
-    lines = sorted(zip(reached, distances.values.tolist()), key=itemgetter(0))
+    # labels beyond int64, which only the line walker loads, sort as Python ints
+    try:
+        externals = np.array(labels.externals, dtype=np.int64)
+    except OverflowError:
+        externals = np.array(labels.externals, dtype=object)
+    reached = externals[distances.indices]
+    order = reached.argsort()
+    lines = zip(reached[order].tolist(), distances.values[order].tolist())
     text = "".join([f"{label}\t{value!r}\n" for label, value in lines])
     if config.output is None:
         sys.stdout.write(text)

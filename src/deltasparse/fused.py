@@ -1,17 +1,24 @@
 """The fused backend's kernels over dense state.
 
 The fused solver (sssp._solve_fused) keeps tentative distances in one
-float64 array, +inf where absent; the bucket is an index array and the
-settled set a bool array. It has two kernels: _push, the one
-gather-and-reduce relax, and the inline bucket test
-`lowered[t[lowered] < hi]`, the one combined tentative/bucket update. A
-push gathers the frontier's rows of the row-major light or heavy matrix,
+float64 array, +inf where absent; the settled set is a bool array that
+starts as the mask of the bucket's window, taken from the walk's own scan
+for the next window, and each bucket is an index array. It has two
+kernels: _push, the one gather-and-reduce relax, and the inline bucket
+test `lowered[t[lowered] < hi]`, the one combined tentative/bucket update.
+A push gathers the frontier's rows of the row-major light or heavy matrix,
 forms t[i] + w per out-edge, keeps the candidates below t[j] and lowers t
 by a scatter-min over them (np.minimum.at), then returns the lowered
 targets, sorted and distinct; those below the window's end are the next
 bucket. The work is the frontier's out-edges, not every edge of the
 matrix: nothing is sorted but the improving targets, and no transposed
 view is ever built. ops.vxm_min_plus runs the same _push.
+
+Frontiers on high-diameter graphs hold a handful of vertices, so a push
+costs its numpy calls more than its edges. A push therefore works in place
+on the arrays it has just gathered, never on the caller's values or
+frontier, and calls ndarray methods (repeat, nonzero, sort) rather than
+their np.* wrappers, each of which adds a Python-level dispatch.
 
 Bit identity with the unfused chain: every candidate is the same single
 float sum t[i] + w that the composed (min,+) product forms, and a
@@ -76,15 +83,18 @@ def _push(
     targets, sorted and distinct.
 
     `values` must not alias `dense`: candidates come from the values as
-    given, however many slices lower `dense` before them.
+    given, however many slices lower `dense` before them. Neither `values`
+    nor `frontier` is written; the in-place steps act on gathered copies.
     """
-    starts = matrix.indptr[frontier]
-    counts = matrix.indptr[frontier + 1] - starts
-    ends = np.cumsum(counts)
-    offsets = ends - counts
-    # edge e of the frontier's out-edges is matrix entry base[k] + e, where
-    # k is the frontier vertex it belongs to
-    base = starts - offsets
+    # in place on the arrays this push gathers: counts are the out-degrees,
+    # and out-edge e of the frontier's out-edges is matrix entry base[k] + e,
+    # where k is the frontier vertex it belongs to
+    base = matrix.indptr[frontier]
+    counts = matrix.indptr[1:][frontier]
+    counts -= base
+    ends = counts.cumsum()
+    base -= ends
+    base += counts
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
@@ -94,6 +104,7 @@ def _push(
     # ceil(total / RANGE_ENTRIES) evenly sized edge ranges
     edge_cuts = np.linspace(0, total, -(-total // RANGE_ENTRIES) + 1).astype(int)
     cuts = np.searchsorted(ends, edge_cuts, side="right")
+    offsets = ends - counts
     lowered = [
         _relax(values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense)
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
@@ -117,14 +128,18 @@ def _relax(
     """One push slice: the frontier vertices with these values, entry bases
     and out-degrees own the frontier out-edges [lo, hi). Keeps the out-edges
     whose candidate is below `dense` at their target, lowers `dense` by a
-    scatter-min over them, and returns their targets, sorted and distinct."""
-    eid = np.repeat(base, counts) + np.arange(lo, hi)
+    scatter-min over them, and returns their targets, sorted and distinct.
+    Writes only `dense` and arrays it creates."""
+    eid = base.repeat(counts)
+    eid += np.arange(lo, hi)
     target = matrix.col[eid]
-    cand = np.repeat(values, counts) + matrix.val[eid]
-    better = np.flatnonzero(cand < dense[target])
+    cand = values.repeat(counts)
+    cand += matrix.val[eid]
+    better = (cand < dense[target]).nonzero()[0]
     target = target[better]
     np.minimum.at(dense, target, cand[better])
-    target = np.sort(target)
-    first = np.ones(target.size, dtype=bool)
-    first[1:] = target[1:] != target[:-1]
-    return target[first]
+    target.sort()
+    keep = np.empty(target.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(target[1:], target[:-1], out=keep[1:])
+    return target[keep]

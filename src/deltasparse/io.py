@@ -73,12 +73,18 @@ class GraphFile:
 
 
 class LabelMap:
-    """Bijection between external vertex labels and dense internal ids."""
+    """Bijection between external vertex labels and dense internal ids.
+
+    Labels given as a range, like Matrix Market's 1..n, are mapped by the
+    range's own arithmetic, with no list or dict of n ints."""
 
     __slots__ = ("_externals", "_to_internal")
 
-    def __init__(self, externals: list[int]) -> None:
+    def __init__(self, externals: list[int] | range) -> None:
         self._externals = externals
+        if isinstance(externals, range):
+            self._to_internal: dict[int, int] | range = externals
+            return
         self._to_internal = {label: i for i, label in enumerate(externals)}
         if len(self._to_internal) != len(externals):
             raise ValueError("duplicate external label")
@@ -90,7 +96,12 @@ class LabelMap:
         return label in self._to_internal
 
     def to_internal(self, label: int) -> int:
-        return self._to_internal[label]
+        """The dense id of `label`; KeyError if the map lacks it."""
+        if isinstance(self._to_internal, dict):
+            return self._to_internal[label]
+        if label not in self._to_internal:
+            raise KeyError(label)
+        return self._to_internal.index(label)
 
     def to_external(self, internal: int) -> int:
         return self._externals[internal]
@@ -199,7 +210,7 @@ def load_matrix_market(
     del data, lines  # free the text before the build
     n, _, _, symmetric, size_line = header
     try:
-        return _build(path, n, *entries, mirror=symmetric), LabelMap(list(range(1, n + 1)))
+        return _build(path, n, *entries, mirror=symmetric), LabelMap(range(1, n + 1))
     except MemoryError:
         raise ValidationError(
             path, size_line, f"matrix dimension {n} is too large to allocate"

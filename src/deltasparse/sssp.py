@@ -86,7 +86,10 @@ def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Sparse
     > 0, so heavy (weight > delta) is exactly the complement of light, and
     both results equal split_edges' filter_matrix pair."""
     light = matrix.val <= delta
-    light_ptr = np.concatenate([[0], np.cumsum(light)])[matrix.indptr]
+    count = np.zeros(matrix.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(light, out=count[1:])
+    light_ptr = count[matrix.indptr]
+    del count  # before the gathers, so the split peaks no higher
     heavy = ~light
     # np.compress gathers several times faster than boolean indexing here
     return (
@@ -220,17 +223,22 @@ def _window_of(value: float, delta: float) -> int:
     return low
 
 
-def _next_index(index: int, delta: float, values: np.ndarray) -> int | None:
-    """First bucket after `index` whose window holds a finite value, or None.
-    One boolean scan settles the common case, a value in window index + 1;
-    past an empty window, _window_of places the smallest value beyond."""
+def _next_index(index: int, delta: float, values: np.ndarray) -> tuple[int | None, np.ndarray]:
+    """First bucket after `index` whose window holds a finite value, or None,
+    with the mask of the values in that window. One boolean scan settles the
+    common case, a value in window index + 1; past an empty window,
+    _window_of places the smallest value beyond and a second scan masks its
+    window."""
     hi = bucket_bounds(index, delta)[1]
-    if np.any((values >= hi) & (values < _window_start(index + 2, delta))):
-        return index + 1
+    window = (values >= hi) & (values < _window_start(index + 2, delta))
+    if np.count_nonzero(window):
+        return index + 1, window
     beyond = np.compress((values >= hi) & (values < math.inf), values)
     if not beyond.size:
-        return None
-    return _window_of(float(beyond.min()), delta)
+        return None, window
+    index = _window_of(float(beyond.min()), delta)
+    lo, hi = bucket_bounds(index, delta)
+    return index, (values >= lo) & (values < hi)
 
 
 def _solve_unfused(
@@ -256,7 +264,7 @@ def _solve_unfused(
             phases = _count_phase(phases, ceiling)
         t = relax_heavy(state).tentative
         buckets, last = buckets + 1, index
-        index = _next_index(index, delta, t.values)
+        index = _next_index(index, delta, t.values)[0]
     return t, buckets, last, phases
 
 
@@ -266,25 +274,26 @@ def _solve_fused(
     # the unfused loop step for step over dense state (see fused.py): t is
     # +inf where unreached; a light push from the window [lo, hi) lowers t
     # to values >= lo over positive weights and returns the lowered targets,
-    # so those below hi form the next bucket
+    # so those below hi form the next bucket. The walk's own scan for the
+    # next window gives its mask, which is the first bucket and grows into
+    # the settled set; the walk from bucket -1 finds the source's window.
     n = light.n
     t = np.full(n, math.inf, dtype=VALUE_DTYPE)
     t[source] = 0.0
-    index: int | None = 0
+    index, settled = _next_index(-1, delta, t)
     buckets = last = phases = 0
     while index is not None:
-        lo, hi = bucket_bounds(index, delta)
-        bucket = np.flatnonzero((t >= lo) & (t < hi))
-        settled = np.zeros(n, dtype=bool)
+        hi = bucket_bounds(index, delta)[1]
+        bucket = settled.nonzero()[0]
         while bucket.size:
-            settled[bucket] = True
             lowered = _push(t[bucket], bucket, light, t)
             bucket = lowered[t[lowered] < hi]
+            settled[bucket] = True
             phases = _count_phase(phases, ceiling)
-        frontier = np.flatnonzero(settled)
+        frontier = settled.nonzero()[0]
         _push(t[frontier], frontier, heavy, t)
         buckets, last = buckets + 1, index
-        index = _next_index(index, delta, t)
+        index, settled = _next_index(index, delta, t)
     reached = np.flatnonzero(t < math.inf)
     return SparseVector(n, reached, t[reached]), buckets, last, phases
 

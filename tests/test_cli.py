@@ -225,6 +225,36 @@ def test_run_output_pins_labels_beyond_int64(tmp_path, capsys):
         )
 
 
+def test_run_output_orders_labels_by_value_not_first_seen(tmp_path, capsys):
+    # first-seen order 30, 10, 20, 5 gives ids that are not in label order
+    p = tmp_path / "order.edges"
+    p.write_text("30 10 1\n10 20 2\n20 5 3\n")
+    for backend in ("unfused", "fused"):
+        code = run_cli(
+            "run", "--graph", str(p), "--format", "edges", "--directed",
+            "--source", "30", "--backend", backend,
+        )
+        captured = capsys.readouterr()
+        assert code == 0
+        assert captured.out == "5\t6.0\n10\t1.0\n20\t3.0\n30\t0.0\n"
+
+
+def test_run_output_orders_labels_in_uint64_range(tmp_path, capsys):
+    # labels past int64 but within uint64, next to small ones, must print
+    # as exact integers in numeric order
+    p = tmp_path / "wide.edges"
+    p.write_text("9223372036854775809 7 0.5\n7 9223372036854775808 0.25\n")
+    code = run_cli(
+        "run", "--graph", str(p), "--format", "edges", "--directed",
+        "--source", "9223372036854775809", "--backend", "fused",
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == (
+        "7\t0.5\n9223372036854775808\t0.75\n9223372036854775809\t0.0\n"
+    )
+
+
 def test_run_unknown_source_label(edge_path, capsys):
     code = run_cli("run", "--graph", edge_path, "--format", "edges", "--source", "17")
     captured = capsys.readouterr()

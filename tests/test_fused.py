@@ -17,6 +17,7 @@ from deltasparse import (
     matrix_build,
     matrix_transpose_view,
 )
+from deltasparse.ops import vxm_min_plus
 
 from kernel_reference import pull_vxm_min_plus
 
@@ -172,3 +173,36 @@ def test_fused_relax_heavy_fan_in(monkeypatch, entries):
         ties += int(np.sum(requests.values == dense[requests.indices]))
     # entries equal to their best request occur, and are not lowered
     assert ties > 0
+
+
+@pytest.mark.parametrize("entries", [fused_mod.RANGE_ENTRIES, 1, 3])
+def test_push_leaves_values_and_frontier_unchanged(monkeypatch, entries):
+    # the push works in place only on arrays it gathered itself: the
+    # caller's writable values and frontier keep their bytes
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    rng = np.random.default_rng(67)
+    pushes = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 50))
+        matrix, frontier, values, dense = random_push(rng, n, int(rng.integers(0, 4 * n + 1)))
+        before = values.tobytes(), frontier.tobytes()
+        lowered = fused_mod._push(values, frontier, matrix, dense)
+        assert (values.tobytes(), frontier.tobytes()) == before
+        pushes += lowered.size > 0
+    assert pushes > 0
+
+
+@pytest.mark.parametrize("entries", [fused_mod.RANGE_ENTRIES, 1, 3])
+def test_vxm_push_reads_its_read_only_operand(monkeypatch, entries):
+    # vxm_min_plus hands _push the vector's read-only values and indices
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    rng = np.random.default_rng(73)
+    for _ in range(40):
+        n = int(rng.integers(1, 50))
+        matrix, frontier, values, _ = random_push(rng, n, int(rng.integers(0, 4 * n + 1)))
+        v = SparseVector(n, frontier, values)
+        assert not v.values.flags.writeable
+        before = v.indices.tobytes(), v.values.tobytes()
+        got = vxm_min_plus(v, matrix_transpose_view(matrix))
+        assert (v.indices.tobytes(), v.values.tobytes()) == before
+        assert got == pull_vxm_min_plus(v, matrix_transpose_view(matrix))

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import io
 import logging
+import tracemalloc
 
 import pytest
 
@@ -392,6 +393,40 @@ def test_missing_file_raises_oserror(tmp_path):
 def test_label_map_rejects_duplicates():
     with pytest.raises(ValueError):
         LabelMap([1, 2, 1])
+
+
+def test_label_map_range_equals_list():
+    # a range answers every query as the list of its labels does
+    for labels in (LabelMap(range(1, 4)), LabelMap([1, 2, 3])):
+        assert len(labels) == 3
+        assert labels.externals == [1, 2, 3]
+        assert [labels.to_internal(x) for x in (1, 2, 3)] == [0, 1, 2]
+        assert [labels.to_external(i) for i in (0, 1, 2)] == [1, 2, 3]
+        assert (1 in labels, 3 in labels, 0 in labels, 4 in labels) == (True, True, False, False)
+        for missing in (0, 4):
+            with pytest.raises(KeyError):
+                labels.to_internal(missing)
+
+
+def test_mtx_labels_are_implicit(tmp_path):
+    # 2*10^6 declared vertices and 2 entries: the identity labels must not
+    # become a list and a dict of n Python ints (about 250 MiB traced)
+    n = 2_000_000
+    path = write(
+        tmp_path,
+        f"%%MatrixMarket matrix coordinate real general\n{n} {n} 2\n1 2 1.5\n{n} 1 2.0\n",
+    )
+    tracemalloc.start()
+    try:
+        matrix, labels = load_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+    assert matrix.n == len(labels) == n
+    assert matrix.entry_set() == {(0, 1, 1.5), (n - 1, 0, 2.0)}
+    assert (labels.to_internal(n), labels.to_external(0)) == (n - 1, 1)
+    assert n in labels and 0 not in labels and n + 1 not in labels
 
 
 def test_label_map_round_trip():

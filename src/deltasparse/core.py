@@ -291,9 +291,12 @@ def matrix_build(
     key += cols[off_diag]
     key, vals = _min_by_key(key, vals[off_diag])
     rows = key // n
-    counts = np.bincount(rows, minlength=n) if rows.size else np.zeros(n, dtype=INDEX_DTYPE)
-    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
-    return SparseMatrix(n, indptr, key - rows * n, vals)
+    return SparseMatrix(n, _row_pointers(rows, n), key - rows * n, vals)
+
+
+def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
+    """CSR indptr of n rows, given the row of each stored entry in any order."""
+    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(INDEX_DTYPE)
 
 
 def _min_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,12 +322,7 @@ def matrix_transpose_view(matrix: SparseMatrix) -> SparseMatrix:
     if matrix._transposed is None:
         rows = matrix.row_ids()
         order = np.lexsort((rows, matrix.col))
-        counts = (
-            np.bincount(matrix.col, minlength=matrix.n)
-            if matrix.nnz
-            else np.zeros(matrix.n, dtype=INDEX_DTYPE)
-        )
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(INDEX_DTYPE)
+        indptr = _row_pointers(matrix.col, matrix.n)
         view = SparseMatrix(matrix.n, indptr, rows[order], matrix.val[order])
         view._transposed = matrix
         matrix._transposed = view

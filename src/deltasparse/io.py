@@ -6,13 +6,13 @@ containers need, so results can be reported in the file's own vocabulary.
 Self-loops are dropped with a counted warning, duplicate edges collapse to
 their minimum weight, and both loaders accept "-" for standard input.
 
-Each loader reads its input once as bytes and first tries a bulk parse: the
-data lines go to `np.loadtxt` in one call and the records are checked with
-array operations. If numpy rejects a line or a check fails, the line walker
-reads the same bytes. It either raises the exact `path:line:` error or
-loads the rare valid file numpy cannot hold (labels beyond int64, `1_000`,
-mixed 2- and 3-token lines, comment lines between data lines). Both paths
-give bit-identical matrices and label maps.
+Both formats share one skeleton: the input is read once, `_bulk` parses
+all data lines with one `np.loadtxt` call, and array operations check the
+labels and weights. If numpy rejects a line or a check fails, the format's
+walker rereads the text through `_data_lines`, `_labels` and `_weight`. It
+raises the exact `path:line:` error, or loads the rare valid file numpy
+cannot hold (labels beyond int64, `1_000`, mixed 2- and 3-token lines,
+comment lines between data lines) to the matrix and labels a bulk parse gives.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -114,12 +114,14 @@ class LabelMap:
 # loadtxt record layouts: 'u v' lines and 'u v w' lines
 _PAIR = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE)])
 _TRIPLE = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE), ("w", VALUE_DTYPE)])
+_Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, cols, weights
+_Header = tuple[int, int, int, bool, int]  # n, declared entries, width, symmetric, size line
 
 
-def _read(path: str) -> tuple[bytes, str | None]:
-    """The whole input as bytes, checked to be UTF-8, and the newline mode
-    to read it with: universal newlines for a file, as `open` gives, and
-    "\n" only for standard input, as `sys.stdin` gives on POSIX."""
+def _read(path: str) -> TextIO:
+    """The whole input, read once as bytes and checked to be UTF-8, as a
+    rewindable text stream. A file reads with universal newlines, as `open`
+    gives, and standard input with "\n" only, as `sys.stdin` gives on POSIX."""
     if path == "-":
         buffer = getattr(sys.stdin, "buffer", None)
         data = sys.stdin.read().encode("utf-8") if buffer is None else buffer.read()
@@ -136,11 +138,19 @@ def _read(path: str) -> tuple[bytes, str | None]:
         if newline is None:  # universal newlines also end a line at a lone \r
             breaks += head.count(b"\r") - head.count(b"\r\n")
         raise ParseError(path, breaks + 1, "not valid UTF-8") from None
-    return data, newline
-
-
-def _text(data: bytes, newline: str | None) -> TextIO:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
+def _data_lines(
+    lines: Iterable[str], lineno: int, comments: str
+) -> Iterator[tuple[int, list[str] | None]]:
+    """(line number, tokens) of each line that is not blank and does not start
+    with a `comments` character, numbered on from `lineno`; then (last line, None)."""
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        tokens = raw.split()
+        if tokens and tokens[0][0] not in comments:
+            yield lineno, tokens
+    yield lineno, None
 
 
 def _loadtxt(lines: Iterable[str], dtype: np.dtype) -> np.ndarray | None:
@@ -156,20 +166,44 @@ def _loadtxt(lines: Iterable[str], dtype: np.dtype) -> np.ndarray | None:
         return None
 
 
-def _parse_weight(
-    token: str, path: str, lineno: int
-) -> float:
+def _bulk(lines: Iterable[str], width: int, default_weight: float) -> _Entries | None:
+    """The labels and weights of `width`-token data lines, or None if numpy
+    rejects a line or a weight (read or default) is not finite and > 0. The
+    labels are views of the parsed table: callers derive new arrays from
+    them and drop them, so that the table is freed before the build."""
+    table = _loadtxt(lines, _TRIPLE if width == 3 else _PAIR)
+    if table is None:
+        return None
+    w = np.full(table.size, default_weight) if width == 2 else table["w"].copy()
+    if not np.all(np.isfinite(w) & (w > 0)):
+        return None
+    return table["u"], table["v"], w
+
+
+def _labels(path: str, lineno: int, tokens: list[str], what: str) -> tuple[int, int]:
     try:
-        w = float(token)
+        return int(tokens[0]), int(tokens[1])
     except ValueError:
-        raise ParseError(path, lineno, f"bad weight {token!r}") from None
-    if not (w > 0 and math.isfinite(w)):
-        raise ValidationError(path, lineno, f"edge weight must be strictly positive, got {token}")
-    return w
+        raise ParseError(path, lineno, f"{what} must be integers") from None
 
 
-def _valid_weights(w: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(w) & (w > 0)))
+def _weight(path: str, lineno: int, tokens: list[str], default_weight: float) -> float:
+    """The third token as a weight, or `default_weight` on a 2-token line."""
+    if len(tokens) == 2:
+        return default_weight
+    try:
+        w = float(tokens[2])
+    except ValueError:
+        raise ParseError(path, lineno, f"bad weight {tokens[2]!r}") from None
+    if w > 0 and math.isfinite(w):
+        return w
+    raise ValidationError(path, lineno, f"edge weight must be strictly positive, got {tokens[2]}")
+
+
+def _arrays(pairs: list[int], vals: list[float]) -> _Entries:
+    """Walker output as arrays: `pairs` holds row, col, row, col, ..."""
+    ends = np.array(pairs, dtype=INDEX_DTYPE)
+    return ends[0::2], ends[1::2], np.array(vals, dtype=VALUE_DTYPE)
 
 
 def _build(
@@ -190,9 +224,7 @@ def _build(
     return matrix_build(n, edges)
 
 
-def load_matrix_market(
-    path: str, default_weight: float = 1.0
-) -> tuple[SparseMatrix, LabelMap]:
+def load_matrix_market(path: str, default_weight: float = 1.0) -> tuple[SparseMatrix, LabelMap]:
     """Read a Matrix Market coordinate file as a square graph.
 
     Supports the real, integer, and pattern fields crossed with general and
@@ -200,26 +232,23 @@ def load_matrix_market(
     are 1-based in the file and become 0-based internally; the label map
     exposes the file's own 1-based vertex numbers as the external labels.
     """
-    data, newline = _read(path)
-    lines = _text(data, newline)
+    lines = _read(path)
     header = _mm_header(path, lines)
     entries = _bulk_mm(lines, header, default_weight)
     if entries is None:
-        lines = _text(data, newline)
+        lines.seek(0)
         entries = _walk_mm(path, lines, _mm_header(path, lines), default_weight)
-    del data, lines  # free the text before the build
+    del lines  # free the text before the build
     n, _, _, symmetric, size_line = header
     try:
         return _build(path, n, *entries, mirror=symmetric), LabelMap(range(1, n + 1))
     except MemoryError:
-        raise ValidationError(
-            path, size_line, f"matrix dimension {n} is too large to allocate"
-        ) from None
+        message = f"matrix dimension {n} is too large to allocate"
+        raise ValidationError(path, size_line, message) from None
 
 
-def _mm_header(path: str, lines: TextIO) -> tuple[int, int, bool, bool, int]:
-    """Read the banner and the size line. Returns (n, declared entries,
-    pattern, symmetric, line number of the size line)."""
+def _mm_header(path: str, lines: TextIO) -> _Header:
+    """Read the banner and the size line."""
     first = next(lines, None)
     if first is None:
         raise ParseError(path, 1, "empty file")
@@ -233,94 +262,58 @@ def _mm_header(path: str, lines: TextIO) -> tuple[int, int, bool, bool, int]:
         raise ParseError(path, 1, f"unsupported field {field!r}")
     if symmetry not in ("general", "symmetric"):
         raise ParseError(path, 1, f"unsupported symmetry {symmetry!r}")
-
-    lineno = 1
-    for lineno, raw in enumerate(lines, start=2):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(path, lineno, "expected 'rows cols entries' size line")
-        try:
-            nr, nc, declared = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(path, lineno, "size line must hold three integers") from None
-        if nr != nc:
-            raise ParseError(path, lineno, f"graph matrix must be square, got {nr}x{nc}")
-        if nr < 1:
-            raise ParseError(path, lineno, "matrix dimension must be positive")
-        if nr > _MAX_KEYED_DIMENSION:
-            raise ParseError(path, lineno, f"matrix dimension {nr} exceeds {_MAX_KEYED_DIMENSION}")
-        return nr, declared, field == "pattern", symmetry == "symmetric", lineno
-    raise ParseError(path, lineno, "missing size line")
+    lineno, parts = next(_data_lines(lines, 1, "%"))
+    if parts is None:
+        raise ParseError(path, lineno, "missing size line")
+    if len(parts) != 3:
+        raise ParseError(path, lineno, "expected 'rows cols entries' size line")
+    try:
+        nr, nc, declared = (int(p) for p in parts)
+    except ValueError:
+        raise ParseError(path, lineno, "size line must hold three integers") from None
+    if nr != nc:
+        raise ParseError(path, lineno, f"graph matrix must be square, got {nr}x{nc}")
+    if nr < 1:
+        raise ParseError(path, lineno, "matrix dimension must be positive")
+    if nr > _MAX_KEYED_DIMENSION:
+        raise ParseError(path, lineno, f"matrix dimension {nr} exceeds {_MAX_KEYED_DIMENSION}")
+    if declared < 0:
+        raise ParseError(path, lineno, "entry count must be non-negative")
+    return nr, declared, 2 if field == "pattern" else 3, symmetry == "symmetric", lineno
 
 
-def _bulk_mm(
-    lines: TextIO, header: tuple[int, int, bool, bool, int], default_weight: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The entries after the size line as 0-based arrays, or None if any
-    check fails and the walker must decide."""
-    n, declared, pattern, _, _ = header
-    table = _loadtxt(lines, _PAIR if pattern else _TRIPLE)
-    if table is None or table.size != declared:
+def _bulk_mm(lines: TextIO, header: _Header, default_weight: float) -> _Entries | None:
+    """The entries after the size line as 0-based arrays, or None."""
+    n, declared, width, _, _ = header
+    parsed = _bulk(lines, width, default_weight)
+    if parsed is None:
         return None
-    r, c = table["u"], table["v"]
-    if not np.all((r >= 1) & (r <= n) & (c >= 1) & (c <= n)):
+    r, c, w = parsed
+    if r.size != declared or not np.all((r >= 1) & (r <= n) & (c >= 1) & (c <= n)):
         return None
-    if pattern:
-        w = np.full(table.size, default_weight)
-    else:
-        w = table["w"].copy()  # a copy, so that the table is freed on return
-        if not _valid_weights(w):
-            return None
     return r - 1, c - 1, w
 
 
-def _walk_mm(
-    path: str,
-    lines: TextIO,
-    header: tuple[int, int, bool, bool, int],
-    default_weight: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _walk_mm(path: str, lines: TextIO, header: _Header, default_weight: float) -> _Entries:
     """Line-by-line entry reader: raises the first error with its line."""
-    n, declared, pattern, _, lineno = header
-    want = 2 if pattern else 3
-    rows: list[int] = []
-    cols: list[int] = []
+    n, declared, width, _, size_line = header
+    pairs: list[int] = []
     vals: list[float] = []
-    for lineno, raw in enumerate(lines, start=lineno + 1):
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if len(rows) == declared:
+    for lineno, parts in _data_lines(lines, size_line, "%"):
+        if parts is None:
+            break
+        if len(vals) == declared:
             raise ParseError(path, lineno, f"more than the declared {declared} entries")
-        parts = line.split()
-        if len(parts) != want:
-            raise ParseError(path, lineno, f"expected {want} tokens, got {len(parts)}")
-        try:
-            r, c = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, lineno, "coordinates must be integers") from None
+        if len(parts) != width:
+            raise ParseError(path, lineno, f"expected {width} tokens, got {len(parts)}")
+        r, c = _labels(path, lineno, parts, "coordinates")
         if not (1 <= r <= n and 1 <= c <= n):
             raise ParseError(path, lineno, f"coordinate ({r}, {c}) outside 1..{n}")
-        w = default_weight if pattern else _parse_weight(parts[2], path, lineno)
-        rows.append(r - 1)
-        cols.append(c - 1)
-        vals.append(w)
-    if len(rows) != declared:
-        raise ParseError(path, lineno, f"file ended after {len(rows)} of {declared} entries")
-    return _arrays(rows, cols, vals)
-
-
-def _arrays(
-    rows: list[int], cols: list[int], vals: list[float]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return (
-        np.array(rows, dtype=INDEX_DTYPE),
-        np.array(cols, dtype=INDEX_DTYPE),
-        np.array(vals, dtype=VALUE_DTYPE),
-    )
+        pairs += r - 1, c - 1
+        vals.append(_weight(path, lineno, parts, default_weight))
+    if len(vals) != declared:
+        raise ParseError(path, lineno, f"file ended after {len(vals)} of {declared} entries")
+    return _arrays(pairs, vals)
 
 
 def load_edge_list(
@@ -332,45 +325,30 @@ def load_edge_list(
     first-seen order (source before target). '#' and '%' start comment
     lines. Undirected input stores both directions of every edge.
     """
-    data, newline = _read(path)
-    parsed = _bulk_edge_list(_text(data, newline), default_weight)
+    lines = _read(path)
+    parsed = _bulk_edge_list(lines, default_weight)
     if parsed is None:
-        parsed = _walk_edge_list(path, _text(data, newline), default_weight)
-    del data  # free the text before the build
-    rows, cols, vals, externals = parsed
+        lines.seek(0)
+        parsed = _walk_edge_list(path, lines, default_weight)
+    del lines  # free the text before the build
+    (rows, cols, vals), externals = parsed
     matrix = _build(path, len(externals), rows, cols, vals, mirror=not directed)
     return matrix, LabelMap(externals)
 
 
-def _bulk_edge_list(
-    lines: TextIO, default_weight: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]] | None:
-    """Edges as dense-id arrays plus the labels by id, or None if any check
-    fails and the walker must decide. Comment and blank lines are skipped
-    up to the first data line, whose token count fixes the width of all."""
-    for first in lines:
-        line = first.strip()
-        if line and line[0] not in "#%":
-            break
-    else:
+def _bulk_edge_list(lines: TextIO, default_weight: float) -> tuple[_Entries, list[int]] | None:
+    """Edges as dense ids and the labels by id, or None; the first data line sets the width."""
+    _, first = next(_data_lines(lines, 0, "#%"))
+    if first is None or len(first) not in (2, 3):
         return None
-    width = len(line.split())
-    if width not in (2, 3):
+    parsed = _bulk(itertools.chain([" ".join(first)], lines), len(first), default_weight)
+    if parsed is None:
         return None
-    table = _loadtxt(itertools.chain([first], lines), _TRIPLE if width == 3 else _PAIR)
-    if table is None:
-        return None
-    u, v = table["u"], table["v"]
+    u, v, w = parsed
     if not (np.all(u >= 0) and np.all(v >= 0)):
         return None
-    if width == 2:
-        w = np.full(table.size, default_weight)
-    else:
-        w = table["w"].copy()  # a copy, so that the table is freed on return
-        if not _valid_weights(w):
-            return None
     ids, externals = _intern(u, v)
-    return ids[0::2], ids[1::2], w, externals
+    return (ids[0::2], ids[1::2], w), externals
 
 
 def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[int]]:
@@ -392,46 +370,24 @@ def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[int]]:
     return ids, labels[by_first].tolist()
 
 
-def _walk_edge_list(
-    path: str, lines: TextIO, default_weight: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+def _walk_edge_list(path: str, lines: TextIO, default_weight: float) -> tuple[_Entries, list[int]]:
     """Line-by-line edge reader: raises the first error with its line."""
-    externals: list[int] = []
-    to_internal: dict[int, int] = {}
-
-    def intern(label: int) -> int:
-        got = to_internal.get(label)
-        if got is None:
-            got = len(externals)
-            to_internal[label] = got
-            externals.append(label)
-        return got
-
-    rows: list[int] = []
-    cols: list[int] = []
+    ids: dict[int, int] = {}  # label -> dense id, in first-seen order
+    pairs: list[int] = []
     vals: list[float] = []
-    last_lineno = 0
-    for lineno, raw in enumerate(lines, start=1):
-        last_lineno = lineno
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        parts = line.split()
+    for lineno, parts in _data_lines(lines, 0, "#%"):
+        if parts is None:
+            break
         if len(parts) not in (2, 3):
             raise ParseError(path, lineno, f"expected 'u v' or 'u v w', got {len(parts)} tokens")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(path, lineno, "vertex labels must be integers") from None
+        u, v = _labels(path, lineno, parts, "vertex labels")
         if u < 0 or v < 0:
             raise ParseError(path, lineno, "vertex labels must be non-negative")
-        w = _parse_weight(parts[2], path, lineno) if len(parts) == 3 else default_weight
-        rows.append(intern(u))
-        cols.append(intern(v))
-        vals.append(w)
-    if not externals:
-        raise ParseError(path, max(last_lineno, 1), "no vertices found")
-    return (*_arrays(rows, cols, vals), externals)
+        vals.append(_weight(path, lineno, parts, default_weight))
+        pairs += ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))
+    if not ids:
+        raise ParseError(path, max(lineno, 1), "no vertices found")
+    return _arrays(pairs, vals), list(ids)
 
 
 def load_graph(spec: GraphFile) -> tuple[SparseMatrix, LabelMap]:

@@ -8,6 +8,7 @@ import io
 import logging
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from deltasparse import (
@@ -254,6 +255,52 @@ def test_mtx_missing_size_line(tmp_path):
     assert "missing size line" in err.message
 
 
+def test_mtx_negative_entry_count(tmp_path):
+    path, err = mtx_error(tmp_path, "%%MatrixMarket matrix coordinate real general\n2 2 -1\n")
+    assert isinstance(err, ParseError)
+    assert str(err) == f"{path}:2: entry count must be non-negative"
+
+
+MM = "%%MatrixMarket matrix coordinate real general\n"
+
+
+@pytest.mark.parametrize(
+    "name, text, want",
+    [
+        # the last line counts, even when it is blank or a comment
+        (
+            "trail.mtx",
+            MM + "2 2 2\n1 2 1.0\n\n% tail\n\n",
+            "trail.mtx:6: file ended after 1 of 2 entries",
+        ),
+        ("nosize.mtx", MM + "% one\n\n% two\n", "nosize.mtx:4: missing size line"),
+        ("comments.edges", "# a\n\n% b\n", "comments.edges:3: no vertices found"),
+        (
+            "excess.mtx",
+            MM + "2 2 1\n1 2 1.0\n% inner\n2 1 1.0\n",
+            "excess.mtx:5: more than the declared 1 entries",
+        ),
+        (
+            "badtok.mtx",
+            MM + "2 2 2\n1 2 1.0\n% inner\nx 1 1.0\n",
+            "badtok.mtx:5: coordinates must be integers",
+        ),
+        (
+            "badtok.edges",
+            "0 1 1.0\n# inner\n1 y 1.0\n",
+            "badtok.edges:3: vertex labels must be integers",
+        ),
+    ],
+)
+def test_error_line_numbers(tmp_path, monkeypatch, name, text, want):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    load = load_matrix_market if name.endswith(".mtx") else load_edge_list
+    with pytest.raises(ParseError) as info:
+        load(name)
+    assert str(info.value) == want
+
+
 # ---------------------------------------------------------------- edge lists
 
 
@@ -427,6 +474,33 @@ def test_mtx_labels_are_implicit(tmp_path):
     assert matrix.entry_set() == {(0, 1, 1.5), (n - 1, 0, 2.0)}
     assert (labels.to_internal(n), labels.to_external(0)) == (n - 1, 1)
     assert n in labels and 0 not in labels and n + 1 not in labels
+
+
+def test_load_peak_memory_per_edge(tmp_path):
+    # The bulk parse's loadtxt table (24 bytes an edge here) must be freed
+    # before the build. Traced peaks at 120,000 edges: 113.6 bytes an edge
+    # for this edge list and 107.0 for this Matrix Market file; keeping the
+    # weights as a view of the table, which holds it through the build,
+    # reads 129.6 and 123.0.
+    rng = np.random.default_rng(11)
+    m, n = 120_000, 20_000
+    u, v, w = (rng.integers(lo, hi, m).tolist() for lo, hi in ((0, n), (0, n), (1, 100)))
+    edges = write(tmp_path, "".join(f"{a} {b} {c}\n" for a, b, c in zip(u, v, w)), "peak.edges")
+    mtx = write(
+        tmp_path,
+        f"%%MatrixMarket matrix coordinate real general\n{n} {n} {m}\n"
+        + "".join(f"{a + 1} {b + 1} {c}\n" for a, b, c in zip(u, v, w)),
+        "peak.mtx",
+    )
+    for load, path in ((load_edge_list, edges), (load_matrix_market, mtx)):
+        tracemalloc.start()
+        try:
+            matrix, _ = load(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.nnz > 0.99 * m
+        assert peak < 120 * m, (path, peak / m)
 
 
 def test_label_map_round_trip():

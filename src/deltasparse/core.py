@@ -26,7 +26,6 @@ __all__ = [
     "EDGE_DTYPE",
     "vector_build",
     "matrix_build",
-    "matrix_transpose_view",
     "mask_from_indices",
 ]
 
@@ -135,11 +134,10 @@ class SparseMatrix:
 
     Row i holds the outgoing edges of vertex i as (column, weight) pairs,
     sorted by column. All stored weights are strictly positive and the
-    diagonal is empty. A transposed view is cached on first request; the
-    two objects reference each other so the view is built at most once.
+    diagonal is empty.
     """
 
-    __slots__ = ("n", "indptr", "col", "val", "_transposed")
+    __slots__ = ("n", "indptr", "col", "val")
 
     def __init__(self, n: int, indptr: np.ndarray, col: np.ndarray, val: np.ndarray) -> None:
         if n < 1:
@@ -148,15 +146,6 @@ class SparseMatrix:
         self.indptr = _frozen(np.ascontiguousarray(indptr, dtype=INDEX_DTYPE))
         self.col = _frozen(np.ascontiguousarray(col, dtype=INDEX_DTYPE))
         self.val = _frozen(np.ascontiguousarray(val, dtype=VALUE_DTYPE))
-        self._transposed: SparseMatrix | None = None
-
-    @property
-    def nrows(self) -> int:
-        return self.n
-
-    @property
-    def ncols(self) -> int:
-        return self.n
 
     @property
     def nnz(self) -> int:
@@ -291,12 +280,8 @@ def matrix_build(
     key += cols[off_diag]
     key, vals = _min_by_key(key, vals[off_diag])
     rows = key // n
-    return SparseMatrix(n, _row_pointers(rows, n), key - rows * n, vals)
-
-
-def _row_pointers(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR indptr of n rows, given the row of each stored entry in any order."""
-    return np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(INDEX_DTYPE)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(INDEX_DTYPE)
+    return SparseMatrix(n, indptr, key - rows * n, vals)
 
 
 def _min_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -310,20 +295,3 @@ def _min_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarr
     starts = np.flatnonzero(np.concatenate([[True], ~repeat]))
     return key[starts], np.minimum.reduceat(vals, starts)
 
-
-def matrix_transpose_view(matrix: SparseMatrix) -> SparseMatrix:
-    """Return (building and caching on first use) the transposed view.
-
-    The view is a full SparseMatrix whose entry set is the coordinate swap
-    of the input: (i, j, w) in A  <=>  (j, i, w) in the view. The two
-    matrices back-reference each other, so transposing twice hands back the
-    original object.
-    """
-    if matrix._transposed is None:
-        rows = matrix.row_ids()
-        order = np.lexsort((rows, matrix.col))
-        indptr = _row_pointers(matrix.col, matrix.n)
-        view = SparseMatrix(matrix.n, indptr, rows[order], matrix.val[order])
-        view._transposed = matrix
-        matrix._transposed = view
-    return matrix._transposed

@@ -11,8 +11,8 @@ forms t[i] + w per out-edge, keeps the candidates below t[j] and lowers t
 by a scatter-min over them (np.minimum.at), then returns the lowered
 targets, sorted and distinct; those below the window's end are the next
 bucket. The work is the frontier's out-edges, not every edge of the
-matrix: nothing is sorted but the improving targets, and no transposed
-view is ever built. ops.vxm_min_plus runs the same _push.
+matrix, and nothing is sorted but the improving targets. ops.vxm_min_plus
+runs the same _push on the matrix it is given.
 
 Frontiers on high-diameter graphs hold a handful of vertices, so a push
 costs its numpy calls more than its edges. A push therefore works in place

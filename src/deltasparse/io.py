@@ -283,9 +283,13 @@ def _mm_header(path: str, lines: TextIO) -> _Header:
 
 
 def _bulk_mm(lines: TextIO, header: _Header, default_weight: float) -> _Entries | None:
-    """The entries after the size line as 0-based arrays, or None."""
+    """The entries after the size line as 0-based arrays, or None; comment
+    lines before the first entry are skipped."""
     n, declared, width, _, _ = header
-    parsed = _bulk(lines, width, default_weight)
+    _, first = next(_data_lines(lines, 0, "%"))
+    if first is None:
+        return None
+    parsed = _bulk(itertools.chain([" ".join(first)], lines), width, default_weight)
     if parsed is None:
         return None
     r, c, w = parsed

@@ -26,7 +26,6 @@ from .core import (
     SparseVector,
     _positions,
     mask_from_indices,
-    matrix_transpose_view,
 )
 from .fused import _push
 
@@ -241,34 +240,30 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
 
 def vxm_min_plus(
     v: SparseVector,
-    transposed: SparseMatrix,
+    matrix: SparseMatrix,
     mask: SparseVector | None = None,
 ) -> SparseVector:
-    """(min,+) vector-matrix product, taking the matrix as its transposed
-    view.
+    """(min,+) vector-matrix product: out[j] = min over stored i of
+    v[i] + matrix[i][j].
 
-    The caller passes the transposed view T of the logical multiplicand M
-    (row j of T lists M's entries that write output j), and out[j] = min
-    over stored i of v[i] + M[i][j]. The product pushes: it reaches M itself
-    through the view's cached back-reference and relaxes only the out-edges
-    of v's stored entries, with the fused backend's own push, so the work is
-    v's out-edges rather than every edge of T. Outputs whose reduction stays
-    at the identity (+inf) are absent, and a mask, when given, gates which
-    outputs are kept.
+    Pushes along the rows of `matrix` with the fused backend's own push, so
+    the work is v's out-edges rather than every edge. Outputs whose
+    reduction stays at the identity (+inf) are absent, and a mask, when
+    given, gates which outputs are kept.
 
-    For finite values of v this is bit-equal to gathering over T: every
-    candidate is the same single float sum v[i] + M[i][j], and the minimum
-    of a multiset of floats does not depend on the order it is taken in (a
-    sum with a weight > 0 is never -0.0, so no signed-zero tie can tell two
-    orders apart).
+    For finite values of v this is bit-equal to gathering over the
+    transpose: every candidate is the same single float sum
+    v[i] + matrix[i][j], and the minimum of a multiset of floats does not
+    depend on the order it is taken in (a sum with a weight > 0 is never
+    -0.0, so no signed-zero tie can tell two orders apart).
     """
-    _require_length(v.length, transposed.ncols, "vxm operand")
+    _require_length(v.length, matrix.n, "vxm operand")
     if mask is not None:
-        _require_length(mask.length, transposed.nrows, "mask")
-    if v.nnz == 0 or transposed.nnz == 0:
-        return SparseVector(transposed.nrows)
-    dense = np.full(transposed.nrows, math.inf, dtype=VALUE_DTYPE)
-    out_idx = _push(v.values, v.indices, matrix_transpose_view(transposed), dense)
+        _require_length(mask.length, matrix.n, "mask")
+    if v.nnz == 0 or matrix.nnz == 0:
+        return SparseVector(matrix.n)
+    dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
+    out_idx = _push(v.values, v.indices, matrix, dense)
     if mask is not None:
         out_idx = out_idx[_gate(out_idx, mask)]
-    return SparseVector(transposed.nrows, out_idx, dense[out_idx])
+    return SparseVector(matrix.n, out_idx, dense[out_idx])

@@ -28,7 +28,6 @@ from .core import (
     VALUE_DTYPE,
     SparseMatrix,
     SparseVector,
-    matrix_transpose_view,
     vector_build,
 )
 from .fused import BackendChoice, _push, bucket_bounds
@@ -109,20 +108,11 @@ def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Spars
     """Partition edges into (light, heavy) by weight against delta.
 
     Every input entry lands in exactly one output with its value untouched.
-    Both results come back linked to their transposed views, since the
-    unfused solver multiplies through the views every iteration. Filtering
-    keeps coordinates, so each view is the same filter applied to the
-    matrix's own transpose, which is built once and cached on the matrix.
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    transposed = matrix_transpose_view(matrix)
-    parts = []
-    for pred in (positive_at_most(delta), greater_than(delta)):
-        part, view = filter_matrix(matrix, pred), filter_matrix(transposed, pred)
-        part._transposed, view._transposed = view, part
-        parts.append(part)
-    return parts[0], parts[1]
+    light = filter_matrix(matrix, positive_at_most(delta))
+    return light, filter_matrix(matrix, greater_than(delta))
 
 
 def compute_bucket(t: SparseVector, index: int, delta: float) -> SparseVector:
@@ -144,7 +134,7 @@ def relax_light_phase(state: SsspState) -> SsspState:
     """
     lo, hi = bucket_bounds(state.bucket_index, state.delta)
     frontier = ewise_mult_vector(state.tentative, state.bucket, TIMES)
-    requests = vxm_min_plus(frontier, matrix_transpose_view(state.light))
+    requests = vxm_min_plus(frontier, state.light)
     settled = ewise_add_vector(state.settled, state.bucket, OR)
     in_window = filter_vector(requests, in_half_open(lo, hi))
     improving = ewise_add_vector(requests, state.tentative, LESS, mask=requests)
@@ -162,7 +152,7 @@ def relax_heavy(state: SsspState) -> SsspState:
     pass suffices; the settled set is left as is.
     """
     frontier = ewise_mult_vector(state.tentative, state.settled, TIMES)
-    requests = vxm_min_plus(frontier, matrix_transpose_view(state.heavy))
+    requests = vxm_min_plus(frontier, state.heavy)
     tentative = ewise_add_vector(state.tentative, requests, MIN)
     return replace(state, tentative=tentative, requests=requests)
 
@@ -326,7 +316,7 @@ def delta_stepping(
 
     fused = backend.kind == "fused"
     start = time.perf_counter()
-    # the fused backend pushes along rows, so it needs no transposed views
+    # the unfused split is the two filter_matrix calls; the fused one is one pass
     light, heavy = _partition(matrix, delta) if fused else split_edges(matrix, delta)
 
     # total light passes are bounded by the vertex count times the per-bucket

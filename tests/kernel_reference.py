@@ -1,11 +1,12 @@
 """The earlier bodies of three public kernels, kept as test references.
 
-pull_vxm_min_plus gathers over every edge of the transposed view,
+pull_vxm_min_plus gathers over every edge of the matrix's transpose,
 union1d_ewise_add_vector merges through np.union1d and two position
 lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
-whatever their sizes. Each is a verbatim copy of the code the
-work-efficient kernels replaced, as is _gate, the mask probe they shared;
-the tests require the kernels to bit-equal them.
+whatever their sizes. Each is a copy of the code the work-efficient
+kernels replaced, as is _gate, the mask probe they shared; the tests
+require the kernels to bit-equal them. transpose builds the coordinate
+swap the pull gathers over, afresh on every call.
 """
 
 from __future__ import annotations
@@ -59,25 +60,32 @@ def union1d_ewise_add_vector(
     return SparseVector(u.length, union, out)
 
 
+def transpose(matrix: SparseMatrix) -> SparseMatrix:
+    """The coordinate swap: (i, j, w) in matrix  <=>  (j, i, w) in the result."""
+    rows = matrix.row_ids()
+    order = np.lexsort((rows, matrix.col))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(matrix.col, minlength=matrix.n))])
+    return SparseMatrix(matrix.n, indptr, rows[order], matrix.val[order])
+
+
 def pull_vxm_min_plus(
     v: SparseVector,
-    transposed: SparseMatrix,
+    matrix: SparseMatrix,
     mask: SparseVector | None = None,
 ) -> SparseVector:
-    """(min,+) vector-matrix product, reading the matrix through its
-    transposed view.
+    """(min,+) vector-matrix product, gathering over the matrix's transpose.
 
-    The caller passes the transposed view T of the logical multiplicand M
-    (row j of T lists M's entries that write output j), so the hot loop is
-    a gather: out[j] = min over stored i of v[i] + M[i][j]. Outputs whose
-    reduction stays at the identity (+inf) are absent, and a mask, when
-    given, gates which outputs are kept.
+    Row j of the transpose T lists the matrix's entries that write output
+    j, so the hot loop is a gather: out[j] = min over stored i of
+    v[i] + matrix[i][j]. Outputs whose reduction stays at the identity
+    (+inf) are absent, and a mask, when given, gates which outputs are kept.
     """
-    _require_length(v.length, transposed.ncols, "vxm operand")
+    _require_length(v.length, matrix.n, "vxm operand")
     if mask is not None:
-        _require_length(mask.length, transposed.nrows, "mask")
-    if v.nnz == 0 or transposed.nnz == 0:
-        return SparseVector(transposed.nrows)
+        _require_length(mask.length, matrix.n, "mask")
+    if v.nnz == 0 or matrix.nnz == 0:
+        return SparseVector(matrix.n)
+    transposed = transpose(matrix)
     src = transposed.col
     pos, found = _positions(v.indices, src)
     cand = np.where(found, v.values[pos] + transposed.val, math.inf)
@@ -92,7 +100,7 @@ def pull_vxm_min_plus(
     if mask is not None:
         sel = _gate(out_idx, mask)
         out_idx, out_val = out_idx[sel], out_val[sel]
-    return SparseVector(transposed.nrows, out_idx, out_val)
+    return SparseVector(matrix.n, out_idx, out_val)
 
 
 def probe_all_ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:

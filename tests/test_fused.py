@@ -15,7 +15,6 @@ from deltasparse import (
     SparseVector,
     bucket_bounds,
     matrix_build,
-    matrix_transpose_view,
 )
 from deltasparse.ops import vxm_min_plus
 
@@ -90,9 +89,7 @@ def test_fused_relax_matches_composed_chain():
         n = int(rng.integers(1, 50))
         matrix, frontier, values, dense = random_push(rng, n, int(rng.integers(0, 4 * n + 1)))
         lowered, got = push(matrix, frontier, values, dense)
-        requests = pull_vxm_min_plus(
-            SparseVector(n, frontier, values), matrix_transpose_view(matrix)
-        )
+        requests = pull_vxm_min_plus(SparseVector(n, frontier, values), matrix)
         better = requests.values < dense[requests.indices]
         want = dense.copy()
         want[requests.indices[better]] = requests.values[better]
@@ -148,7 +145,7 @@ def fan_in_push(rng):
     weights = rng.integers(1, 6, rows.size).astype(float)
     matrix = matrix_build(n, np.column_stack([rows, cols, weights]))
     values = rng.integers(0, 8, frontier.size).astype(float)
-    requests = pull_vxm_min_plus(SparseVector(n, frontier, values), matrix_transpose_view(matrix))
+    requests = pull_vxm_min_plus(SparseVector(n, frontier, values), matrix)
     dense = np.full(n, math.inf)
     best = dict(zip(requests.indices.tolist(), requests.values.tolist()))
     for j in targets.tolist():
@@ -203,6 +200,6 @@ def test_vxm_push_reads_its_read_only_operand(monkeypatch, entries):
         v = SparseVector(n, frontier, values)
         assert not v.values.flags.writeable
         before = v.indices.tobytes(), v.values.tobytes()
-        got = vxm_min_plus(v, matrix_transpose_view(matrix))
+        got = vxm_min_plus(v, matrix)
         assert (v.indices.tobytes(), v.values.tobytes()) == before
-        assert got == pull_vxm_min_plus(v, matrix_transpose_view(matrix))
+        assert got == pull_vxm_min_plus(v, matrix)

@@ -117,6 +117,21 @@ def test_mtx_blank_and_comment_lines_between_entries(tmp_path):
     assert matrix.entry_set() == {(0, 1, 1.0), (1, 2, 4.0)}
 
 
+def test_mtx_comments_after_size_line_keep_the_bulk_parse(tmp_path, monkeypatch):
+    banner = "%%MatrixMarket matrix coordinate real general\n3 3 3\n"
+    body = "1 2 1.5\n2 3 4.0\n3 1 0.5\n"
+    plain = write(tmp_path, banner + body, "plain.mtx")
+    noted = write(tmp_path, banner + "% note\n\n%another\n" + body, "noted.mtx")
+    want, _ = load_matrix_market(plain)
+
+    def refuse(*args):
+        raise AssertionError("a valid file fell back to the line walker")
+
+    monkeypatch.setattr("deltasparse.io._walk_mm", refuse)
+    got, labels = load_matrix_market(noted)
+    assert got == want and labels.externals == [1, 2, 3]
+
+
 # ---------------------------------------------------------------- mtx errors
 
 

@@ -5,7 +5,9 @@ is itself cross-checked against Bellman-Ford."""
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ import deltasparse.sssp as sssp_mod
 from deltasparse import (
     BackendChoice,
     LESS,
-    SparseMatrix,
     SparseVector,
     TIMES,
     bucket_bounds,
@@ -28,7 +29,6 @@ from deltasparse import (
     in_half_open,
     mask_from_indices,
     matrix_build,
-    matrix_transpose_view,
     random_connected_unit_graph,
     random_graph,
     relax_heavy,
@@ -78,44 +78,6 @@ def test_split_edges_unit_graph_all_light():
     light, heavy = split_edges(a, 1.0)
     assert light == a
     assert heavy.nnz == 0
-
-
-def test_split_edges_prebuilds_transposed_views():
-    a = matrix_build(3, [(0, 1, 0.5), (1, 2, 2.0)])
-    light, heavy = split_edges(a, 1.0)
-    assert light._transposed is not None
-    assert heavy._transposed is not None
-
-
-def test_split_edges_views_equal_fresh_transposes():
-    # each view is a filter of the cached transpose of the input; it must be
-    # exactly the transpose of its part, built from scratch
-    rng = np.random.default_rng(79)
-    for case in range(30):
-        n = int(rng.integers(1, 40))
-        kind = "int" if case % 2 else "float"
-        a = random_graph(n, int(rng.integers(0, 4 * n)), rng, weights=kind)
-        for delta in DELTAS:
-            for part in split_edges(a, delta):
-                view = part._transposed
-                uncached = SparseMatrix(part.n, part.indptr, part.col, part.val)
-                assert view == matrix_transpose_view(uncached)
-                view.check_invariants()
-                assert view._transposed is part
-
-
-def test_split_edges_transposes_the_input_once(monkeypatch):
-    rng = np.random.default_rng(83)
-    a = random_graph(30, 120, rng, weights="float")
-    sorts = []
-    lexsort = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lambda keys: sorts.append(1) or lexsort(keys))
-    split_edges(a, 1.0)
-    cached = a._transposed
-    assert len(sorts) == 1 and cached is not None
-    for delta in (*DELTAS, 1.0):
-        split_edges(a, delta)
-    assert len(sorts) == 1 and a._transposed is cached
 
 
 def test_split_edges_partition_invariant():
@@ -350,6 +312,29 @@ def test_delta_stepping_backends_bit_identical(monkeypatch):
             assert other.distances == base.distances
             assert other.outer_iterations == base.outer_iterations
             assert other.inner_phases == base.inner_phases
+
+
+@pytest.mark.parametrize("kind", ["unit", "int", "float"])
+def test_unfused_solve_memory_per_edge(kind):
+    # The split keeps the light and heavy parts (16 bytes an edge) and a
+    # push slice of up to RANGE_ENTRIES out-edges costs about 24 bytes an
+    # edge at this size: traced peaks read 48.5, 38.3 and 40.5 bytes an edge
+    # for unit, int and float weights. A transposed copy of the input costs
+    # 16 bytes an edge more, and filtered views of it 16 more (74 to 85 with
+    # both); a copy cached on the input stays allocated after the solve.
+    a = random_graph(20_000, 120_000, np.random.default_rng(5), weights=kind)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = delta_stepping(a, 0, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+        del result
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * a.nnz, peak / a.nnz
+    assert kept <= 1 * a.nnz, kept / a.nnz
 
 
 def test_delta_stepping_rejects_bad_arguments():

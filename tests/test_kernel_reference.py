@@ -13,11 +13,13 @@ from deltasparse import (
     MIN,
     OR,
     TIMES,
+    SparseMatrix,
     SparseVector,
     ewise_add_vector,
     ewise_mult_vector,
     mask_from_indices,
     matrix_build,
+    split_edges,
     vector_build,
     vxm_min_plus,
 )
@@ -114,12 +116,19 @@ def random_matrix(rng, n, m):
 
 
 @pytest.mark.parametrize("entries", [fused_mod.RANGE_ENTRIES, 1, 3])
-def test_vxm_min_plus_equals_pull_reference(monkeypatch, entries):
+@pytest.mark.parametrize("split", [True, False], ids=["view", "hand_built"])
+def test_vxm_min_plus_equals_pull_reference(monkeypatch, entries, split):
     monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
-    rng = np.random.default_rng([97, entries])
-    for case in range(100):
+    rng = np.random.default_rng([97, entries, split])
+    for case in range(50):
         n = int(rng.integers(1, 50))
         a = random_matrix(rng, n, int(rng.integers(0, 4 * n + 1)))
+        if split:
+            # the light part the solver pushes along: a filtered copy of a's rows
+            a = split_edges(a, float(rng.uniform(0.1, 4.0)))[0]
+        else:
+            # the same entries put together by hand from the row-compressed arrays
+            a = SparseMatrix(n, a.indptr, a.col, a.val)
         v = vector_on(rng, n, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
         mask = random_mask(rng, n) if case % 2 else None
         assert vxm_min_plus(v, a, mask=mask) == pull_vxm_min_plus(v, a, mask=mask)

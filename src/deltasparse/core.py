@@ -31,8 +31,14 @@ __all__ = [
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
+
+
+def _ones(size: int) -> np.ndarray:
+    ones = np.empty(size, dtype=VALUE_DTYPE)
+    ones.fill(1.0)
+    return ones
 
 
 def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,7 +49,7 @@ def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray,
     """
     if sorted_idx.size == 0:
         return np.zeros(queries.size, dtype=INDEX_DTYPE), np.zeros(queries.size, dtype=bool)
-    pos = np.searchsorted(sorted_idx, queries)
+    pos = sorted_idx.searchsorted(queries)
     safe = np.minimum(pos, sorted_idx.size - 1)
     found = (pos < sorted_idx.size) & (sorted_idx[safe] == queries)
     return safe, found
@@ -59,9 +65,11 @@ def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
 class SparseVector:
     """Length-n vector holding sorted, duplicate-free (index, value) entries.
 
-    The trusting constructor adopts the arrays it is given; use
+    The public constructor converts its arrays to contiguous INDEX_DTYPE and
+    VALUE_DTYPE and freezes them, trusting their order; use
     :func:`vector_build` for the validating path (range checks, duplicate
-    collapse, identity dropping).
+    collapse, identity dropping). Kernels adopt the arrays they allocated
+    through :meth:`_adopt`, which converts and checks nothing.
     """
 
     __slots__ = ("length", "indices", "values")
@@ -81,6 +89,16 @@ class SparseVector:
         self.length = int(length)
         self.indices = _frozen(np.ascontiguousarray(indices, dtype=INDEX_DTYPE))
         self.values = _frozen(np.ascontiguousarray(values, dtype=VALUE_DTYPE))
+
+    @staticmethod
+    def _adopt(length: int, indices: np.ndarray, values: np.ndarray) -> SparseVector:
+        """O(1): freeze and take contiguous INDEX_DTYPE / VALUE_DTYPE arrays
+        that no one else may write."""
+        indices.setflags(write=False)
+        values.setflags(write=False)
+        vec = object.__new__(SparseVector)
+        vec.length, vec.indices, vec.values = length, indices, values
+        return vec
 
     @property
     def nnz(self) -> int:
@@ -244,7 +262,7 @@ def vector_build(
 def mask_from_indices(length: int, indices: np.ndarray | Iterable[int]) -> SparseVector:
     """Structural mask: sorted indices, all values the canonical true (1.0)."""
     idx = np.asarray(indices, dtype=INDEX_DTYPE)
-    return SparseVector(length, idx, np.ones(idx.size, dtype=VALUE_DTYPE))
+    return SparseVector(length, idx, _ones(idx.size))
 
 
 def matrix_build(

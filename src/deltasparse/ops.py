@@ -24,8 +24,8 @@ from .core import (
     VALUE_DTYPE,
     SparseMatrix,
     SparseVector,
+    _ones,
     _positions,
-    mask_from_indices,
 )
 from .fused import _push
 
@@ -111,6 +111,14 @@ def _gate(indices: np.ndarray, mask: SparseVector) -> np.ndarray:
     return _common(indices, mask.indices)[0]
 
 
+def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
+    # adopt an op's output only when it is a fresh float64 array; any other
+    # dtype, a view or a strided array takes the converting constructor
+    if out.dtype == VALUE_DTYPE and out.flags.c_contiguous and out.flags.owndata:
+        return SparseVector._adopt(length, idx, out)
+    return SparseVector(length, idx, out)
+
+
 def apply_vector(
     vec: SparseVector,
     op: UnaryPredicate | Callable[[np.ndarray], np.ndarray],
@@ -125,10 +133,7 @@ def apply_vector(
         _require_length(mask.length, vec.length, "mask")
         keep = _gate(idx, mask)
         idx, val = idx[keep], val[keep]
-    out = op(val)
-    if out.dtype != VALUE_DTYPE:
-        out = out.astype(VALUE_DTYPE)
-    return SparseVector(vec.length, idx, out)
+    return _result(vec.length, idx, op(val))
 
 
 def filter_vector(vec: SparseVector, pred: UnaryPredicate) -> SparseVector:
@@ -137,15 +142,18 @@ def filter_vector(vec: SparseVector, pred: UnaryPredicate) -> SparseVector:
     Collapses the apply-then-keep-true idiom into one pass; no false entry
     is ever stored.
     """
-    keep = pred(vec.values)
-    return mask_from_indices(vec.length, vec.indices[keep])
+    idx = vec.indices[pred(vec.values)]
+    return SparseVector._adopt(vec.length, idx, _ones(idx.size))
 
 
 def filter_matrix(matrix: SparseMatrix, pred: UnaryPredicate) -> SparseMatrix:
     """Keep exactly the entries whose weight satisfies the predicate,
     preserving coordinates and values."""
     keep = pred(matrix.val)
-    indptr = np.concatenate([[0], np.cumsum(keep)])[matrix.indptr]
+    count = np.zeros(matrix.nnz + 1, dtype=INDEX_DTYPE)
+    np.cumsum(keep, out=count[1:])
+    indptr = count[matrix.indptr]
+    del count  # before the gathers, so the filter peaks no higher
     # np.compress gathers several times faster than boolean indexing here
     return SparseMatrix(
         matrix.n, indptr, np.compress(keep, matrix.col), np.compress(keep, matrix.val)
@@ -155,14 +163,15 @@ def filter_matrix(matrix: SparseMatrix, pred: UnaryPredicate) -> SparseMatrix:
 def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # normalize to structural 1.0 / drop 0.0 so downstream Hadamard selects
     # cannot pick up arbitrary scalars from a comparison's output
-    keep = val != 0.0
-    idx = idx[keep]
-    return idx, np.ones(idx.size, dtype=VALUE_DTYPE)
+    idx = idx[val != 0.0]
+    return idx, _ones(idx.size)
 
 
 def _restrict(vec: SparseVector, mask: SparseVector) -> SparseVector:
+    if vec.indices is mask.indices:
+        return vec
     keep = _gate(vec.indices, mask)
-    return SparseVector(vec.length, vec.indices[keep], vec.values[keep])
+    return SparseVector._adopt(vec.length, vec.indices[keep], vec.values[keep])
 
 
 def ewise_add_vector(
@@ -185,6 +194,9 @@ def ewise_add_vector(
     masked call costs about |mask| log n plus the merge of what is left.
     The output is the same as merging everything and then gating by the
     mask, since (u | v) & m == (u & m) | (v & m) with the same values.
+    A mask that is an operand (mask=u) restricts that operand for free.
+    When every index of v lies in u, u's indices are the union: the result
+    shares them, and op updates a copy of u's values at v's positions.
     """
     _require_length(v.length, u.length, "ewise_add operand")
     if mask is not None:
@@ -194,29 +206,32 @@ def ewise_add_vector(
     # land at their insertion slot plus the count of own entries before
     # them, u's entries fill the remaining slots in order, and op combines
     # the shared entries in their u slots
-    pos = np.searchsorted(u.indices, v.indices)
+    pos = u.indices.searchsorted(v.indices)
     if u.nnz:
         both = u.indices[np.minimum(pos, u.nnz - 1)] == v.indices
     else:
         both = np.zeros(v.nnz, dtype=bool)
     own = ~both
     pos_own = pos[own]
-    slots = pos_own + np.arange(pos_own.size)
-    from_u = np.ones(u.nnz + pos_own.size, dtype=bool)
-    from_u[slots] = False
-    idx = np.empty(from_u.size, dtype=INDEX_DTYPE)
-    idx[from_u] = u.indices
-    idx[slots] = v.indices[own]
-    out = np.empty(from_u.size, dtype=VALUE_DTYPE)
-    out[from_u] = u.values
-    out[slots] = v.values[own]
-    shared = pos[both]
-    out[shared + np.searchsorted(pos_own, shared, "right")] = op(
-        u.values[shared], v.values[both]
-    )
+    if not pos_own.size:
+        idx, out = u.indices, u.values.copy()
+        out[pos] = op(out[pos], v.values)
+    else:
+        slots = pos_own + np.arange(pos_own.size)
+        from_u = np.empty(u.nnz + pos_own.size, dtype=bool)
+        from_u.fill(True)
+        from_u[slots] = False
+        idx = np.empty(from_u.size, dtype=INDEX_DTYPE)
+        idx[from_u] = u.indices
+        idx[slots] = v.indices[own]
+        out = np.empty(from_u.size, dtype=VALUE_DTYPE)
+        out[from_u] = u.values
+        out[slots] = v.values[own]
+        shared = pos[both]
+        out[shared + pos_own.searchsorted(shared, "right")] = op(u.values[shared], v.values[both])
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
-    return SparseVector(u.length, idx, out)
+    return SparseVector._adopt(u.length, idx, out)
 
 
 def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:
@@ -227,15 +242,13 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
     entries out of a long vector costs the few, not the long one."""
     _require_length(v.length, u.length, "ewise_mult operand")
     if u.nnz == 0 or v.nnz == 0:
-        return SparseVector(u.length)
+        return SparseVector._adopt(u.length, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     pu, pv = _common(u.indices, v.indices)
     idx = u.indices[pu]
     out = op(u.values[pu], v.values[pv])
-    if out.dtype != VALUE_DTYPE:
-        out = out.astype(VALUE_DTYPE)
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
-    return SparseVector(u.length, idx, out)
+    return _result(u.length, idx, out)
 
 
 def vxm_min_plus(
@@ -261,9 +274,9 @@ def vxm_min_plus(
     if mask is not None:
         _require_length(mask.length, matrix.n, "mask")
     if v.nnz == 0 or matrix.nnz == 0:
-        return SparseVector(matrix.n)
+        return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
     out_idx = _push(v.values, v.indices, matrix, dense)
     if mask is not None:
         out_idx = out_idx[_gate(out_idx, mask)]
-    return SparseVector(matrix.n, out_idx, dense[out_idx])
+    return SparseVector._adopt(matrix.n, out_idx, dense[out_idx])

@@ -37,6 +37,15 @@ def random_sparse_vector(
     return vector_build(length, np.column_stack([idx, val]))
 
 
+def grid_arcs(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Both arcs of every edge of an undirected side x side 4-neighbour grid,
+    as (tails, heads)."""
+    ids = np.arange(side * side).reshape(side, side)
+    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
+    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
+    return np.concatenate([u, v]), np.concatenate([v, u])
+
+
 def random_mask(
     rng: np.random.Generator, length: int, max_entries: int | None = None
 ) -> SparseVector:

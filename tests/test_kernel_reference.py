@@ -24,6 +24,8 @@ from deltasparse import (
     vxm_min_plus,
 )
 
+from deltasparse.core import INDEX_DTYPE, VALUE_DTYPE
+
 from conftest import random_mask
 from kernel_reference import (
     probe_all_ewise_mult_vector,
@@ -95,6 +97,51 @@ def test_ewise_add_equals_union1d_reference(op, shape):
         got = ewise_add_vector(u, v, op, mask=mask)
         assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
         got.check_invariants()
+
+
+def subset_operands(rng, n, shape):
+    """u on a random part of 0..n-1 and v on a strict subset of u's indices
+    ("strict_subset"), or v a copy of u as a separate vector ("copy")."""
+    held = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    u = vector_on(rng, n, held)
+    if shape == "copy":
+        return u, SparseVector(n, u.indices.copy(), u.values.copy())
+    picked = rng.choice(held.size, size=int(rng.integers(0, held.size)), replace=False)
+    return u, vector_on(rng, n, held[np.sort(picked)])
+
+
+def bits(vec):
+    return vec.indices.copy(), vec.values.view(np.uint64).copy()
+
+
+def assert_sound(vec):
+    """Frozen, contiguous arrays of the declared dtypes, and valid entries."""
+    for arr, dtype in ((vec.indices, INDEX_DTYPE), (vec.values, VALUE_DTYPE)):
+        assert arr.dtype == dtype and arr.flags.c_contiguous and not arr.flags.writeable
+    vec.check_invariants()
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
+@pytest.mark.parametrize("shape", ("strict_subset", "copy"))
+def test_ewise_add_subset_and_self_mask_equal_union1d_reference(op, shape):
+    # v within u takes the subset merge, and mask=u or mask=v leaves that
+    # operand as it is; neither may change a result or write an input
+    rng = np.random.default_rng([103, OPS.index(op), shape == "copy"])
+    dropped = 0
+    for case in range(60):
+        n = int(rng.integers(1, 40))
+        u, v = subset_operands(rng, n, shape)
+        mask = (None, u, v)[case % 3]
+        before = bits(u), bits(v)
+        got = ewise_add_vector(u, v, op, mask=mask)
+        assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
+        for vec, (idx, val) in zip((u, v), before):
+            assert np.array_equal(vec.indices, idx)
+            assert np.array_equal(vec.values.view(np.uint64), val)
+        assert_sound(got)
+        dropped += got.nnz < (u if mask is None else mask).nnz
+    # small integer values make boolean ops yield 0.0, which must be dropped
+    assert bool(dropped) == op.boolean
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)

@@ -14,8 +14,10 @@ from deltasparse import (
     MIN,
     OR,
     TIMES,
+    BinaryOp,
     SparseVector,
     apply_vector,
+    delta_stepping,
     ewise_add_vector,
     ewise_mult_vector,
     filter_matrix,
@@ -29,7 +31,7 @@ from deltasparse import (
     vxm_min_plus,
 )
 
-from conftest import random_mask, random_sparse_vector
+from conftest import grid_arcs, random_mask, random_sparse_vector
 
 
 # ---------------------------------------------------------------- predicates
@@ -262,6 +264,65 @@ def test_ewise_mult_comparison_is_not_commutative():
 def test_ewise_mult_rejects_mismatched_lengths():
     with pytest.raises(ValueError):
         ewise_mult_vector(SparseVector(3), SparseVector(4), TIMES)
+
+
+# ---------------------------------------------------------------- adoption
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda a, b: np.minimum(a, b).astype(np.int64),
+        lambda a, b: a < b,
+        lambda a, b: np.minimum(a, b)[::-1][::-1],
+        lambda a, b: np.minimum(a, b).repeat(2)[::2],
+    ],
+    ids=["int64", "bool", "view", "strided"],
+)
+def test_user_op_output_is_adopted_only_when_fresh_float64(fn):
+    # a kernel takes an op's output as is only when it is a fresh float64
+    # array; any other output comes back as frozen, contiguous float64
+    op = BinaryOp(fn, "user")
+    u = vector_build(6, [(0, 1.0), (2, 4.0), (3, 1.0), (5, 3.0)])
+    v = vector_build(6, [(2, 3.0), (3, 2.0), (4, 1.0)])
+    shared = dict(zip([2, 3], np.asarray(fn(np.array([4.0, 1.0]), np.array([3.0, 2.0])), float)))
+    for got, want in (
+        (ewise_mult_vector(u, v, op), shared),
+        (ewise_add_vector(u, v, op), {0: 1.0, 4: 1.0, 5: 3.0, **shared}),
+        (apply_vector(u, lambda x: (2 * x).astype(np.float32)), {0: 2.0, 2: 8.0, 3: 2.0, 5: 6.0}),
+    ):
+        assert got.to_dict() == want
+        for arr in (got.indices, got.values):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert got.values.dtype == np.float64
+        got.check_invariants()
+
+
+def test_unfused_solve_builds_no_kernel_vector_through_the_constructor(monkeypatch):
+    # the kernels adopt the arrays they allocate: only the solve's start
+    # vector and its two empty vectors per bucket take the converting
+    # constructor, and the count repeats exactly
+    side = 12
+    tails, heads = grid_arcs(side)
+    weights = np.random.default_rng(7).integers(1, 101, tails.size).astype(float)
+    a = matrix_build(side * side, np.column_stack([tails, heads, weights]))
+    calls = []
+    init = SparseVector.__init__
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SparseVector, "__init__", spy)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        result = delta_stepping(a, 0, 20.0, skip_empty_buckets=True)
+        assert len(calls[0]) == 3  # the start vector
+        assert calls[1:] == [(side * side,)] * (2 * result.outer_iterations)
+        counts.append(len(calls))
+    assert result.outer_iterations > 10 and result.inner_phases > result.outer_iterations
+    assert counts[0] == counts[1] == 1 + 2 * result.outer_iterations
 
 
 # ---------------------------------------------------------------- vxm

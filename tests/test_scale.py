@@ -14,6 +14,8 @@ import deltasparse.fused as fused_mod  # noqa: E402
 from deltasparse import BackendChoice, delta_stepping, matrix_build, random_graph  # noqa: E402
 from deltasparse.cli import REL_TOLERANCE  # noqa: E402
 
+from conftest import grid_arcs  # noqa: E402
+
 pytestmark = pytest.mark.slow
 
 
@@ -36,15 +38,6 @@ def test_random_graph_int_weights_match_exactly():
     for got in solve_both(matrix, 0, 3.0):
         assert np.array_equal(got.indices, reach)
         assert np.array_equal(got.values, want)
-
-
-def grid_arcs(side):
-    """Both arcs of every edge of an undirected side x side 4-neighbour grid,
-    as (tails, heads)."""
-    ids = np.arange(side * side).reshape(side, side)
-    u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
-    v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
-    return np.concatenate([u, v]), np.concatenate([v, u])
 
 
 def test_grid_float_weights_within_tolerance():

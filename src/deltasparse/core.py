@@ -275,7 +275,8 @@ def matrix_build(
     records; the records keep their integer coordinates and skip the float
     table. Weights must be strictly positive and finite. Duplicate
     coordinates are collapsed with min. Self-loop triples are dropped
-    silently; loaders that care count them before calling in here.
+    silently. The checked entries go to `_csr`, which the loaders call
+    directly with the rows, columns and weights they have already checked.
     """
     if isinstance(triples, np.ndarray) and triples.dtype == EDGE_DTYPE:
         rows, cols, vals = triples["row"], triples["col"], triples["weight"]
@@ -293,23 +294,32 @@ def matrix_build(
             bad = vals[~(np.isfinite(vals) & (vals > 0))][0]
             raise ValueError(f"edge weights must be strictly positive, got {bad}")
     off_diag = rows != cols
-    key = rows[off_diag]
-    key *= n
-    key += cols[off_diag]
-    key, vals = _min_by_key(key, vals[off_diag])
+    return _csr(n, rows[off_diag], cols[off_diag], vals[off_diag])
+
+
+def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseMatrix:
+    """The matrix of off-diagonal entries that pass matrix_build's checks;
+    each duplicate coordinate keeps its smallest weight."""
+    key, vals = _min_by_key(rows * n + cols, vals)
     rows = key // n
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(INDEX_DTYPE)
     return SparseMatrix(n, indptr, key - rows * n, vals)
 
 
 def _min_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by key and keep the smallest value of each run of equal keys
-    (the min of a run does not depend on the order the sort left it in)."""
-    order = np.argsort(key)
+    """Sort by key and fold each later member of a run of equal keys into
+    the run's first member with min. Keys that fit in one int64 beside their
+    position are sorted packed with it, a plain sort rather than an argsort."""
+    bits = key.size.bit_length()  # the low bits of a packed key hold its position
+    if key.size and key.max() < 1 << (63 - bits):
+        order = np.sort(key << bits | np.arange(key.size)) & ((1 << bits) - 1)
+    else:
+        order = np.argsort(key)
     key, vals = key[order], vals[order]
-    repeat = key[1:] == key[:-1]
-    if not repeat.any():
+    later = np.flatnonzero(key[1:] == key[:-1]) + 1
+    if not later.size:
         return key, vals
-    starts = np.flatnonzero(np.concatenate([[True], ~repeat]))
-    return key[starts], np.minimum.reduceat(vals, starts)
-
+    chain = np.flatnonzero(np.diff(later, prepend=-1) != 1)  # where each run starts in later
+    heads = np.repeat(later[chain] - 1, np.diff(chain, append=later.size))
+    np.minimum.at(vals, heads, vals[later])
+    return np.delete(key, later), np.delete(vals, later)

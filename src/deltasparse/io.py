@@ -28,8 +28,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import _MAX_KEYED_DIMENSION, EDGE_DTYPE, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
-from .core import matrix_build
+from .core import _MAX_KEYED_DIMENSION, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, _csr
 
 __all__ = [
     "GraphFile",
@@ -210,18 +209,16 @@ def _build(
     path: str, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, mirror: bool
 ) -> SparseMatrix:
     """Count and drop self-loops, add the reverse of every edge if `mirror`,
-    and build through matrix_build's integer entry point."""
+    and build the CSR from the checked entries without matrix_build's checks."""
     keep = rows != cols
-    kept = int(np.count_nonzero(keep))
-    if kept < keep.size:
-        loops = keep.size - kept
+    loops = keep.size - int(np.count_nonzero(keep))
+    if loops:
         log.warning("%s: dropped %d self-loop entr%s", path, loops, "y" if loops == 1 else "ies")
-    edges = np.empty(2 * kept if mirror else kept, dtype=EDGE_DTYPE)
-    head, tail = edges[:kept], edges[kept:]
-    head["row"], head["col"], head["weight"] = rows[keep], cols[keep], vals[keep]
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
     if mirror:
-        tail["row"], tail["col"], tail["weight"] = head["col"], head["row"], head["weight"]
-    return matrix_build(n, edges)
+        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+        vals = np.concatenate([vals, vals])
+    return _csr(n, rows, cols, vals)
 
 
 def load_matrix_market(path: str, default_weight: float = 1.0) -> tuple[SparseMatrix, LabelMap]:
@@ -357,9 +354,20 @@ def _bulk_edge_list(lines: TextIO, default_weight: float) -> tuple[_Entries, lis
 
 def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Dense ids in first-seen order over u[0], v[0], u[1], v[1], ...:
-    returns the ids of that interleaved sequence and the labels by id."""
+    returns the ids of that interleaved sequence and the labels by id. If
+    no label reaches the sequence's length, a table by label, never longer
+    than the sequence, finds each first position and only the distinct
+    labels are sorted; sparser labels sort the whole sequence."""
     seq = np.empty(2 * u.size, dtype=INDEX_DTYPE)
     seq[0::2], seq[1::2] = u, v
+    size = int(seq.max()) + 1
+    if size <= seq.size:
+        first = np.full(size, seq.size, dtype=INDEX_DTYPE)
+        np.minimum.at(first, seq, np.arange(seq.size))
+        labels = np.flatnonzero(first < seq.size)
+        labels = labels[np.argsort(first[labels])]
+        first[labels] = np.arange(labels.size)  # now each label's id
+        return first[seq], labels.tolist()
     perm = np.argsort(seq)
     seq = seq[perm]
     starts = np.flatnonzero(np.concatenate([[True], seq[1:] != seq[:-1]]))

@@ -162,10 +162,10 @@ def test_run_mtx_dimension_beyond_keys_is_a_parse_error(tmp_path, capsys, dimens
 def test_run_mtx_dimension_too_large_to_allocate(tmp_path, monkeypatch, capsys):
     # the build stands in for a size that passes the key limit but not the
     # allocator, so the test allocates nothing of that size
-    def out_of_memory(n, edges):
+    def out_of_memory(n, rows, cols, vals):
         raise MemoryError
 
-    monkeypatch.setattr(deltasparse.io, "matrix_build", out_of_memory)
+    monkeypatch.setattr(deltasparse.io, "_csr", out_of_memory)
     p = tmp_path / "big.mtx"
     p.write_text("%%MatrixMarket matrix coordinate real general\n% note\n5 5 1\n1 2 1.0\n")
     code = run_cli("run", "--graph", str(p), "--format", "mtx", "--source", "1")

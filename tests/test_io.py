@@ -11,7 +11,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import deltasparse.io as loaders
 from deltasparse import (
+    EDGE_DTYPE,
     GraphFile,
     GraphLoadError,
     LabelMap,
@@ -20,7 +22,9 @@ from deltasparse import (
     load_edge_list,
     load_graph,
     load_matrix_market,
+    matrix_build,
 )
+from deltasparse.core import _min_by_key
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -425,6 +429,113 @@ def test_edges_from_stdin(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2.0\n1 2 3.0\n"))
     matrix, _ = load_edge_list("-")
     assert matrix.entry_set() == {(0, 1, 2.0), (1, 2, 3.0)}
+
+
+def _first_seen(u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
+    """The ids and labels that the line walker's dict.setdefault gives."""
+    ids: dict[int, int] = {}
+    seq = [ids.setdefault(label, len(ids)) for pair in zip(u, v) for label in pair]
+    return seq, list(ids)
+
+
+def _intern_cases():
+    """(u, v) label lists: random ones whose largest label + 1 is at most
+    2m, a fifth of their edges self-loops, then the edge cases."""
+    rng = np.random.default_rng(23)
+    for _ in range(60):
+        m = int(rng.integers(1, 40))
+        top = int(rng.integers(1, 2 * m + 1))
+        u = rng.integers(0, top, m)
+        v = np.where(rng.random(m) < 0.2, u, rng.integers(0, top, m))
+        yield u.tolist(), v.tolist()
+    yield [0], [0]  # label 0 only
+    yield [0, 0], [0, 0]
+    yield [0], [1]  # one edge, max + 1 == 2m
+    yield [3], [7]  # one edge, max + 1 > 2m
+    yield [5, 0, 2], [1, 5, 3]  # max + 1 == 2m
+    yield [6, 0, 2], [1, 6, 3]  # max + 1 == 2m + 1
+    yield [4, 4, 1], [4, 2, 2]  # self-loops
+    yield [10**12, 3, 7], [2**62, 10**12, 3]
+
+
+def test_intern_branches_match_walker_first_seen_order(tmp_path):
+    # The table branch runs when max label + 1 <= 2m; shifting every label
+    # past 2m keeps the first-seen order and drives the sort branch.
+    branches = set()
+    for u, v in _intern_cases():
+        m2 = 2 * len(u)
+        shifted = ([x * (m2 + 1) + m2 for x in u], [x * (m2 + 1) + m2 for x in v])
+        for su, sv in ((u, v), shifted) if max(u + v) < 2**40 else ((u, v),):
+            want_ids, want_labels = _first_seen(su, sv)
+            ids, labels = loaders._intern(np.array(su), np.array(sv))
+            assert ids.dtype == np.int64 and ids.tolist() == want_ids
+            assert labels == want_labels and all(type(x) is int for x in labels)
+            branches.add(max(su + sv) + 1 <= m2)
+        body = "".join(f"{a} {b} {i + 1}\n" for i, (a, b) in enumerate(zip(u, v)))
+        path = write(tmp_path, body)
+        matrix, labels = load_edge_list(path)
+        want_ids, want_labels = _first_seen(u, v)
+        triples = [(want_ids[2 * i], want_ids[2 * i + 1], i + 1.0) for i in range(len(u))]
+        assert labels.externals == want_labels
+        assert matrix == matrix_build(len(want_labels), np.array(triples).reshape(-1, 3))
+    assert branches == {True, False}
+
+
+def _runs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shuffled triples in runs of 1-6 equal coordinates (self-loops too),
+    with weights from four values so that runs hold tied minima."""
+    rows, cols, vals = [], [], []
+    for r, c in rng.integers(0, n, (int(rng.integers(1, 3 * n)), 2)).tolist():
+        copies = int(rng.integers(1, 7))
+        rows += [r] * copies
+        cols += [c] * copies
+        vals += rng.choice([0.5, 1.0, 2.0, 7.25], copies).tolist()
+    perm = rng.permutation(len(rows))
+    return np.array(rows)[perm], np.array(cols)[perm], np.array(vals)[perm]
+
+
+def _min_entries(rows, cols, vals, mirror: bool = False) -> set[tuple[int, int, float]]:
+    """Dict-min reference: the off-diagonal entries, mirrored if asked,
+    each coordinate with its smallest weight."""
+    best: dict[tuple[int, int], float] = {}
+    for r, c, w in zip(rows.tolist(), cols.tolist(), vals.tolist()):
+        for key in ((r, c), (c, r)) if mirror else ((r, c),):
+            if r != c:
+                best[key] = min(w, best.get(key, w))
+    return {(r, c, w) for (r, c), w in best.items()}
+
+
+def test_duplicates_fold_to_their_minimum(tmp_path):
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        rows, cols, vals = _runs(rng, n)
+        edges = np.empty(rows.size, dtype=EDGE_DTYPE)
+        edges["row"], edges["col"], edges["weight"] = rows, cols, vals
+        # keys past 2**62 cannot share an int64 with their position: argsort branch
+        key = rows * n + cols
+        packed, unpacked = _min_by_key(key, vals), _min_by_key(key + 2**62, vals)
+        assert np.array_equal(packed[0] + 2**62, unpacked[0])
+        assert np.array_equal(packed[1], unpacked[1])
+        for table in (np.column_stack([rows, cols, vals]), edges):
+            built = matrix_build(n, table)
+            built.check_invariants()
+            assert built.entry_set() == _min_entries(rows, cols, vals)
+        triples = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+        for directed in (True, False):
+            body = "".join(f"{r} {c} {w!r}\n" for r, c, w in triples)
+            matrix, labels = load_edge_list(write(tmp_path, body), directed=directed)
+            matrix.check_invariants()
+            ext = labels.to_external
+            external = {(ext(i), ext(j), w) for i, j, w in matrix.entry_set()}
+            assert external == _min_entries(rows, cols, vals, mirror=not directed)
+        for symmetry in ("general", "symmetric"):
+            header = f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {rows.size}\n"
+            body = "".join(f"{r + 1} {c + 1} {w!r}\n" for r, c, w in triples)
+            matrix, _ = load_matrix_market(write(tmp_path, header + body, "g.mtx"))
+            matrix.check_invariants()
+            mirror = symmetry == "symmetric"
+            assert matrix.entry_set() == _min_entries(rows, cols, vals, mirror=mirror)
 
 
 # ---------------------------------------------------------------- dispatch

@@ -149,11 +149,7 @@ def run(config: RunConfig) -> int:
             code = 2
 
     # labels beyond int64, which only the line walker loads, sort as Python ints
-    try:
-        externals = np.array(labels.externals, dtype=np.int64)
-    except OverflowError:
-        externals = np.array(labels.externals, dtype=object)
-    reached = externals[distances.indices]
+    reached = labels.to_external_array(distances.indices)
     order = reached.argsort()
     lines = zip(reached[order].tolist(), distances.values[order].tolist())
     text = "".join([f"{label}\t{value!r}\n" for label, value in lines])

@@ -6,13 +6,14 @@ starts as the mask of the bucket's window, taken from the walk's own scan
 for the next window, and each bucket is an index array. It has two
 kernels: _push, the one gather-and-reduce relax, and the inline bucket
 test `lowered[t[lowered] < hi]`, the one combined tentative/bucket update.
-A push gathers the frontier's rows of the row-major light or heavy matrix,
-forms t[i] + w per out-edge, keeps the candidates below t[j] and lowers t
-by a scatter-min over them (np.minimum.at), then returns the lowered
-targets, sorted and distinct; those below the window's end are the next
-bucket. The work is the frontier's out-edges, not every edge of the
-matrix, and nothing is sorted but the improving targets. ops.vxm_min_plus
-runs the same _push on the matrix it is given.
+A push gathers the frontier's rows of the row-major light part, heavy part
+or whole input (see sssp._partition), forms t[i] + w per out-edge, keeps
+the candidates below t[j] and lowers t by a scatter-min over them
+(np.minimum.at), then returns the lowered targets, sorted and distinct;
+those below the window's end are the next bucket. The work is the
+frontier's out-edges, not every edge of the matrix, and nothing is sorted
+but the improving targets. ops.vxm_min_plus runs the same _push on the
+matrix it is given.
 
 Frontiers on high-diameter graphs hold a handful of vertices, so a push
 costs its numpy calls more than its edges. A push therefore works in place

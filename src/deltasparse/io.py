@@ -74,40 +74,57 @@ class GraphFile:
 class LabelMap:
     """Bijection between external vertex labels and dense internal ids.
 
-    Labels given as a range, like Matrix Market's 1..n, are mapped by the
-    range's own arithmetic, with no list or dict of n ints."""
+    Labels by id in one array (int64, or Python ints beyond int64) that a
+    lookup searches, with no label -> id dict; an int64 array is trusted to
+    be distinct, a list is checked. A range, like Matrix Market's 1..n, is
+    mapped by its own arithmetic, with no array of n labels."""
 
-    __slots__ = ("_externals", "_to_internal")
+    __slots__ = ("_labels",)
 
-    def __init__(self, externals: list[int] | range) -> None:
-        self._externals = externals
-        if isinstance(externals, range):
-            self._to_internal: dict[int, int] | range = externals
-            return
-        self._to_internal = {label: i for i, label in enumerate(externals)}
-        if len(self._to_internal) != len(externals):
-            raise ValueError("duplicate external label")
+    def __init__(self, externals: list[int] | range | np.ndarray) -> None:
+        if isinstance(externals, list):
+            if len(set(externals)) != len(externals):
+                raise ValueError("duplicate external label")
+            try:
+                externals = np.array(externals, dtype=INDEX_DTYPE)
+            except OverflowError:
+                externals = np.array(externals, dtype=object)
+        self._labels = externals
 
     def __len__(self) -> int:
-        return len(self._externals)
+        return len(self._labels)
 
     def __contains__(self, label: int) -> bool:
-        return label in self._to_internal
+        return self._find(label) is not None
+
+    def _find(self, label: int) -> int | None:
+        labels = self._labels
+        if isinstance(labels, range):
+            return labels.index(label) if label in labels else None
+        if labels.dtype != object and not -(2**63) <= label < 2**63:
+            return None  # numpy 1.x would compare int64 labels with 2**63 as float64
+        hits = (labels == label).nonzero()[0]
+        return int(hits[0]) if hits.size else None
 
     def to_internal(self, label: int) -> int:
         """The dense id of `label`; KeyError if the map lacks it."""
-        if isinstance(self._to_internal, dict):
-            return self._to_internal[label]
-        if label not in self._to_internal:
+        internal = self._find(label)
+        if internal is None:
             raise KeyError(label)
-        return self._to_internal.index(label)
+        return internal
 
     def to_external(self, internal: int) -> int:
-        return self._externals[internal]
+        return int(self._labels[internal])
+
+    def to_external_array(self, internal: np.ndarray) -> np.ndarray:
+        """The labels of the dense ids `internal`, as one array."""
+        if isinstance(self._labels, range):
+            return self._labels.start + self._labels.step * internal
+        return self._labels[internal]
 
     @property
     def externals(self) -> list[int]:
-        return list(self._externals)
+        return list(self._labels) if isinstance(self._labels, range) else self._labels.tolist()
 
 
 # loadtxt record layouts: 'u v' lines and 'u v w' lines
@@ -337,7 +354,7 @@ def load_edge_list(
     return matrix, LabelMap(externals)
 
 
-def _bulk_edge_list(lines: TextIO, default_weight: float) -> tuple[_Entries, list[int]] | None:
+def _bulk_edge_list(lines: TextIO, default_weight: float) -> tuple[_Entries, np.ndarray] | None:
     """Edges as dense ids and the labels by id, or None; the first data line sets the width."""
     _, first = next(_data_lines(lines, 0, "#%"))
     if first is None or len(first) not in (2, 3):
@@ -352,7 +369,7 @@ def _bulk_edge_list(lines: TextIO, default_weight: float) -> tuple[_Entries, lis
     return (ids[0::2], ids[1::2], w), externals
 
 
-def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense ids in first-seen order over u[0], v[0], u[1], v[1], ...:
     returns the ids of that interleaved sequence and the labels by id. If
     no label reaches the sequence's length, a table by label, never longer
@@ -367,7 +384,7 @@ def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[int]]:
         labels = np.flatnonzero(first < seq.size)
         labels = labels[np.argsort(first[labels])]
         first[labels] = np.arange(labels.size)  # now each label's id
-        return first[seq], labels.tolist()
+        return first[seq], labels
     perm = np.argsort(seq)
     seq = seq[perm]
     starts = np.flatnonzero(np.concatenate([[True], seq[1:] != seq[:-1]]))
@@ -379,7 +396,7 @@ def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, list[int]]:
     rank[by_first] = np.arange(by_first.size)
     ids = np.empty_like(perm)
     ids[perm] = np.repeat(rank, np.diff(starts, append=perm.size))
-    return ids, labels[by_first].tolist()
+    return ids, labels[by_first]
 
 
 def _walk_edge_list(path: str, lines: TextIO, default_weight: float) -> tuple[_Entries, list[int]]:

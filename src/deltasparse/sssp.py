@@ -9,8 +9,9 @@ simply stay absent from the distance vector.
 
 Two interchangeable backends drive the loop: the unfused one composes the
 public kernels verbatim over sparse vectors, the fused one keeps dense state
-and pushes along the frontier's out-edges (see fused.py). Their outputs are
-bit-identical by construction and tested as such.
+and pushes along the frontier's out-edges (see fused.py), its heavy step
+along whole rows where at least half the edges are heavy (see _partition).
+Their outputs are bit-identical by construction and tested as such.
 """
 
 from __future__ import annotations
@@ -81,27 +82,15 @@ class SsspResult:
 
 
 def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
-    """The fused path's split in one pass: stored weights are finite and
-    > 0, so heavy (weight > delta) is exactly the complement of light, and
-    both results equal split_edges' filter_matrix pair."""
-    light = matrix.val <= delta
-    count = np.zeros(matrix.nnz + 1, dtype=INDEX_DTYPE)
-    np.cumsum(light, out=count[1:])
-    light_ptr = count[matrix.indptr]
-    del count  # before the gathers, so the split peaks no higher
-    heavy = ~light
-    # np.compress gathers several times faster than boolean indexing here
-    return (
-        SparseMatrix(
-            matrix.n, light_ptr, np.compress(light, matrix.col), np.compress(light, matrix.val)
-        ),
-        SparseMatrix(
-            matrix.n,
-            matrix.indptr - light_ptr,
-            np.compress(heavy, matrix.col),
-            np.compress(heavy, matrix.val),
-        ),
-    )
+    """split_edges' light part, and the matrix the fused heavy step pushes
+    along: the input itself, not copied, where heavy edges are at least half
+    of it. Its light candidates never improve: when a bucket's light phases
+    end, each settled u has pushed every light edge (u, j, w) with its
+    current t[u], so t[j] <= t[u] + w fails the push's strict < test."""
+    light = filter_matrix(matrix, positive_at_most(delta))
+    if 2 * light.nnz <= matrix.nnz:
+        return light, matrix
+    return light, filter_matrix(matrix, greater_than(delta))
 
 
 def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
@@ -316,7 +305,7 @@ def delta_stepping(
 
     fused = backend.kind == "fused"
     start = time.perf_counter()
-    # the unfused split is the two filter_matrix calls; the fused one is one pass
+    # the unfused split is the two filter_matrix calls; the fused one may skip the heavy one
     light, heavy = _partition(matrix, delta) if fused else split_edges(matrix, delta)
 
     # total light passes are bounded by the vertex count times the per-bucket

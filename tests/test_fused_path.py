@@ -1,6 +1,7 @@
-"""The fused solver over dense state: its one-pass split equals split_edges,
-the solve agrees with the unfused one on distances and counts, and bucket
-windows stay exact where index * delta is computed at large magnitudes."""
+"""The fused solver over dense state: its split equals split_edges or keeps
+the input whole for the heavy step, the solve agrees with the unfused one on
+distances and counts, and bucket windows stay exact where index * delta is
+computed at large magnitudes."""
 
 from __future__ import annotations
 
@@ -21,15 +22,30 @@ FUSED = BackendChoice("fused")
 
 
 def test_one_pass_partition_equals_split_edges():
+    # the heavy step reads whole rows of the input exactly when heavy edges
+    # are at least half of the stored ones; the last two cases sit one edge
+    # on either side of that rule (2 of 4 heavy, then 1 of 3)
     rng = np.random.default_rng(3)
-    for case in range(40):
-        matrix = random_graph(int(rng.integers(1, 40)), int(rng.integers(0, 160)), rng, "float")
-        delta = float(rng.choice([0.5, 1.0, 3.0, 7.5, 100.0]))
+    cases = [
+        random_graph(int(rng.integers(1, 40)), int(rng.integers(0, 160)), rng, "float")
+        for _ in range(40)
+    ]
+    cases += [
+        matrix_build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0), (3, 0, 5.0)]),
+        matrix_build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 5.0)]),
+    ]
+    sides = set()
+    for case, matrix in enumerate(cases):
+        delta = 3.0 if case >= 40 else float(rng.choice([0.5, 1.0, 3.0, 7.5, 100.0]))
         light, heavy = deltasparse.sssp._partition(matrix, delta)
         want_light, want_heavy = split_edges(matrix, delta)
-        assert light == want_light and heavy == want_heavy, case
+        whole_rows = 2 * want_heavy.nnz >= matrix.nnz
+        assert light == want_light, case
+        assert heavy is matrix if whole_rows else heavy == want_heavy, case
+        sides.add((case >= 40, whole_rows))
         light.check_invariants()
         heavy.check_invariants()
+    assert sides == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def test_fused_solve_builds_no_transpose():

@@ -469,7 +469,7 @@ def test_intern_branches_match_walker_first_seen_order(tmp_path):
             want_ids, want_labels = _first_seen(su, sv)
             ids, labels = loaders._intern(np.array(su), np.array(sv))
             assert ids.dtype == np.int64 and ids.tolist() == want_ids
-            assert labels == want_labels and all(type(x) is int for x in labels)
+            assert labels.dtype == np.int64 and labels.tolist() == want_labels
             branches.add(max(su + sv) + 1 <= m2)
         body = "".join(f"{a} {b} {i + 1}\n" for i, (a, b) in enumerate(zip(u, v)))
         path = write(tmp_path, body)
@@ -581,6 +581,22 @@ def test_label_map_range_equals_list():
                 labels.to_internal(missing)
 
 
+def test_label_map_searches_its_label_array(tmp_path):
+    # the bulk loader's int64 labels, and a list with a label beyond int64,
+    # are looked up by a search of the array; labels outside int64 are absent
+    _, bulk = load_edge_list(write(tmp_path, "7 3\n3 9\n"))
+    for labels, big in ((bulk, 3), (LabelMap([7, 2**64 + 3, 9]), 2**64 + 3)):
+        assert labels.to_internal(big) == 1 and big in labels
+        assert labels.externals == [7, big, 9]
+        assert labels.to_external_array(np.array([2, 0, 1])).tolist() == [9, 7, big]
+        for missing in (-1, 8, 2**63, 2**70):
+            assert missing not in labels
+            with pytest.raises(KeyError):
+                labels.to_internal(missing)
+    assert bulk.to_external_array(np.array([1])).dtype == np.int64
+    assert LabelMap(range(1, 4)).to_external_array(np.array([2, 0])).tolist() == [3, 1]
+
+
 def test_mtx_labels_are_implicit(tmp_path):
     # 2*10^6 declared vertices and 2 entries: the identity labels must not
     # become a list and a dict of n Python ints (about 250 MiB traced)
@@ -604,10 +620,10 @@ def test_mtx_labels_are_implicit(tmp_path):
 
 def test_load_peak_memory_per_edge(tmp_path):
     # The bulk parse's loadtxt table (24 bytes an edge here) must be freed
-    # before the build. Traced peaks at 120,000 edges: 113.6 bytes an edge
-    # for this edge list and 107.0 for this Matrix Market file; keeping the
+    # before the build. Traced peaks at 120,000 edges: 91.7 bytes an edge
+    # for this edge list and 90.3 for this Matrix Market file; keeping the
     # weights as a view of the table, which holds it through the build,
-    # reads 129.6 and 123.0.
+    # reads 107.7 and 106.3.
     rng = np.random.default_rng(11)
     m, n = 120_000, 20_000
     u, v, w = (rng.integers(lo, hi, m).tolist() for lo, hi in ((0, n), (0, n), (1, 100)))
@@ -626,7 +642,7 @@ def test_load_peak_memory_per_edge(tmp_path):
         finally:
             tracemalloc.stop()
         assert matrix.nnz > 0.99 * m
-        assert peak < 120 * m, (path, peak / m)
+        assert peak < 101 * m, (path, peak / m)
 
 
 def test_label_map_round_trip():

@@ -18,7 +18,6 @@ import logging
 import math
 import statistics
 import sys
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -29,22 +28,9 @@ from .generate import random_graph
 from .io import GraphFile, GraphLoadError, load_graph
 from .sssp import DeltaTooSmall, delta_stepping, dijkstra_oracle
 
-__all__ = ["RunConfig", "run", "selftest", "main", "console_main"]
+__all__ = ["run", "selftest", "main", "console_main"]
 
 REL_TOLERANCE = 1e-9
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    graph: GraphFile
-    source: int
-    delta: float = 1.0
-    backend: BackendChoice = BackendChoice()
-    verify: bool = False
-    repeat: int = 1
-    skip_empty_buckets: bool = False
-    output: str | None = None
-    inject_fault: bool = False
 
 
 class _UsageError(Exception):
@@ -110,37 +96,38 @@ def _perturb(distances: SparseVector) -> SparseVector:
     return SparseVector(distances.length, distances.indices.copy(), values)
 
 
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
+    """The `run` subcommand on flags that `main` has parsed and range-checked."""
     try:
-        matrix, labels = load_graph(config.graph)
+        matrix, labels = load_graph(GraphFile(args.graph, args.format, args.directed))
     except (GraphLoadError, OSError) as exc:
         print(f"deltasparse: {exc}", file=sys.stderr)
         return 1
-    if config.source not in labels:
-        print(f"deltasparse: source label {config.source} not in graph", file=sys.stderr)
+    if args.source not in labels:
+        print(f"deltasparse: source label {args.source} not in graph", file=sys.stderr)
         return 3
-    internal_source = labels.to_internal(config.source)
+    internal_source = labels.to_internal(args.source)
 
     result = None
     times = []
-    for _ in range(config.repeat):
+    for _ in range(args.repeat):
         try:
             result = delta_stepping(
                 matrix,
                 internal_source,
-                config.delta,
-                backend=config.backend,
-                skip_empty_buckets=config.skip_empty_buckets,
+                args.delta,
+                backend=BackendChoice(args.backend),
+                skip_empty_buckets=args.skip_empty_buckets,
             )
         except DeltaTooSmall as exc:
             print(f"deltasparse: error: {exc}", file=sys.stderr)
             return 3
         times.append(result.elapsed)
     assert result is not None
-    distances = _perturb(result.distances) if config.inject_fault else result.distances
+    distances = _perturb(result.distances) if args.inject_fault else result.distances
 
     code = 0
-    if config.verify:
+    if args.verify:
         oracle = dijkstra_oracle(matrix, internal_source)
         ok, deviation = _deviations(distances, oracle)
         status = "OK" if ok else "FAILED"
@@ -153,23 +140,22 @@ def run(config: RunConfig) -> int:
     order = reached.argsort()
     lines = zip(reached[order].tolist(), distances.values[order].tolist())
     text = "".join([f"{label}\t{value!r}\n" for label, value in lines])
-    if config.output is None:
+    if args.output is None:
         sys.stdout.write(text)
     else:
         try:
-            with open(config.output, "w", encoding="utf-8") as fh:
+            with open(args.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
             reason = exc.strerror or exc
             print(
-                f"deltasparse: error: cannot write --output {config.output}: {reason}",
+                f"deltasparse: error: cannot write --output {args.output}: {reason}",
                 file=sys.stderr,
             )
             return 3
 
     print(
-        f"n={matrix.n} m={matrix.nnz} delta={config.delta:g} "
-        f"backend={config.backend.kind} "
+        f"n={matrix.n} m={matrix.nnz} delta={args.delta:g} backend={args.backend} "
         f"outer_iterations={result.outer_iterations} inner_phases={result.inner_phases} "
         f"median_time_s={statistics.median(times):.6f}",
         file=sys.stderr,
@@ -229,6 +215,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.cases < 0:
             print("deltasparse: error: --cases must be >= 0", file=sys.stderr)
             return 3
+        if args.seed < 0:
+            print("deltasparse: error: --seed must be >= 0", file=sys.stderr)
+            return 3
         return selftest(cases=args.cases, seed=args.seed, inject_fault=args.inject_fault)
 
     if not 0 < args.delta < math.inf:
@@ -237,18 +226,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.repeat < 1:
         print("deltasparse: error: --repeat must be >= 1", file=sys.stderr)
         return 3
-    config = RunConfig(
-        graph=GraphFile(path=args.graph, format=args.format, directed=args.directed),
-        source=args.source,
-        delta=args.delta,
-        backend=BackendChoice(args.backend),
-        verify=args.verify,
-        repeat=args.repeat,
-        skip_empty_buckets=args.skip_empty_buckets,
-        output=args.output,
-        inject_fault=args.inject_fault,
-    )
-    return run(config)
+    return run(args)
 
 
 def console_main() -> None:

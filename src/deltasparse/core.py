@@ -15,15 +15,12 @@ import numpy as np
 
 INDEX_DTYPE = np.int64
 VALUE_DTYPE = np.float64
-# one edge as matrix_build's integer entry point takes it
-EDGE_DTYPE = np.dtype([("row", INDEX_DTYPE), ("col", INDEX_DTYPE), ("weight", VALUE_DTYPE)])
 # largest n for which every row*n + col key fits in int64
 _MAX_KEYED_DIMENSION = 3_037_000_499
 
 __all__ = [
     "SparseVector",
     "SparseMatrix",
-    "EDGE_DTYPE",
     "vector_build",
     "matrix_build",
     "mask_from_indices",
@@ -232,13 +229,9 @@ def _integral(column: np.ndarray, what: str) -> np.ndarray:
     return column.astype(INDEX_DTYPE)
 
 
-def vector_build(
-    length: int,
-    pairs: Iterable[tuple[int, float]] | np.ndarray,
-    identity: float = math.inf,
-) -> SparseVector:
+def vector_build(length: int, pairs: Iterable[tuple[int, float]] | np.ndarray) -> SparseVector:
     """Validating constructor: sorts entries, min-combines duplicate indices,
-    and drops entries equal to the role's implicit identity."""
+    and drops +inf entries, the implicit identity of a distance vector."""
     arr = _as_float_table(pairs, 2)
     idx = _integral(arr[:, 0], "vector indices")
     val = arr[:, 1]
@@ -246,10 +239,10 @@ def vector_build(
         if idx.min() < 0 or idx.max() >= length:
             bad = idx[(idx < 0) | (idx >= length)][0]
             raise ValueError(f"index {bad} out of range for length {length}")
-    keep = ~(val == identity)
+    keep = val != math.inf
     idx, val = idx[keep], val[keep]
     if val.size and not np.all(np.isfinite(val)):
-        raise ValueError("vector values must be finite (identity excepted)")
+        raise ValueError("vector values must be finite (+inf excepted)")
     if idx.size:
         order = np.lexsort((val, idx))
         idx, val = idx[order], val[order]
@@ -271,20 +264,15 @@ def matrix_build(
 ) -> SparseMatrix:
     """Validating constructor from (row, col, weight) triples.
 
-    `triples` is either rows of three numbers or an array of EDGE_DTYPE
-    records; the records keep their integer coordinates and skip the float
-    table. Weights must be strictly positive and finite. Duplicate
-    coordinates are collapsed with min. Self-loop triples are dropped
-    silently. The checked entries go to `_csr`, which the loaders call
-    directly with the rows, columns and weights they have already checked.
+    Weights must be strictly positive and finite. Duplicate coordinates are
+    collapsed with min. Self-loop triples are dropped silently. The checked
+    entries go to `_csr`, which the loaders call directly with the rows,
+    columns and weights they have already checked.
     """
-    if isinstance(triples, np.ndarray) and triples.dtype == EDGE_DTYPE:
-        rows, cols, vals = triples["row"], triples["col"], triples["weight"]
-    else:
-        arr = _as_float_table(triples, 3)
-        rows = _integral(arr[:, 0], "row indices")
-        cols = _integral(arr[:, 1], "column indices")
-        vals = arr[:, 2]
+    arr = _as_float_table(triples, 3)
+    rows = _integral(arr[:, 0], "row indices")
+    cols = _integral(arr[:, 1], "column indices")
+    vals = arr[:, 2]
     if n > _MAX_KEYED_DIMENSION:
         raise ValueError(f"dimension {n} too large for row*n + col keys")
     if rows.size:

@@ -182,15 +182,15 @@ def _loadtxt(lines: Iterable[str], dtype: np.dtype) -> np.ndarray | None:
         return None
 
 
-def _bulk(lines: Iterable[str], width: int, default_weight: float) -> _Entries | None:
+def _bulk(lines: Iterable[str], width: int) -> _Entries | None:
     """The labels and weights of `width`-token data lines, or None if numpy
-    rejects a line or a weight (read or default) is not finite and > 0. The
+    rejects a line or a read weight is not finite and > 0. The
     labels are views of the parsed table: callers derive new arrays from
     them and drop them, so that the table is freed before the build."""
     table = _loadtxt(lines, _TRIPLE if width == 3 else _PAIR)
     if table is None:
         return None
-    w = np.full(table.size, default_weight) if width == 2 else table["w"].copy()
+    w = np.ones(table.size) if width == 2 else table["w"].copy()
     if not np.all(np.isfinite(w) & (w > 0)):
         return None
     return table["u"], table["v"], w
@@ -203,10 +203,10 @@ def _labels(path: str, lineno: int, tokens: list[str], what: str) -> tuple[int, 
         raise ParseError(path, lineno, f"{what} must be integers") from None
 
 
-def _weight(path: str, lineno: int, tokens: list[str], default_weight: float) -> float:
-    """The third token as a weight, or `default_weight` on a 2-token line."""
+def _weight(path: str, lineno: int, tokens: list[str]) -> float:
+    """The third token as a weight, or 1.0 on a 2-token line."""
     if len(tokens) == 2:
-        return default_weight
+        return 1.0
     try:
         w = float(tokens[2])
     except ValueError:
@@ -238,20 +238,20 @@ def _build(
     return _csr(n, rows, cols, vals)
 
 
-def load_matrix_market(path: str, default_weight: float = 1.0) -> tuple[SparseMatrix, LabelMap]:
+def load_matrix_market(path: str) -> tuple[SparseMatrix, LabelMap]:
     """Read a Matrix Market coordinate file as a square graph.
 
     Supports the real, integer, and pattern fields crossed with general and
-    symmetric symmetry; pattern entries take `default_weight`. Coordinates
+    symmetric symmetry; pattern entries take weight 1.0. Coordinates
     are 1-based in the file and become 0-based internally; the label map
     exposes the file's own 1-based vertex numbers as the external labels.
     """
     lines = _read(path)
     header = _mm_header(path, lines)
-    entries = _bulk_mm(lines, header, default_weight)
+    entries = _bulk_mm(lines, header)
     if entries is None:
         lines.seek(0)
-        entries = _walk_mm(path, lines, _mm_header(path, lines), default_weight)
+        entries = _walk_mm(path, lines, _mm_header(path, lines))
     del lines  # free the text before the build
     n, _, _, symmetric, size_line = header
     try:
@@ -296,14 +296,14 @@ def _mm_header(path: str, lines: TextIO) -> _Header:
     return nr, declared, 2 if field == "pattern" else 3, symmetry == "symmetric", lineno
 
 
-def _bulk_mm(lines: TextIO, header: _Header, default_weight: float) -> _Entries | None:
+def _bulk_mm(lines: TextIO, header: _Header) -> _Entries | None:
     """The entries after the size line as 0-based arrays, or None; comment
     lines before the first entry are skipped."""
     n, declared, width, _, _ = header
     _, first = next(_data_lines(lines, 0, "%"))
     if first is None:
         return None
-    parsed = _bulk(itertools.chain([" ".join(first)], lines), width, default_weight)
+    parsed = _bulk(itertools.chain([" ".join(first)], lines), width)
     if parsed is None:
         return None
     r, c, w = parsed
@@ -312,7 +312,7 @@ def _bulk_mm(lines: TextIO, header: _Header, default_weight: float) -> _Entries 
     return r - 1, c - 1, w
 
 
-def _walk_mm(path: str, lines: TextIO, header: _Header, default_weight: float) -> _Entries:
+def _walk_mm(path: str, lines: TextIO, header: _Header) -> _Entries:
     """Line-by-line entry reader: raises the first error with its line."""
     n, declared, width, _, size_line = header
     pairs: list[int] = []
@@ -328,38 +328,36 @@ def _walk_mm(path: str, lines: TextIO, header: _Header, default_weight: float) -
         if not (1 <= r <= n and 1 <= c <= n):
             raise ParseError(path, lineno, f"coordinate ({r}, {c}) outside 1..{n}")
         pairs += r - 1, c - 1
-        vals.append(_weight(path, lineno, parts, default_weight))
+        vals.append(_weight(path, lineno, parts))
     if len(vals) != declared:
         raise ParseError(path, lineno, f"file ended after {len(vals)} of {declared} entries")
     return _arrays(pairs, vals)
 
 
-def load_edge_list(
-    path: str, directed: bool = True, default_weight: float = 1.0
-) -> tuple[SparseMatrix, LabelMap]:
-    """Read a whitespace edge list: 'u v' or 'u v w' per line.
+def load_edge_list(path: str, directed: bool = True) -> tuple[SparseMatrix, LabelMap]:
+    """Read a whitespace edge list: 'u v' or 'u v w' per line; 'u v' has weight 1.0.
 
     Labels are arbitrary non-negative integers, remapped to dense ids in
     first-seen order (source before target). '#' and '%' start comment
     lines. Undirected input stores both directions of every edge.
     """
     lines = _read(path)
-    parsed = _bulk_edge_list(lines, default_weight)
+    parsed = _bulk_edge_list(lines)
     if parsed is None:
         lines.seek(0)
-        parsed = _walk_edge_list(path, lines, default_weight)
+        parsed = _walk_edge_list(path, lines)
     del lines  # free the text before the build
     (rows, cols, vals), externals = parsed
     matrix = _build(path, len(externals), rows, cols, vals, mirror=not directed)
     return matrix, LabelMap(externals)
 
 
-def _bulk_edge_list(lines: TextIO, default_weight: float) -> tuple[_Entries, np.ndarray] | None:
+def _bulk_edge_list(lines: TextIO) -> tuple[_Entries, np.ndarray] | None:
     """Edges as dense ids and the labels by id, or None; the first data line sets the width."""
     _, first = next(_data_lines(lines, 0, "#%"))
     if first is None or len(first) not in (2, 3):
         return None
-    parsed = _bulk(itertools.chain([" ".join(first)], lines), len(first), default_weight)
+    parsed = _bulk(itertools.chain([" ".join(first)], lines), len(first))
     if parsed is None:
         return None
     u, v, w = parsed
@@ -399,7 +397,7 @@ def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ids, labels[by_first]
 
 
-def _walk_edge_list(path: str, lines: TextIO, default_weight: float) -> tuple[_Entries, list[int]]:
+def _walk_edge_list(path: str, lines: TextIO) -> tuple[_Entries, list[int]]:
     """Line-by-line edge reader: raises the first error with its line."""
     ids: dict[int, int] = {}  # label -> dense id, in first-seen order
     pairs: list[int] = []
@@ -412,7 +410,7 @@ def _walk_edge_list(path: str, lines: TextIO, default_weight: float) -> tuple[_E
         u, v = _labels(path, lineno, parts, "vertex labels")
         if u < 0 or v < 0:
             raise ParseError(path, lineno, "vertex labels must be non-negative")
-        vals.append(_weight(path, lineno, parts, default_weight))
+        vals.append(_weight(path, lineno, parts))
         pairs += ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))
     if not ids:
         raise ParseError(path, max(lineno, 1), "no vertices found")

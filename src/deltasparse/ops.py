@@ -1,5 +1,5 @@
-"""Vector/matrix kernels: apply, filter, element-wise union and
-intersection, and the (min,+) vector-matrix product.
+"""Vector/matrix kernels: filter, element-wise union and intersection,
+and the (min,+) vector-matrix product.
 
 Union semantics carry a deliberate pass-through rule: where exactly one
 input holds an entry, that entry is emitted without consulting the
@@ -39,7 +39,6 @@ __all__ = [
     "greater_than",
     "positive_at_most",
     "in_half_open",
-    "apply_vector",
     "filter_vector",
     "filter_matrix",
     "ewise_add_vector",
@@ -106,11 +105,6 @@ def _common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return pa[found], found.nonzero()[0]
 
 
-def _gate(indices: np.ndarray, mask: SparseVector) -> np.ndarray:
-    """Increasing positions of the entries of `indices` the mask holds."""
-    return _common(indices, mask.indices)[0]
-
-
 def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
     # adopt an op's output only when it is a fresh float64 array; any other
     # dtype, a view or a strided array takes the converting constructor
@@ -119,29 +113,9 @@ def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
     return SparseVector(length, idx, out)
 
 
-def apply_vector(
-    vec: SparseVector,
-    op: UnaryPredicate | Callable[[np.ndarray], np.ndarray],
-    mask: SparseVector | None = None,
-) -> SparseVector:
-    """Transform stored values elementwise; the mask gates which entries are
-    written. Predicates produce a value-carrying 1.0/0.0 intermediate: false
-    results stay stored. Use filter_vector to keep only the true ones.
-    """
-    idx, val = vec.indices, vec.values
-    if mask is not None:
-        _require_length(mask.length, vec.length, "mask")
-        keep = _gate(idx, mask)
-        idx, val = idx[keep], val[keep]
-    return _result(vec.length, idx, op(val))
-
-
 def filter_vector(vec: SparseVector, pred: UnaryPredicate) -> SparseVector:
-    """Structural mask over the entries whose value satisfies the predicate.
-
-    Collapses the apply-then-keep-true idiom into one pass; no false entry
-    is ever stored.
-    """
+    """Structural mask over the entries whose value satisfies the predicate;
+    no false entry is ever stored."""
     idx = vec.indices[pred(vec.values)]
     return SparseVector._adopt(vec.length, idx, _ones(idx.size))
 
@@ -166,7 +140,7 @@ def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.
 def _restrict(vec: SparseVector, mask: SparseVector) -> SparseVector:
     if vec.indices is mask.indices:
         return vec
-    keep = _gate(vec.indices, mask)
+    keep = _common(vec.indices, mask.indices)[0]
     return SparseVector._adopt(vec.length, vec.indices[keep], vec.values[keep])
 
 
@@ -247,18 +221,13 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
     return _result(u.length, idx, out)
 
 
-def vxm_min_plus(
-    v: SparseVector,
-    matrix: SparseMatrix,
-    mask: SparseVector | None = None,
-) -> SparseVector:
+def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     """(min,+) vector-matrix product: out[j] = min over stored i of
     v[i] + matrix[i][j].
 
     Pushes along the rows of `matrix` with the fused backend's own push, so
     the work is v's out-edges rather than every edge. Outputs whose
-    reduction stays at the identity (+inf) are absent, and a mask, when
-    given, gates which outputs are kept.
+    reduction stays at the identity (+inf) are absent.
 
     For finite values of v this is bit-equal to gathering over the
     transpose: every candidate is the same single float sum
@@ -267,12 +236,8 @@ def vxm_min_plus(
     -0.0, so no signed-zero tie can tell two orders apart).
     """
     _require_length(v.length, matrix.n, "vxm operand")
-    if mask is not None:
-        _require_length(mask.length, matrix.n, "mask")
     if v.nnz == 0 or matrix.nnz == 0:
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
     out_idx = _push(v.values, v.indices, matrix, dense)
-    if mask is not None:
-        out_idx = out_idx[_gate(out_idx, mask)]
     return SparseVector._adopt(matrix.n, out_idx, dense[out_idx])

@@ -4,7 +4,7 @@ pull_vxm_min_plus gathers over every edge of the matrix's transpose,
 union1d_ewise_add_vector merges through np.union1d and two position
 lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
 whatever their sizes. Each is a copy of the code the work-efficient
-kernels replaced, as is _gate, the mask probe they shared; the tests
+kernels replaced, as is _gate, the union's mask probe; the tests
 require the kernels to bit-equal them. transpose builds the coordinate
 swap the pull gathers over, afresh on every call.
 """
@@ -68,21 +68,15 @@ def transpose(matrix: SparseMatrix) -> SparseMatrix:
     return SparseMatrix(matrix.n, indptr, rows[order], matrix.val[order])
 
 
-def pull_vxm_min_plus(
-    v: SparseVector,
-    matrix: SparseMatrix,
-    mask: SparseVector | None = None,
-) -> SparseVector:
+def pull_vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     """(min,+) vector-matrix product, gathering over the matrix's transpose.
 
     Row j of the transpose T lists the matrix's entries that write output
     j, so the hot loop is a gather: out[j] = min over stored i of
     v[i] + matrix[i][j]. Outputs whose reduction stays at the identity
-    (+inf) are absent, and a mask, when given, gates which outputs are kept.
+    (+inf) are absent.
     """
     _require_length(v.length, matrix.n, "vxm operand")
-    if mask is not None:
-        _require_length(mask.length, matrix.n, "mask")
     if v.nnz == 0 or matrix.nnz == 0:
         return SparseVector(matrix.n)
     transposed = transpose(matrix)
@@ -95,12 +89,7 @@ def pull_vxm_min_plus(
     nonempty = np.flatnonzero(lengths > 0).astype(INDEX_DTYPE)
     mins = np.minimum.reduceat(cand, transposed.indptr[nonempty])
     keep = np.isfinite(mins)
-    out_idx = nonempty[keep]
-    out_val = mins[keep]
-    if mask is not None:
-        sel = _gate(out_idx, mask)
-        out_idx, out_val = out_idx[sel], out_val[sel]
-    return SparseVector(matrix.n, out_idx, out_val)
+    return SparseVector(matrix.n, nonempty[keep], mins[keep])
 
 
 def probe_all_ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseVector:

@@ -469,6 +469,10 @@ def test_selftest_zero_cases_warns(capsys):
 def test_selftest_negative_cases(capsys):
     assert run_cli("selftest", "--cases", "-1") == 3
     assert "--cases must be >= 0" in capsys.readouterr().err
+    assert run_cli("selftest", "--seed", "-1") == 3
+    captured = capsys.readouterr()
+    assert captured.err == "deltasparse: error: --seed must be >= 0\n"
+    assert captured.out == ""
 
 
 def test_selftest_detects_injected_fault(capsys):

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from deltasparse import (
-    EDGE_DTYPE,
     SparseMatrix,
     SparseVector,
     mask_from_indices,
@@ -53,8 +52,6 @@ def test_vector_build_sorts_and_collapses():
 def test_vector_build_drops_implicit_identity():
     v = vector_build(5, [(0, math.inf), (3, 2.0)])
     assert v.to_dict() == {3: 2.0}
-    m = vector_build(5, [(0, 0.0), (3, 1.0)], identity=0.0)
-    assert m.to_dict() == {3: 1.0}
 
 
 def test_vector_build_keeps_zero_for_distance_role():
@@ -156,23 +153,9 @@ def test_matrix_build_rejects_bad_input():
         matrix_build(3, [(0.5, 1, 1.0)])
 
 
-def test_matrix_build_edge_records_equal_float_table():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        n = int(rng.integers(1, 30))
-        m = int(rng.integers(0, 4 * n))
-        rows, cols = rng.integers(0, n, m), rng.integers(0, n, m)
-        vals = rng.integers(1, 4, m) * (1.0 if rng.random() < 0.5 else 0.1)
-        edges = np.empty(m, dtype=EDGE_DTYPE)
-        edges["row"], edges["col"], edges["weight"] = rows, cols, vals
-        built = matrix_build(n, edges)
-        built.check_invariants()
-        assert built == matrix_build(n, np.column_stack([rows, cols, vals]))
-
-
 def test_matrix_build_rejects_dimension_beyond_int64_keys():
     with pytest.raises(ValueError, match="too large"):
-        matrix_build(3_037_000_500, np.empty(0, dtype=EDGE_DTYPE))
+        matrix_build(3_037_000_500, np.empty((0, 3)))
 
 
 def test_matrix_row_access():
@@ -236,7 +219,7 @@ def test_transpose_matches_naive_coordinate_swap():
 
 
 def test_exports_resolve_and_retired_names_are_gone():
-    import deltasparse
+    import deltasparse.cli
 
     missing = [name for name in deltasparse.__all__ if not hasattr(deltasparse, name)]
     assert not missing
@@ -253,7 +236,10 @@ def test_exports_resolve_and_retired_names_are_gone():
         "fused_masked_relax",
         "fused_bucket_update",
         "matrix_transpose_view",
+        "apply_vector",
+        "EDGE_DTYPE",
     )
     for name in retired:
         assert not hasattr(deltasparse, name), name
         assert name not in deltasparse.__all__, name
+    assert not hasattr(deltasparse.cli, "RunConfig")

@@ -13,7 +13,6 @@ import pytest
 
 import deltasparse.io as loaders
 from deltasparse import (
-    EDGE_DTYPE,
     GraphFile,
     GraphLoadError,
     LabelMap,
@@ -78,8 +77,8 @@ def test_mtx_pattern_default_weight(tmp_path):
         tmp_path,
         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
     )
-    matrix, _ = load_matrix_market(path, default_weight=2.5)
-    assert matrix.entry_set() == {(0, 1, 2.5)}
+    matrix, _ = load_matrix_market(path)
+    assert matrix.entry_set() == {(0, 1, 1.0)}
 
 
 def test_mtx_header_case_insensitive(tmp_path):
@@ -375,12 +374,6 @@ def test_edges_duplicates_take_minimum(tmp_path):
     assert matrix.entry_set() == {(0, 1, 2.0)}
 
 
-def test_edges_custom_default_weight(tmp_path):
-    path = write(tmp_path, "0 1\n")
-    matrix, _ = load_edge_list(path, default_weight=4.0)
-    assert matrix.entry_set() == {(0, 1, 4.0)}
-
-
 def test_edges_wrong_token_count(tmp_path):
     path = write(tmp_path, "0 1 2.0\n0 1 2 3\n")
     with pytest.raises(ParseError) as info:
@@ -510,17 +503,14 @@ def test_duplicates_fold_to_their_minimum(tmp_path):
     for _ in range(40):
         n = int(rng.integers(2, 12))
         rows, cols, vals = _runs(rng, n)
-        edges = np.empty(rows.size, dtype=EDGE_DTYPE)
-        edges["row"], edges["col"], edges["weight"] = rows, cols, vals
         # keys past 2**62 cannot share an int64 with their position: argsort branch
         key = rows * n + cols
         packed, unpacked = _min_by_key(key, vals), _min_by_key(key + 2**62, vals)
         assert np.array_equal(packed[0] + 2**62, unpacked[0])
         assert np.array_equal(packed[1], unpacked[1])
-        for table in (np.column_stack([rows, cols, vals]), edges):
-            built = matrix_build(n, table)
-            built.check_invariants()
-            assert built.entry_set() == _min_entries(rows, cols, vals)
+        built = matrix_build(n, np.column_stack([rows, cols, vals]))
+        built.check_invariants()
+        assert built.entry_set() == _min_entries(rows, cols, vals)
         triples = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
         for directed in (True, False):
             body = "".join(f"{r} {c} {w!r}\n" for r, c, w in triples)

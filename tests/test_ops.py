@@ -1,4 +1,4 @@
-"""Kernel semantics: apply/filter, union and intersection combines with the
+"""Kernel semantics: filters, union and intersection combines with the
 documented single-sided pass-through, and the (min,+) vector-matrix product
 against a dense brute-force oracle."""
 
@@ -16,7 +16,6 @@ from deltasparse import (
     TIMES,
     BinaryOp,
     SparseVector,
-    apply_vector,
     delta_stepping,
     ewise_add_vector,
     ewise_mult_vector,
@@ -42,39 +41,6 @@ def test_predicate_factories():
     assert list(greater_than(1.0)(vals)) == [False, False, False, True, True]
     assert list(positive_at_most(1.0)(vals)) == [False, True, True, False, False]
     assert list(in_half_open(0.5, 2.0)(vals)) == [False, True, True, False, False]
-
-
-# ---------------------------------------------------------------- apply
-
-
-def test_apply_transforms_values():
-    v = vector_build(4, [(0, 1.0), (2, 2.0)])
-    out = apply_vector(v, lambda x: x + 1.0)
-    assert out.to_dict() == {0: 2.0, 2: 3.0}
-
-
-def test_apply_with_empty_mask_yields_empty():
-    v = vector_build(4, [(0, 1.0), (2, 2.0)])
-    out = apply_vector(v, lambda x: x + 1.0, mask=SparseVector(4))
-    assert out.nnz == 0
-
-
-def test_apply_predicate_keeps_false_entries():
-    # predicates produce a value-carrying intermediate, not a mask
-    v = vector_build(4, [(0, 1.0), (2, 5.0)])
-    out = apply_vector(v, greater_than(2.0))
-    assert out.to_dict() == {0: 0.0, 2: 1.0}
-
-
-def test_apply_mask_selects_subset():
-    v = vector_build(6, [(0, 1.0), (2, 2.0), (5, 3.0)])
-    out = apply_vector(v, lambda x: 2.0 * x, mask=mask_from_indices(6, [2, 3]))
-    assert out.to_dict() == {2: 4.0}
-
-
-def test_apply_rejects_mismatched_mask():
-    with pytest.raises(ValueError):
-        apply_vector(vector_build(4, []), lambda x: x, mask=SparseVector(5))
 
 
 # ---------------------------------------------------------------- filters
@@ -289,7 +255,6 @@ def test_user_op_output_is_adopted_only_when_fresh_float64(fn):
     for got, want in (
         (ewise_mult_vector(u, v, op), shared),
         (ewise_add_vector(u, v, op), {0: 1.0, 4: 1.0, 5: 3.0, **shared}),
-        (apply_vector(u, lambda x: (2 * x).astype(np.float32)), {0: 2.0, 2: 8.0, 3: 2.0, 5: 6.0}),
     ):
         assert got.to_dict() == want
         for arr in (got.indices, got.values):
@@ -376,16 +341,7 @@ def test_vxm_matches_dense_oracle():
         assert got.to_dict() == dense_vxm(v, a)
 
 
-def test_vxm_mask_gates_outputs():
-    a = matrix_build(4, [(0, 1, 2.0), (0, 2, 3.0), (0, 3, 7.0)])
-    v = vector_build(4, [(0, 0.0)])
-    got = vxm_min_plus(v, a, mask=mask_from_indices(4, [2, 3]))
-    assert got.to_dict() == {2: 3.0, 3: 7.0}
-
-
 def test_vxm_rejects_mismatched_lengths():
     a = matrix_build(3, [(0, 1, 2.0)])
     with pytest.raises(ValueError):
         vxm_min_plus(SparseVector(4), a)
-    with pytest.raises(ValueError):
-        vxm_min_plus(SparseVector(3), a, mask=SparseVector(4))

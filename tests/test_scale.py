@@ -16,8 +16,6 @@ from deltasparse.cli import REL_TOLERANCE  # noqa: E402
 
 from conftest import grid_arcs  # noqa: E402
 
-pytestmark = pytest.mark.slow
-
 
 def scipy_distances(matrix, source):
     graph = sparse.csr_matrix((matrix.val, matrix.col, matrix.indptr), shape=(matrix.n, matrix.n))

@@ -135,10 +135,9 @@ def run(args: argparse.Namespace) -> int:
         if not ok:
             code = 2
 
-    # labels beyond int64, which only the line walker loads, sort as Python ints
+    # ids increase with labels, so the increasing indices list labels in order
     reached = labels.to_external_array(distances.indices)
-    order = reached.argsort()
-    lines = zip(reached[order].tolist(), distances.values[order].tolist())
+    lines = zip(reached.tolist(), distances.values.tolist())
     text = "".join([f"{label}\t{value!r}\n" for label, value in lines])
     if args.output is None:
         sys.stdout.write(text)

@@ -3,6 +3,7 @@
 Both loaders return a (matrix, labels) pair. The LabelMap records the
 bijection between the labels a file uses and the dense 0-based ids the
 containers need, so results can be reported in the file's own vocabulary.
+A vertex's id is its label's rank, so ids increase with labels in both formats.
 Self-loops are dropped with a counted warning, duplicate edges collapse to
 their minimum weight, and both loaders accept "-" for standard input.
 
@@ -74,21 +75,14 @@ class GraphFile:
 class LabelMap:
     """Bijection between external vertex labels and dense internal ids.
 
-    Labels by id in one array (int64, or Python ints beyond int64) that a
-    lookup searches, with no label -> id dict; an int64 array is trusted to
-    be distinct, a list is checked. A range, like Matrix Market's 1..n, is
-    mapped by its own arithmetic, with no array of n labels."""
+    The labels increase with the id. A range, like Matrix Market's 1..n, is
+    mapped by its own arithmetic, with no array of n labels; an edge list's
+    labels are one increasing array (int64, or Python ints beyond int64)
+    that a lookup searches, with no label -> id dict."""
 
     __slots__ = ("_labels",)
 
-    def __init__(self, externals: list[int] | range | np.ndarray) -> None:
-        if isinstance(externals, list):
-            if len(set(externals)) != len(externals):
-                raise ValueError("duplicate external label")
-            try:
-                externals = np.array(externals, dtype=INDEX_DTYPE)
-            except OverflowError:
-                externals = np.array(externals, dtype=object)
+    def __init__(self, externals: range | np.ndarray) -> None:
         self._labels = externals
 
     def __len__(self) -> int:
@@ -182,12 +176,20 @@ def _loadtxt(lines: Iterable[str], dtype: np.dtype) -> np.ndarray | None:
         return None
 
 
-def _bulk(lines: Iterable[str], width: int) -> _Entries | None:
-    """The labels and weights of `width`-token data lines, or None if numpy
-    rejects a line or a read weight is not finite and > 0. The
-    labels are views of the parsed table: callers derive new arrays from
-    them and drop them, so that the table is freed before the build."""
-    table = _loadtxt(lines, _TRIPLE if width == 3 else _PAIR)
+def _bulk(lines: Iterable[str], comments: str, width: int | None = None) -> _Entries | None:
+    """The labels and weights of the data lines after the leading comment and
+    blank lines, or None if there are none, numpy rejects a line or a read
+    weight is not finite and > 0. Each line holds `width` tokens; None means
+    the first line's count, if 2 or 3. The labels are views of the parsed
+    table: callers derive new arrays from them and drop them, so that the
+    table is freed before the build."""
+    _, first = next(_data_lines(lines, 0, comments))
+    if first is None:
+        return None
+    width = width or len(first)
+    if width not in (2, 3):
+        return None
+    table = _loadtxt(itertools.chain([" ".join(first)], lines), _TRIPLE if width == 3 else _PAIR)
     if table is None:
         return None
     w = np.ones(table.size) if width == 2 else table["w"].copy()
@@ -217,8 +219,12 @@ def _weight(path: str, lineno: int, tokens: list[str]) -> float:
 
 
 def _arrays(pairs: list[int], vals: list[float]) -> _Entries:
-    """Walker output as arrays: `pairs` holds row, col, row, col, ..."""
-    ends = np.array(pairs, dtype=INDEX_DTYPE)
+    """Walker output as arrays: `pairs` holds row, col, row, col, ...; labels
+    beyond int64 make them Python ints."""
+    try:
+        ends = np.array(pairs, dtype=INDEX_DTYPE)
+    except OverflowError:
+        ends = np.array(pairs, dtype=object)
     return ends[0::2], ends[1::2], np.array(vals, dtype=VALUE_DTYPE)
 
 
@@ -297,13 +303,9 @@ def _mm_header(path: str, lines: TextIO) -> _Header:
 
 
 def _bulk_mm(lines: TextIO, header: _Header) -> _Entries | None:
-    """The entries after the size line as 0-based arrays, or None; comment
-    lines before the first entry are skipped."""
+    """The entries after the size line as 0-based arrays, or None."""
     n, declared, width, _, _ = header
-    _, first = next(_data_lines(lines, 0, "%"))
-    if first is None:
-        return None
-    parsed = _bulk(itertools.chain([" ".join(first)], lines), width)
+    parsed = _bulk(lines, "%", width)
     if parsed is None:
         return None
     r, c, w = parsed
@@ -337,69 +339,49 @@ def _walk_mm(path: str, lines: TextIO, header: _Header) -> _Entries:
 def load_edge_list(path: str, directed: bool = True) -> tuple[SparseMatrix, LabelMap]:
     """Read a whitespace edge list: 'u v' or 'u v w' per line; 'u v' has weight 1.0.
 
-    Labels are arbitrary non-negative integers, remapped to dense ids in
-    first-seen order (source before target). '#' and '%' start comment
+    Labels are arbitrary non-negative integers; each vertex's id is its
+    label's rank among the distinct labels. '#' and '%' start comment
     lines. Undirected input stores both directions of every edge.
     """
     lines = _read(path)
-    parsed = _bulk_edge_list(lines)
-    if parsed is None:
+    entries = _bulk_edge_list(lines)
+    if entries is None:
         lines.seek(0)
-        parsed = _walk_edge_list(path, lines)
-    del lines  # free the text before the build
-    (rows, cols, vals), externals = parsed
+        entries = _walk_edge_list(path, lines)
+    u, v, vals = entries
+    del lines, entries  # free the text, and the parsed table once u and v are interned
+    rows, cols, externals = _intern(u, v)
+    del u, v
     matrix = _build(path, len(externals), rows, cols, vals, mirror=not directed)
     return matrix, LabelMap(externals)
 
 
-def _bulk_edge_list(lines: TextIO) -> tuple[_Entries, np.ndarray] | None:
-    """Edges as dense ids and the labels by id, or None; the first data line sets the width."""
-    _, first = next(_data_lines(lines, 0, "#%"))
-    if first is None or len(first) not in (2, 3):
+def _bulk_edge_list(lines: TextIO) -> _Entries | None:
+    """Edges as labels and weights, or None; the first data line sets the width."""
+    parsed = _bulk(lines, "#%")
+    if parsed is None or not (np.all(parsed[0] >= 0) and np.all(parsed[1] >= 0)):
         return None
-    parsed = _bulk(itertools.chain([" ".join(first)], lines), len(first))
-    if parsed is None:
-        return None
-    u, v, w = parsed
-    if not (np.all(u >= 0) and np.all(v >= 0)):
-        return None
-    ids, externals = _intern(u, v)
-    return (ids[0::2], ids[1::2], w), externals
+    return parsed
 
 
-def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense ids in first-seen order over u[0], v[0], u[1], v[1], ...:
-    returns the ids of that interleaved sequence and the labels by id. If
-    no label reaches the sequence's length, a table by label, never longer
-    than the sequence, finds each first position and only the distinct
-    labels are sorted; sparser labels sort the whole sequence."""
-    seq = np.empty(2 * u.size, dtype=INDEX_DTYPE)
-    seq[0::2], seq[1::2] = u, v
-    size = int(seq.max()) + 1
-    if size <= seq.size:
-        first = np.full(size, seq.size, dtype=INDEX_DTYPE)
-        np.minimum.at(first, seq, np.arange(seq.size))
-        labels = np.flatnonzero(first < seq.size)
-        labels = labels[np.argsort(first[labels])]
-        first[labels] = np.arange(labels.size)  # now each label's id
-        return first[seq], labels
-    perm = np.argsort(seq)
-    seq = seq[perm]
-    starts = np.flatnonzero(np.concatenate([[True], seq[1:] != seq[:-1]]))
-    labels = seq[starts]
-    del seq  # free before the id pass; perm still holds every position
-    # each distinct label's first position; the sort left each run in any order
-    by_first = np.argsort(np.minimum.reduceat(perm, starts))
-    rank = np.empty_like(by_first)
-    rank[by_first] = np.arange(by_first.size)
-    ids = np.empty_like(perm)
-    ids[perm] = np.repeat(rank, np.diff(starts, append=perm.size))
-    return ids, labels[by_first]
+def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each label's rank among the distinct labels of u and v: returns the
+    ids of u, the ids of v and the increasing labels by id. Labels below 2m
+    mark a presence table by label; sparser ones, and the walker's Python
+    ints beyond int64, are sorted."""
+    size = int(max(u.max(), v.max())) + 1
+    if size <= 2 * u.size:
+        rank = np.zeros(size, dtype=INDEX_DTYPE)
+        rank[u] = rank[v] = 1
+        labels = np.flatnonzero(rank)
+        rank[labels] = np.arange(labels.size)
+        return rank[u], rank[v], labels
+    labels, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
+    return ids[: u.size], ids[u.size :], labels
 
 
-def _walk_edge_list(path: str, lines: TextIO) -> tuple[_Entries, list[int]]:
+def _walk_edge_list(path: str, lines: TextIO) -> _Entries:
     """Line-by-line edge reader: raises the first error with its line."""
-    ids: dict[int, int] = {}  # label -> dense id, in first-seen order
     pairs: list[int] = []
     vals: list[float] = []
     for lineno, parts in _data_lines(lines, 0, "#%"):
@@ -411,10 +393,10 @@ def _walk_edge_list(path: str, lines: TextIO) -> tuple[_Entries, list[int]]:
         if u < 0 or v < 0:
             raise ParseError(path, lineno, "vertex labels must be non-negative")
         vals.append(_weight(path, lineno, parts))
-        pairs += ids.setdefault(u, len(ids)), ids.setdefault(v, len(ids))
-    if not ids:
+        pairs += u, v
+    if not vals:
         raise ParseError(path, max(lineno, 1), "no vertices found")
-    return _arrays(pairs, vals), list(ids)
+    return _arrays(pairs, vals)
 
 
 def load_graph(spec: GraphFile) -> tuple[SparseMatrix, LabelMap]:

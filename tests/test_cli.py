@@ -226,7 +226,7 @@ def test_run_output_pins_labels_beyond_int64(tmp_path, capsys):
 
 
 def test_run_output_orders_labels_by_value_not_first_seen(tmp_path, capsys):
-    # first-seen order 30, 10, 20, 5 gives ids that are not in label order
+    # labels first seen as 30, 10, 20, 5 still print in increasing order
     p = tmp_path / "order.edges"
     p.write_text("30 10 1\n10 20 2\n20 5 3\n")
     for backend in ("unfused", "fused"):

@@ -346,10 +346,12 @@ def test_edges_directed_with_remapping(tmp_path):
     assert 5 in labels and 7 not in labels
 
 
-def test_edges_first_seen_order_source_before_target(tmp_path):
+def test_edges_ids_are_label_ranks(tmp_path):
+    # first seen as 4, 2, 0: the ids still follow the labels' order
     path = write(tmp_path, "4 2 1.0\n2 0 1.0\n")
-    _, labels = load_edge_list(path)
-    assert labels.externals == [4, 2, 0]
+    matrix, labels = load_edge_list(path)
+    assert labels.externals == [0, 2, 4]
+    assert matrix.entry_set() == {(2, 1, 1.0), (1, 0, 1.0)}
 
 
 def test_edges_lone_self_loop_keeps_vertex(tmp_path, caplog):
@@ -424,11 +426,11 @@ def test_edges_from_stdin(monkeypatch):
     assert matrix.entry_set() == {(0, 1, 2.0), (1, 2, 3.0)}
 
 
-def _first_seen(u: list[int], v: list[int]) -> tuple[list[int], list[int]]:
-    """The ids and labels that the line walker's dict.setdefault gives."""
-    ids: dict[int, int] = {}
-    seq = [ids.setdefault(label, len(ids)) for pair in zip(u, v) for label in pair]
-    return seq, list(ids)
+def _ranks(u: list, v: list) -> tuple[list[int], list[int], list]:
+    """The ids of u and v and the labels by id, from sorted(set(...))."""
+    labels = sorted(set(u + v))
+    rank = {label: i for i, label in enumerate(labels)}
+    return [rank[x] for x in u], [rank[x] for x in v], labels
 
 
 def _intern_cases():
@@ -449,29 +451,36 @@ def _intern_cases():
     yield [6, 0, 2], [1, 6, 3]  # max + 1 == 2m + 1
     yield [4, 4, 1], [4, 2, 2]  # self-loops
     yield [10**12, 3, 7], [2**62, 10**12, 3]
+    yield [2**64 + 3, 7, 2**63], [9, 2**64 + 3, 7]  # beyond int64: Python ints
 
 
-def test_intern_branches_match_walker_first_seen_order(tmp_path):
+def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
     # The table branch runs when max label + 1 <= 2m; shifting every label
-    # past 2m keeps the first-seen order and drives the sort branch.
+    # past 2m keeps their order and drives the sort branch, which also takes
+    # the object arrays of labels beyond int64.
     branches = set()
     for u, v in _intern_cases():
         m2 = 2 * len(u)
         shifted = ([x * (m2 + 1) + m2 for x in u], [x * (m2 + 1) + m2 for x in v])
         for su, sv in ((u, v), shifted) if max(u + v) < 2**40 else ((u, v),):
-            want_ids, want_labels = _first_seen(su, sv)
-            ids, labels = loaders._intern(np.array(su), np.array(sv))
-            assert ids.dtype == np.int64 and ids.tolist() == want_ids
-            assert labels.dtype == np.int64 and labels.tolist() == want_labels
-            branches.add(max(su + sv) + 1 <= m2)
+            wide = max(su + sv) >= 2**63
+            dtype = object if wide else np.int64
+            ids_u, ids_v, labels = loaders._intern(np.array(su, dtype), np.array(sv, dtype))
+            assert ids_u.dtype == ids_v.dtype == np.int64 and labels.dtype == dtype
+            assert (ids_u.tolist(), ids_v.tolist(), labels.tolist()) == _ranks(su, sv)
+            branches.add("object" if wide else max(su + sv) + 1 <= m2)
         body = "".join(f"{a} {b} {i + 1}\n" for i, (a, b) in enumerate(zip(u, v)))
         path = write(tmp_path, body)
         matrix, labels = load_edge_list(path)
-        want_ids, want_labels = _first_seen(u, v)
-        triples = [(want_ids[2 * i], want_ids[2 * i + 1], i + 1.0) for i in range(len(u))]
+        want_u, want_v, want_labels = _ranks(u, v)
+        triples = [(a, b, i + 1.0) for i, (a, b) in enumerate(zip(want_u, want_v))]
         assert labels.externals == want_labels
         assert matrix == matrix_build(len(want_labels), np.array(triples).reshape(-1, 3))
-    assert branches == {True, False}
+        with monkeypatch.context() as patch:
+            patch.setattr(loaders, "_loadtxt", lambda lines, dtype: None)
+            walked, walked_labels = load_edge_list(path)
+        assert walked == matrix and walked_labels.externals == want_labels
+    assert branches == {True, False, "object"}
 
 
 def _runs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -553,14 +562,9 @@ def test_missing_file_raises_oserror(tmp_path):
         load_edge_list(str(tmp_path / "nope.txt"))
 
 
-def test_label_map_rejects_duplicates():
-    with pytest.raises(ValueError):
-        LabelMap([1, 2, 1])
-
-
 def test_label_map_range_equals_list():
-    # a range answers every query as the list of its labels does
-    for labels in (LabelMap(range(1, 4)), LabelMap([1, 2, 3])):
+    # a range answers every query as the array of its labels does
+    for labels in (LabelMap(range(1, 4)), LabelMap(np.array([1, 2, 3]))):
         assert len(labels) == 3
         assert labels.externals == [1, 2, 3]
         assert [labels.to_internal(x) for x in (1, 2, 3)] == [0, 1, 2]
@@ -572,13 +576,15 @@ def test_label_map_range_equals_list():
 
 
 def test_label_map_searches_its_label_array(tmp_path):
-    # the bulk loader's int64 labels, and a list with a label beyond int64,
-    # are looked up by a search of the array; labels outside int64 are absent
+    # the bulk loader's int64 labels, and an object array with a label beyond
+    # int64, are looked up by a search of the array; labels outside int64 are absent
     _, bulk = load_edge_list(write(tmp_path, "7 3\n3 9\n"))
-    for labels, big in ((bulk, 3), (LabelMap([7, 2**64 + 3, 9]), 2**64 + 3)):
-        assert labels.to_internal(big) == 1 and big in labels
-        assert labels.externals == [7, big, 9]
-        assert labels.to_external_array(np.array([2, 0, 1])).tolist() == [9, 7, big]
+    wide = LabelMap(np.array([7, 9, 2**64 + 3], dtype=object))
+    for labels, want in ((bulk, [3, 7, 9]), (wide, [7, 9, 2**64 + 3])):
+        assert [labels.to_internal(x) for x in want] == [0, 1, 2]
+        assert all(x in labels for x in want)
+        assert labels.externals == want
+        assert labels.to_external_array(np.array([2, 0, 1])).tolist() == [want[2], *want[:2]]
         for missing in (-1, 8, 2**63, 2**70):
             assert missing not in labels
             with pytest.raises(KeyError):
@@ -636,7 +642,7 @@ def test_load_peak_memory_per_edge(tmp_path):
 
 
 def test_label_map_round_trip():
-    labels = LabelMap([10, 20, 30])
+    labels = LabelMap(np.array([10, 20, 30]))
     assert len(labels) == 3
     for internal, external in enumerate([10, 20, 30]):
         assert labels.to_internal(external) == internal

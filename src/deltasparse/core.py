@@ -265,10 +265,8 @@ def matrix_build(
     """Validating constructor from (row, col, weight) triples.
 
     Weights must be strictly positive and finite. Duplicate coordinates are
-    collapsed with min. Self-loop triples are dropped silently. The checked
-    entries go to `_csr`, which the loaders call directly with the rows,
-    columns and weights they have already checked.
-    """
+    collapsed with min; self-loops are dropped silently. The loaders call
+    `_csr`, the build after these checks, directly with their checked entries."""
     arr = _as_float_table(triples, 3)
     rows = _integral(arr[:, 0], "row indices")
     cols = _integral(arr[:, 1], "column indices")
@@ -281,29 +279,45 @@ def matrix_build(
         if not np.all(np.isfinite(vals) & (vals > 0)):
             bad = vals[~(np.isfinite(vals) & (vals > 0))][0]
             raise ValueError(f"edge weights must be strictly positive, got {bad}")
-    off_diag = rows != cols
-    return _csr(n, rows[off_diag], cols[off_diag], vals[off_diag])
+    return _csr(n, [rows, cols, vals])
 
 
-def _csr(n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> SparseMatrix:
-    """The matrix of off-diagonal entries that pass matrix_build's checks;
-    each duplicate coordinate keeps its smallest weight."""
-    key, vals = _min_by_key(rows * n + cols, vals)
-    rows = key // n
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))]).astype(INDEX_DTYPE)
-    return SparseMatrix(n, indptr, key - rows * n, vals)
+def _csr(n: int, entries: list[np.ndarray]) -> SparseMatrix:
+    """The matrix of the entries [rows, cols, vals] that pass matrix_build's
+    checks, minus self-loops, each duplicate at its least weight. It empties
+    `entries` and writes into none: what no caller holds is freed once used."""
+    off_diag = entries[0] != entries[1]
+    entries[:2] = [entries[0] * n + entries[1]]  # the key replaces rows and cols
+    if not off_diag.all():
+        entries[:] = entries[0][off_diag], entries[1][off_diag]
+    key, vals = _min_by_key(entries)
+    indptr = key.searchsorted(np.arange(n + 1, dtype=INDEX_DTYPE) * n)
+    return SparseMatrix(n, indptr, np.remainder(key, n, out=key), vals)
 
 
-def _min_by_key(key: np.ndarray, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by key and fold each later member of a run of equal keys into
-    the run's first member with min. Keys that fit in one int64 beside their
-    position are sorted packed with it, a plain sort rather than an argsort."""
+def _sorted_keys(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The non-negative keys sorted, and the permutation that sorts them. Keys
+    that fit in one int64 beside their position are sorted packed with it, in
+    place, not argsorted; `key` itself is not written to."""
     bits = key.size.bit_length()  # the low bits of a packed key hold its position
-    if key.size and key.max() < 1 << (63 - bits):
-        order = np.sort(key << bits | np.arange(key.size)) & ((1 << bits) - 1)
-    else:
+    if not key.size or key.max() >= 1 << (63 - bits):
         order = np.argsort(key)
-    key, vals = key[order], vals[order]
+        return key[order], order
+    word = key << bits
+    word |= np.arange(word.size)
+    word.sort()
+    order = word & ((1 << bits) - 1)
+    word >>= bits
+    return word, order
+
+
+def _min_by_key(entries: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Sort [key, vals] by key and fold each later member of a run of equal
+    keys into the run's first member with min. It empties `entries` and
+    returns new arrays, writing into neither."""
+    key, order = _sorted_keys(entries.pop(0))
+    vals = entries.pop()[order]
+    del order
     later = np.flatnonzero(key[1:] == key[:-1]) + 1
     if not later.size:
         return key, vals

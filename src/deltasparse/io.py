@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import _MAX_KEYED_DIMENSION, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, _csr
+from .core import _MAX_KEYED_DIMENSION, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, _csr, _sorted_keys
 
 __all__ = [
     "GraphFile",
@@ -124,14 +124,14 @@ class LabelMap:
 # loadtxt record layouts: 'u v' lines and 'u v w' lines
 _PAIR = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE)])
 _TRIPLE = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE), ("w", VALUE_DTYPE)])
-_Entries = tuple[np.ndarray, np.ndarray, np.ndarray]  # rows, cols, weights
+_Entries = list[np.ndarray]  # rows, cols, weights: each stage replaces or empties them
 _Header = tuple[int, int, int, bool, int]  # n, declared entries, width, symmetric, size line
 
 
 def _read(path: str) -> TextIO:
-    """The whole input, read once as bytes and checked to be UTF-8, as a
-    rewindable text stream. A file reads with universal newlines, as `open`
-    gives, and standard input with "\n" only, as `sys.stdin` gives on POSIX."""
+    """The whole input, read once as bytes and, unless ASCII, decoded once to
+    check it is UTF-8, as a rewindable text stream. A file reads with universal
+    newlines, as `open` gives, and standard input with "\n" only, as on POSIX."""
     if path == "-":
         buffer = getattr(sys.stdin, "buffer", None)
         data = sys.stdin.read().encode("utf-8") if buffer is None else buffer.read()
@@ -141,7 +141,8 @@ def _read(path: str) -> TextIO:
             data = fh.read()
         newline = None
     try:
-        data.decode("utf-8")
+        if not data.isascii():
+            data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         breaks = head.count(b"\n")
@@ -180,9 +181,7 @@ def _bulk(lines: Iterable[str], comments: str, width: int | None = None) -> _Ent
     """The labels and weights of the data lines after the leading comment and
     blank lines, or None if there are none, numpy rejects a line or a read
     weight is not finite and > 0. Each line holds `width` tokens; None means
-    the first line's count, if 2 or 3. The labels are views of the parsed
-    table: callers derive new arrays from them and drop them, so that the
-    table is freed before the build."""
+    the first line's count, if 2 or 3. Labels and read weights view the table."""
     _, first = next(_data_lines(lines, 0, comments))
     if first is None:
         return None
@@ -192,10 +191,10 @@ def _bulk(lines: Iterable[str], comments: str, width: int | None = None) -> _Ent
     table = _loadtxt(itertools.chain([" ".join(first)], lines), _TRIPLE if width == 3 else _PAIR)
     if table is None:
         return None
-    w = np.ones(table.size) if width == 2 else table["w"].copy()
+    w = np.ones(table.size) if width == 2 else table["w"]
     if not np.all(np.isfinite(w) & (w > 0)):
         return None
-    return table["u"], table["v"], w
+    return [table["u"], table["v"], w]
 
 
 def _labels(path: str, lineno: int, tokens: list[str], what: str) -> tuple[int, int]:
@@ -225,23 +224,21 @@ def _arrays(pairs: list[int], vals: list[float]) -> _Entries:
         ends = np.array(pairs, dtype=INDEX_DTYPE)
     except OverflowError:
         ends = np.array(pairs, dtype=object)
-    return ends[0::2], ends[1::2], np.array(vals, dtype=VALUE_DTYPE)
+    return [ends[0::2], ends[1::2], np.array(vals, dtype=VALUE_DTYPE)]
 
 
-def _build(
-    path: str, n: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, mirror: bool
-) -> SparseMatrix:
-    """Count and drop self-loops, add the reverse of every edge if `mirror`,
-    and build the CSR from the checked entries without matrix_build's checks."""
-    keep = rows != cols
-    loops = keep.size - int(np.count_nonzero(keep))
+def _build(path: str, n: int, entries: _Entries, mirror: bool) -> SparseMatrix:
+    """Count the self-loops, add reverse edges if `mirror`, and hand the checked
+    entries to the CSR build; weights viewing the parsed table are copied out."""
+    loops = int(np.count_nonzero(entries[0] == entries[1]))
     if loops:
         log.warning("%s: dropped %d self-loop entr%s", path, loops, "y" if loops == 1 else "ies")
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if mirror:
-        rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
-        vals = np.concatenate([vals, vals])
-    return _csr(n, rows, cols, vals)
+    entries[2] = np.ascontiguousarray(entries[2])
+    if mirror:  # each stored array is freed as soon as its mirror replaces it
+        entries[0] = np.concatenate(entries[:2])
+        entries[1] = np.concatenate([entries[1], entries[0][: entries[1].size]])
+        entries[2] = np.concatenate([entries[2], entries[2]])
+    return _csr(n, entries)
 
 
 def load_matrix_market(path: str) -> tuple[SparseMatrix, LabelMap]:
@@ -261,7 +258,7 @@ def load_matrix_market(path: str) -> tuple[SparseMatrix, LabelMap]:
     del lines  # free the text before the build
     n, _, _, symmetric, size_line = header
     try:
-        return _build(path, n, *entries, mirror=symmetric), LabelMap(range(1, n + 1))
+        return _build(path, n, entries, mirror=symmetric), LabelMap(range(1, n + 1))
     except MemoryError:
         message = f"matrix dimension {n} is too large to allocate"
         raise ValidationError(path, size_line, message) from None
@@ -303,15 +300,17 @@ def _mm_header(path: str, lines: TextIO) -> _Header:
 
 
 def _bulk_mm(lines: TextIO, header: _Header) -> _Entries | None:
-    """The entries after the size line as 0-based arrays, or None."""
+    """The entries after the size line, shifted to 0-based in place, or None."""
     n, declared, width, _, _ = header
     parsed = _bulk(lines, "%", width)
     if parsed is None:
         return None
-    r, c, w = parsed
+    r, c, _ = parsed
     if r.size != declared or not np.all((r >= 1) & (r <= n) & (c >= 1) & (c <= n)):
         return None
-    return r - 1, c - 1, w
+    r -= 1
+    c -= 1
+    return parsed
 
 
 def _walk_mm(path: str, lines: TextIO, header: _Header) -> _Entries:
@@ -344,31 +343,20 @@ def load_edge_list(path: str, directed: bool = True) -> tuple[SparseMatrix, Labe
     lines. Undirected input stores both directions of every edge.
     """
     lines = _read(path)
-    entries = _bulk_edge_list(lines)
-    if entries is None:
+    entries = _bulk(lines, "#%")  # the first data line sets the width
+    if entries is None or entries[0].min() < 0 or entries[1].min() < 0:
         lines.seek(0)
         entries = _walk_edge_list(path, lines)
-    u, v, vals = entries
-    del lines, entries  # free the text, and the parsed table once u and v are interned
-    rows, cols, externals = _intern(u, v)
-    del u, v
-    matrix = _build(path, len(externals), rows, cols, vals, mirror=not directed)
-    return matrix, LabelMap(externals)
-
-
-def _bulk_edge_list(lines: TextIO) -> _Entries | None:
-    """Edges as labels and weights, or None; the first data line sets the width."""
-    parsed = _bulk(lines, "#%")
-    if parsed is None or not (np.all(parsed[0] >= 0) and np.all(parsed[1] >= 0)):
-        return None
-    return parsed
+    del lines  # free the text; the ids replace the labels, which frees the parsed table
+    entries[0], entries[1], externals = _intern(entries[0], entries[1])
+    return _build(path, len(externals), entries, mirror=not directed), LabelMap(externals)
 
 
 def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each label's rank among the distinct labels of u and v: returns the
     ids of u, the ids of v and the increasing labels by id. Labels below 2m
-    mark a presence table by label; sparser ones, and the walker's Python
-    ints beyond int64, are sorted."""
+    mark a presence table by label; sparser ones take the CSR build's key
+    sort, and the walker's Python ints beyond int64 `np.unique`."""
     size = int(max(u.max(), v.max())) + 1
     if size <= 2 * u.size:
         rank = np.zeros(size, dtype=INDEX_DTYPE)
@@ -376,7 +364,15 @@ def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         labels = np.flatnonzero(rank)
         rank[labels] = np.arange(labels.size)
         return rank[u], rank[v], labels
-    labels, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
+    if u.dtype == object:
+        labels, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
+    else:
+        both, order = _sorted_keys(np.concatenate([u, v]))
+        first = np.concatenate([[True], both[1:] != both[:-1]])
+        labels = both[first]
+        both[0], both[1:] = 0, first[1:]  # ranks count the labels below, summed in place
+        ids = np.empty_like(order)
+        ids[order] = np.cumsum(both, out=both)
     return ids[: u.size], ids[u.size :], labels
 
 

@@ -29,7 +29,7 @@ from typing import Iterable, Iterator, TextIO
 
 import numpy as np
 
-from .core import _MAX_KEYED_DIMENSION, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, _csr, _sorted_keys
+from .core import _MAX_KEYED_DIMENSION, INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, _csr
 
 __all__ = [
     "GraphFile",
@@ -355,8 +355,8 @@ def load_edge_list(path: str, directed: bool = True) -> tuple[SparseMatrix, Labe
 def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each label's rank among the distinct labels of u and v: returns the
     ids of u, the ids of v and the increasing labels by id. Labels below 2m
-    mark a presence table by label; sparser ones take the CSR build's key
-    sort, and the walker's Python ints beyond int64 `np.unique`."""
+    mark a presence table by label; sparser ones, and the walker's Python
+    ints beyond int64, are sorted."""
     size = int(max(u.max(), v.max())) + 1
     if size <= 2 * u.size:
         rank = np.zeros(size, dtype=INDEX_DTYPE)
@@ -364,15 +364,7 @@ def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
         labels = np.flatnonzero(rank)
         rank[labels] = np.arange(labels.size)
         return rank[u], rank[v], labels
-    if u.dtype == object:
-        labels, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
-    else:
-        both, order = _sorted_keys(np.concatenate([u, v]))
-        first = np.concatenate([[True], both[1:] != both[:-1]])
-        labels = both[first]
-        both[0], both[1:] = 0, first[1:]  # ranks count the labels below, summed in place
-        ids = np.empty_like(order)
-        ids[order] = np.cumsum(both, out=both)
+    labels, ids = np.unique(np.concatenate([u, v]), return_inverse=True)
     return ids[: u.size], ids[u.size :], labels
 
 

@@ -458,25 +458,14 @@ def _intern_cases():
     yield [6, 0, 2], [1, 6, 3]  # max + 1 == 2m + 1
     yield [4, 4, 1], [4, 2, 2]  # self-loops
     yield [10**12, 3, 7], [2**62, 10**12, 3]
-    yield [2**63 - 1, 5, 2**62 + 1], [0, 2**63 - 1, 7]  # too wide to pack beside a position
+    yield [2**63 - 1, 5, 2**62 + 1], [0, 2**63 - 1, 7]  # up to the int64 top
     yield [2**64 + 3, 7, 2**63], [9, 2**64 + 3, 7]  # beyond int64: Python ints
-
-
-def _intern_branch(u: list, v: list) -> str:
-    """Which way _intern ranks these labels."""
-    top, m2 = max(u + v), 2 * len(u)
-    if top >= 2**63:
-        return "object"
-    if top + 1 <= m2:
-        return "table"
-    return "packed" if top < 1 << (63 - m2.bit_length()) else "argsort"
 
 
 def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
     # The table branch runs when max label + 1 <= 2m; shifting every label
-    # past 2m keeps their order and drives the sort branch: packed beside
-    # their positions where they fit in one int64, else by argsort. Labels
-    # beyond int64 are Python ints in object arrays, ranked by np.unique.
+    # past 2m keeps their order and drives the sort branch, which also takes
+    # the object arrays of labels beyond int64.
     branches = set()
     for u, v in _intern_cases():
         m2 = 2 * len(u)
@@ -487,7 +476,7 @@ def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
             ids_u, ids_v, labels = loaders._intern(np.array(su, dtype), np.array(sv, dtype))
             assert ids_u.dtype == ids_v.dtype == np.int64 and labels.dtype == dtype
             assert (ids_u.tolist(), ids_v.tolist(), labels.tolist()) == _ranks(su, sv)
-            branches.add(_intern_branch(su, sv))
+            branches.add("object" if wide else max(su + sv) + 1 <= m2)
         body = "".join(f"{a} {b} {i + 1}\n" for i, (a, b) in enumerate(zip(u, v)))
         path = write(tmp_path, body)
         matrix, labels = load_edge_list(path)
@@ -499,7 +488,7 @@ def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
             patch.setattr(loaders, "_loadtxt", lambda lines, dtype: None)
             walked, walked_labels = load_edge_list(path)
         assert walked == matrix and walked_labels.externals == want_labels
-    assert branches == {"table", "packed", "argsort", "object"}
+    assert branches == {True, False, "object"}
 
 
 def _runs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,6 @@ from .ops import (
     OR,
     TIMES,
     BinaryOp,
-    UnaryPredicate,
     ewise_add_vector,
     ewise_mult_vector,
     filter_matrix,
@@ -73,7 +72,6 @@ __all__ = [
     "OR",
     "TIMES",
     "BinaryOp",
-    "UnaryPredicate",
     "ewise_add_vector",
     "ewise_mult_vector",
     "filter_matrix",

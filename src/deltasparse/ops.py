@@ -30,7 +30,6 @@ from .core import (
 from .fused import _push
 
 __all__ = [
-    "UnaryPredicate",
     "BinaryOp",
     "MIN",
     "TIMES",
@@ -47,27 +46,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class UnaryPredicate:
-    """Total scalar test, vectorized over value arrays."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    description: str
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        return self.fn(values)
+def greater_than(limit: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda v: v > limit
 
 
-def greater_than(limit: float) -> UnaryPredicate:
-    return UnaryPredicate(lambda v: v > limit, f"x > {limit:g}")
+def positive_at_most(limit: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda v: (v > 0) & (v <= limit)
 
 
-def positive_at_most(limit: float) -> UnaryPredicate:
-    return UnaryPredicate(lambda v: (v > 0) & (v <= limit), f"0 < x <= {limit:g}")
-
-
-def in_half_open(lo: float, hi: float) -> UnaryPredicate:
-    return UnaryPredicate(lambda v: (v >= lo) & (v < hi), f"{lo:g} <= x < {hi:g}")
+def in_half_open(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
+    return lambda v: (v >= lo) & (v < hi)
 
 
 @dataclass(frozen=True)
@@ -113,14 +101,14 @@ def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
     return SparseVector(length, idx, out)
 
 
-def filter_vector(vec: SparseVector, pred: UnaryPredicate) -> SparseVector:
+def filter_vector(vec: SparseVector, pred: Callable[[np.ndarray], np.ndarray]) -> SparseVector:
     """Structural mask over the entries whose value satisfies the predicate;
     no false entry is ever stored."""
     idx = vec.indices[pred(vec.values)]
     return SparseVector._adopt(vec.length, idx, _ones(idx.size))
 
 
-def filter_matrix(matrix: SparseMatrix, pred: UnaryPredicate) -> SparseMatrix:
+def filter_matrix(matrix: SparseMatrix, pred: Callable[[np.ndarray], np.ndarray]) -> SparseMatrix:
     """Keep exactly the entries whose weight satisfies the predicate,
     preserving coordinates and values."""
     # a row's new start counts the kept positions before its old one: no nnz-long prefix sum

@@ -75,8 +75,20 @@ class SsspState:
 
 @dataclass(frozen=True)
 class SsspResult:
+    """One solve's distances and counts.
+
+    distances: the reachable vertices and their shortest distances.
+    outer_iterations: the paper's outer loop count, windows i = 0, 1, ...
+    up to the one holding the largest distance, empty windows included.
+    occupied_buckets: the windows that held a tentative distance when the
+    walk reached them, the ones it visits; each takes one heavy step.
+    inner_phases: light relaxation passes, summed over those buckets.
+    elapsed: seconds from the edge split to the final distances.
+    """
+
     distances: SparseVector
     outer_iterations: int
+    occupied_buckets: int
     inner_phases: int
     elapsed: float
 
@@ -282,22 +294,19 @@ def delta_stepping(
     source: int,
     delta: float,
     *,
-    backend: BackendChoice | None = None,
-    skip_empty_buckets: bool = False,
+    backend: BackendChoice = BackendChoice(),
 ) -> SsspResult:
     """Solve single-source shortest paths over strictly positive weights.
 
     Visits, in increasing index order, only the buckets whose window holds
-    a tentative distance; an empty one would relax nothing. The mode sets
-    only how `outer_iterations` counts them: every window up to the last
-    bucket by default, or just the buckets with `skip_empty_buckets`.
+    a tentative distance; an empty one would relax nothing. The result
+    counts both: `outer_iterations` every window up to the last bucket,
+    `occupied_buckets` just the buckets visited (see SsspResult).
     Elapsed time covers everything from the edge split onward. Raises
     ValueError for a source out of range, a delta that is not positive and
     finite, and DeltaTooSmall (a ValueError) for a delta too small to place
     a distance in a float window.
     """
-    if backend is None:
-        backend = BackendChoice()
     if not 0 <= source < matrix.n:
         raise ValueError(f"source {source} out of range for {matrix.n} vertices")
     if not (delta > 0) or not math.isfinite(delta):
@@ -316,8 +325,7 @@ def delta_stepping(
     solve = _solve_fused if fused else _solve_unfused
     t, buckets, last, phases = solve(light, heavy, source, delta, matrix.n * per_bucket)
     elapsed = time.perf_counter() - start
-    outer = buckets if skip_empty_buckets else last + 1
-    return SsspResult(distances=t, outer_iterations=outer, inner_phases=phases, elapsed=elapsed)
+    return SsspResult(t, last + 1, buckets, phases, elapsed)
 
 
 def dijkstra_oracle(matrix: SparseMatrix, source: int) -> SparseVector:

@@ -6,7 +6,7 @@ Criterion map:
   2 union-combine pass-through examples, hazard and mask fix included
   3 light/heavy edge partition is exact
   4 fused backend bit-equals unfused step by step: same light/heavy steps,
-    same distances after each, same bucket after each light step
+    same distances after each, same bucket after each light step, same counts
   5 range decomposition: 1-, 3-, 17-entry and real-size ranges agree bit for bit
   6 unit-weight graphs at width 1 behave like breadth-first search
   7 fused is not slower than unfused
@@ -187,36 +187,38 @@ def test_criterion_4_fusion_transparency(corpus, monkeypatch):
     # Equal step logs mean the same light/heavy sequence and bit-equal
     # tentative distances after every step. A light step's next bucket is
     # the frontier of the step after it, or empty when that step is heavy,
-    # so they also mean bit-equal buckets after every light step.
+    # so they also mean bit-equal buckets after every light step. Each
+    # occupied bucket takes one heavy step, and the outer loop counts every
+    # window up to the one holding the largest distance.
     log = step_recorder(monkeypatch)
     mismatches = []
     steps = 0
     for case, (matrix, source, _) in enumerate(corpus):
         for delta in DELTAS:
-            for skip in (False, True):
-                logs = []
-                for kind in ("unfused", "fused"):
-                    log.clear()
-                    result = delta_stepping(
-                        matrix,
-                        source,
-                        delta,
-                        backend=BackendChoice(kind),
-                        skip_empty_buckets=skip,
-                    )
-                    logs.append((result.distances, list(log)))
-                (want, want_steps), (got, got_steps) = logs
-                steps += len(want_steps)
-                if got != want or got_steps != want_steps:
-                    mismatches.append((case, delta, skip))
+            runs = []
+            for kind in ("unfused", "fused"):
+                log.clear()
+                result = delta_stepping(matrix, source, delta, backend=BackendChoice(kind))
+                heavy_steps = sum(step[0] == "heavy" for step in log)
+                top = float(result.distances.values.max())
+                counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
+                runs.append((result.distances, list(log), counts))
+                if result.occupied_buckets != heavy_steps:
+                    mismatches.append((case, delta, kind, "occupied_buckets"))
+                if result.outer_iterations != sssp._window_of(top, delta) + 1:
+                    mismatches.append((case, delta, kind, "outer_iterations"))
+            (want, want_steps, want_counts), (got, got_steps, got_counts) = runs
+            steps += len(want_steps)
+            if got != want or got_steps != want_steps or got_counts != want_counts:
+                mismatches.append((case, delta))
 
     ok = not mismatches and steps > 0
     record_acceptance(
         f"criterion 4: {'PASS' if ok else 'FAIL'} "
         f"fused backend bit-equals unfused step by step on all {len(corpus)}x{len(DELTAS)} "
-        f"runs in one-step and skip modes: {steps} paired light/heavy steps, equal "
-        f"distances after every step and equal buckets after every light step "
-        f"({len(mismatches)} runs differ)"
+        f"runs: {steps} paired light/heavy steps, equal distances after every step, "
+        f"equal buckets after every light step and equal outer, bucket and phase counts "
+        f"({len(mismatches)} mismatches)"
     )
     assert ok, mismatches[:5]
 
@@ -385,11 +387,9 @@ def test_criterion_9_termination_guard():
         result = delta_stepping(star, 0, delta)
         checks.append(result.distances.get(6) == 100.0)
         checks.append(result.outer_iterations <= math.ceil(100.0 / delta) + 1)
-        # the buckets between the spokes and the far vertex are all empty;
-        # skipping them must not change the answer
-        skipping = delta_stepping(star, 0, delta, skip_empty_buckets=True)
-        checks.append(skipping.distances == result.distances)
-        checks.append(skipping.outer_iterations <= result.outer_iterations)
+        # the windows between the spokes and the far vertex are all empty,
+        # so only those holding 0, 1 or 100 are visited
+        checks.append(result.occupied_buckets == len({d // delta for d in (0.0, 1.0, 100.0)}))
 
     ok = all(checks)
     record_acceptance(

@@ -388,8 +388,9 @@ def test_run_tiny_delta_skipping_is_a_usage_error(tmp_path, capsys, delta, backe
 @pytest.mark.parametrize("backend", ["unfused", "fused"])
 @pytest.mark.parametrize("delta", ["1e-17", "1e-20", "1e-300"])
 def test_run_tiny_delta_one_step_solves(tmp_path, capsys, delta, backend):
-    # one-step mode counts every window up to distance 2, about 2/delta of
-    # them, but visits only the three that hold a vertex
+    # without --skip-empty-buckets the summary counts every window up to
+    # distance 2, about 2/delta of them; the solve visits only the three
+    # that hold a vertex
     code = run_path_tiny_delta(tmp_path, delta, backend, skip=False)
     captured = capsys.readouterr()
     assert code == 0
@@ -499,16 +500,16 @@ def test_selftest_reports_unequal_counts(monkeypatch, capsys):
 
 
 def test_selftest_checks_skip_mode_counts(monkeypatch, capsys):
-    # an extra fused phase in skip mode only must still fail a case
+    # every case compares the occupied bucket counts too: one extra fused
+    # bucket with equal distances and other counts must fail the first case
     def bumped(*args, **kwargs):
         result = delta_stepping(*args, **kwargs)
-        if kwargs.get("backend") is not None and kwargs.get("skip_empty_buckets"):
-            return replace(result, inner_phases=result.inner_phases + 1)
+        if kwargs.get("backend") is not None and kwargs["backend"].kind == "fused":
+            return replace(result, occupied_buckets=result.occupied_buckets + 1)
         return result
 
     monkeypatch.setattr(deltasparse.cli, "delta_stepping", bumped)
-    code = run_cli("selftest", "--cases", "4", "--seed", "1")
+    code = run_cli("selftest", "--cases", "3", "--seed", "1")
     captured = capsys.readouterr()
     assert code == 2
-    assert "selftest case 2 FAILED (fused/unfused mismatch)" in captured.out
-    assert "skip_empty_buckets=True" in captured.out
+    assert "selftest case 0 FAILED (fused/unfused mismatch)" in captured.out

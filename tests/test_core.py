@@ -238,8 +238,11 @@ def test_exports_resolve_and_retired_names_are_gone():
         "matrix_transpose_view",
         "apply_vector",
         "EDGE_DTYPE",
+        "UnaryPredicate",
     )
     for name in retired:
         assert not hasattr(deltasparse, name), name
         assert name not in deltasparse.__all__, name
     assert not hasattr(deltasparse.cli, "RunConfig")
+    with pytest.raises(TypeError, match="skip_empty_buckets"):
+        deltasparse.delta_stepping(matrix_build(1, []), 0, 1.0, skip_empty_buckets=True)

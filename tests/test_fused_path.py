@@ -21,6 +21,10 @@ from deltasparse import (
 FUSED = BackendChoice("fused")
 
 
+def counts(result):
+    return result.outer_iterations, result.occupied_buckets, result.inner_phases
+
+
 def test_one_pass_partition_equals_split_edges():
     # the heavy step reads whole rows of the input exactly when heavy edges
     # are at least half of the stored ones; the last two cases sit one edge
@@ -57,14 +61,10 @@ def test_fused_solve_builds_no_transpose():
         a = random_graph(n, int(rng.integers(1, 5 * n)), rng, weights=kind)
         source = int(rng.integers(0, n))
         delta = float(rng.choice([0.5, 1.0, 3.0, 11.0]))
-        for skip in (False, True):
-            base = delta_stepping(a, source, delta, skip_empty_buckets=skip)
-            got = delta_stepping(a, source, delta, backend=FUSED, skip_empty_buckets=skip)
-            assert got.distances == base.distances
-            assert (got.outer_iterations, got.inner_phases) == (
-                base.outer_iterations,
-                base.inner_phases,
-            )
+        base = delta_stepping(a, source, delta)
+        got = delta_stepping(a, source, delta, backend=FUSED)
+        assert got.distances == base.distances
+        assert counts(got) == counts(base)
 
 
 # ------------------------------------------------- window arithmetic at scale
@@ -88,52 +88,38 @@ def chain_graph(rng, scale, length):
     return matrix_build(n, np.column_stack([rows, cols, np.concatenate([step, shortcut])]))
 
 
-def check_backends_and_oracle(a, skip):
-    base = delta_stepping(a, 0, DELTA, skip_empty_buckets=skip)
-    fused = delta_stepping(a, 0, DELTA, backend=FUSED, skip_empty_buckets=skip)
+def check_backends_and_oracle(a):
+    base = delta_stepping(a, 0, DELTA)
+    fused = delta_stepping(a, 0, DELTA, backend=FUSED)
     assert fused.distances == base.distances
-    assert fused.outer_iterations == base.outer_iterations
-    assert fused.inner_phases == base.inner_phases
+    assert counts(fused) == counts(base)
     assert base.distances == dijkstra_oracle(a, 0)
     return base
 
 
 @pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
-def test_window_arithmetic_at_large_magnitudes_skipping(scale):
+def test_window_arithmetic_at_large_magnitudes_one_step(scale):
     # distance / delta reaches 1e15..1e17, where index * delta is rounded,
     # neighbouring windows can collapse, and light steps vanish under the ulp
     rng = np.random.default_rng(int(np.log10(scale)))
     reach = 0.0
     for _ in range(8):
         a = chain_graph(rng, scale, int(rng.integers(10, 40)))
-        result = check_backends_and_oracle(a, skip=True)
-        reach = max(reach, result.distances.values.max() / DELTA)
-        # gap skipping bounds the outer loop by the graph, not by the reach
-        assert result.outer_iterations <= a.n
-    assert reach >= 1e15
-
-
-@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
-def test_window_arithmetic_at_large_magnitudes_one_step(scale):
-    # the same reach in one-step mode, which counts every window up to the
-    # largest distance but visits only those holding a vertex
-    rng = np.random.default_rng(int(np.log10(scale)))
-    reach = 0.0
-    for _ in range(8):
-        a = chain_graph(rng, scale, int(rng.integers(10, 40)))
-        result = check_backends_and_oracle(a, skip=False)
+        result = check_backends_and_oracle(a)
         top = float(result.distances.values.max())
         reach = max(reach, top / DELTA)
+        # the outer loop counts every window up to the largest distance, but
+        # visits only those holding a vertex: a count bounded by the graph
         assert result.outer_iterations == deltasparse.sssp._window_of(top, DELTA) + 1
+        assert result.occupied_buckets <= a.n
     assert reach >= 1e15
 
 
 @pytest.mark.parametrize("scale", [0.07, 1.0, 30.0])
 def test_window_arithmetic_one_step_mode(scale):
-    # one-step mode at everyday magnitudes: it counts every window up to the
-    # largest distance (1 to a few thousand here) but visits only those
-    # holding a vertex; its twin at large magnitudes is above
+    # the same at everyday magnitudes, where the largest distance spans 1 to
+    # a few thousand windows
     rng = np.random.default_rng(int(scale * 100) + 7)
     for _ in range(6):
         a = chain_graph(rng, scale, int(rng.integers(3, 25)))
-        check_backends_and_oracle(a, skip=False)
+        check_backends_and_oracle(a)

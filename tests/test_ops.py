@@ -282,12 +282,12 @@ def test_unfused_solve_builds_no_kernel_vector_through_the_constructor(monkeypat
     counts = []
     for _ in range(2):
         calls.clear()
-        result = delta_stepping(a, 0, 20.0, skip_empty_buckets=True)
+        result = delta_stepping(a, 0, 20.0)
         assert len(calls[0]) == 3  # the start vector
-        assert calls[1:] == [(side * side,)] * (2 * result.outer_iterations)
+        assert calls[1:] == [(side * side,)] * (2 * result.occupied_buckets)
         counts.append(len(calls))
-    assert result.outer_iterations > 10 and result.inner_phases > result.outer_iterations
-    assert counts[0] == counts[1] == 1 + 2 * result.outer_iterations
+    assert result.occupied_buckets > 10 and result.inner_phases > result.occupied_buckets
+    assert counts[0] == counts[1] == 1 + 2 * result.occupied_buckets
 
 
 # ---------------------------------------------------------------- vxm

@@ -380,19 +380,6 @@ def test_delta_stepping_star_with_long_spoke_terminates():
         assert result.outer_iterations <= math.ceil(100.0 / delta) + 1
 
 
-def test_skip_empty_buckets_same_distances_fewer_iterations():
-    rng = np.random.default_rng(101)
-    for _ in range(20):
-        n = int(rng.integers(2, 50))
-        a = random_graph(n, int(rng.integers(1, 4 * n)), rng, weights="float")
-        source = int(rng.integers(0, n))
-        delta = float(rng.choice(DELTAS))
-        plain = delta_stepping(a, source, delta)
-        skipping = delta_stepping(a, source, delta, skip_empty_buckets=True)
-        assert skipping.distances == plain.distances
-        assert skipping.outer_iterations <= plain.outer_iterations
-
-
 def stepped_window(value, delta):
     # the window search by single steps from the float quotient
     index = int(value // delta)
@@ -497,7 +484,8 @@ def test_one_step_visits_only_occupied_windows(monkeypatch, kind):
     sizes = heavy_step_recorder(monkeypatch)
     result = delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
     assert result.distances.to_dict() == {0: 0.0, 1: 1e4, 2: 2e4}
-    assert (result.outer_iterations, result.inner_phases) == (20_001, 3)
+    counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
+    assert counts == (20_001, 3, 3)
     assert sizes == [1, 1, 1]
 
 
@@ -510,16 +498,16 @@ def test_one_step_work_equals_skip_mode_buckets(monkeypatch):
         a = random_graph(n, int(rng.integers(0, 4 * n + 1)), rng, weights=kind)
         source = int(rng.integers(0, n))
         for delta in DELTAS + (0.1,):
-            skipping = delta_stepping(a, source, delta, skip_empty_buckets=True)
             for backend in ("unfused", "fused"):
                 sizes.clear()
-                plain = delta_stepping(a, source, delta, backend=BackendChoice(backend))
-                reached = plain.distances
+                result = delta_stepping(a, source, delta, backend=BackendChoice(backend))
+                reached = result.distances
                 # one heavy step per occupied window, none for an empty one
-                assert len(sizes) == skipping.outer_iterations <= reached.nnz
+                assert len(sizes) == result.occupied_buckets <= reached.nnz
+                assert result.occupied_buckets <= result.outer_iterations
                 assert min(sizes) > 0
                 last = _window_of(float(reached.values.max()), delta)
-                assert plain.outer_iterations == last + 1
+                assert result.outer_iterations == last + 1
 
 
 @pytest.mark.parametrize("kind", ["unfused", "fused"])
@@ -538,17 +526,25 @@ def test_huge_delta_over_tiny_light_weights(kind, delta):
 
 
 @pytest.mark.parametrize("kind", ["unfused", "fused"])
+def test_phase_ceiling_stops_a_bucket_that_never_empties(monkeypatch, kind):
+    # light passes that neither lower t nor drain the bucket would cycle
+    # forever; the solve must stop at n * (ceil(delta / lightest) + 2)
+    monkeypatch.setattr(sssp_mod, "relax_light_phase", lambda state: state)
+    monkeypatch.setattr(sssp_mod, "_push", lambda values, frontier, matrix, dense: frontier)
+    a = matrix_build(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(RuntimeError, match="light phase count exceeded ceiling 9;"):
+        delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
 def test_last_window_runs_to_inf(kind):
     # window 17 at delta 1e307 ends past the float range, so it runs to inf;
-    # it holds 1.75e308 in both modes, which need no index beyond the floats
+    # it holds 1.75e308, and neither count needs an index beyond the floats
     assert bucket_bounds(_window_of(1.75e308, 1e307), 1e307) == (1.7e308, math.inf)
     a = matrix_build(2, [(0, 1, 1.75e308)])
-    for skip, outer in ((False, 18), (True, 2)):
-        result = delta_stepping(
-            a, 0, 1e307, backend=BackendChoice(kind), skip_empty_buckets=skip
-        )
-        assert result.distances == dijkstra_oracle(a, 0)
-        assert (result.outer_iterations, result.inner_phases) == (outer, 2)
+    result = delta_stepping(a, 0, 1e307, backend=BackendChoice(kind))
+    assert result.distances == dijkstra_oracle(a, 0)
+    assert (result.outer_iterations, result.occupied_buckets, result.inner_phases) == (18, 2, 2)
 
 
 # ---------------------------------------------------------------- oracle

@@ -98,7 +98,7 @@ def check_backends_and_oracle(a):
 
 
 @pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
-def test_window_arithmetic_at_large_magnitudes_one_step(scale):
+def test_window_arithmetic_at_large_magnitudes_skipping(scale):
     # distance / delta reaches 1e15..1e17, where index * delta is rounded,
     # neighbouring windows can collapse, and light steps vanish under the ulp
     rng = np.random.default_rng(int(np.log10(scale)))
@@ -106,12 +106,24 @@ def test_window_arithmetic_at_large_magnitudes_one_step(scale):
     for _ in range(8):
         a = chain_graph(rng, scale, int(rng.integers(10, 40)))
         result = check_backends_and_oracle(a)
+        reach = max(reach, result.distances.values.max() / DELTA)
+        # the skip-mode count is bounded by the graph, not by the reach
+        assert result.occupied_buckets <= a.n
+    assert reach >= 1e15
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
+def test_window_arithmetic_at_large_magnitudes_one_step(scale):
+    # the same reach for the one-step count, which takes in every window up
+    # to the largest distance, though the walk visits only those holding a vertex
+    rng = np.random.default_rng(int(np.log10(scale)))
+    reach = 0.0
+    for _ in range(8):
+        a = chain_graph(rng, scale, int(rng.integers(10, 40)))
+        result = check_backends_and_oracle(a)
         top = float(result.distances.values.max())
         reach = max(reach, top / DELTA)
-        # the outer loop counts every window up to the largest distance, but
-        # visits only those holding a vertex: a count bounded by the graph
         assert result.outer_iterations == deltasparse.sssp._window_of(top, DELTA) + 1
-        assert result.occupied_buckets <= a.n
     assert reach >= 1e15
 
 

@@ -380,6 +380,22 @@ def test_delta_stepping_star_with_long_spoke_terminates():
         assert result.outer_iterations <= math.ceil(100.0 / delta) + 1
 
 
+def test_skip_empty_buckets_same_distances_fewer_iterations():
+    # the skip-mode count, occupied_buckets, comes from the same walk as the
+    # one-step count and never exceeds it; both backends agree on the answer
+    rng = np.random.default_rng(101)
+    for _ in range(20):
+        n = int(rng.integers(2, 50))
+        a = random_graph(n, int(rng.integers(1, 4 * n)), rng, weights="float")
+        source = int(rng.integers(0, n))
+        delta = float(rng.choice(DELTAS))
+        plain = delta_stepping(a, source, delta)
+        fused = delta_stepping(a, source, delta, backend=BackendChoice("fused"))
+        assert fused.distances == plain.distances == dijkstra_oracle(a, source)
+        assert fused.occupied_buckets == plain.occupied_buckets
+        assert plain.occupied_buckets <= plain.outer_iterations
+
+
 def stepped_window(value, delta):
     # the window search by single steps from the float quotient
     index = int(value // delta)

@@ -4,7 +4,9 @@ distance output, verification, fault injection, and the selftest command."""
 from __future__ import annotations
 
 import io
+import os
 import signal
+import threading
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -12,7 +14,7 @@ import pytest
 
 import deltasparse.cli
 import deltasparse.io
-from deltasparse import delta_stepping, load_edge_list
+from deltasparse import delta_stepping, load_edge_list, load_matrix_market
 from deltasparse.cli import main
 from deltasparse.sssp import _window_of
 
@@ -447,6 +449,30 @@ def test_run_graph_from_stdin(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert parse_distances(captured.out) == {0: 0.0, 1: 2.0}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_graph_through_a_named_pipe_loads_like_the_file(tmp_path, monkeypatch):
+    # A pipe is read once into memory, whatever the size rule says: handed its
+    # path, numpy would reopen it and wait for a writer that never comes.
+    monkeypatch.setattr(deltasparse.io, "_CHUNKED_BYTES", 0)
+    mtx = "%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 2\n1 2 2.5\n3 2 1.0\n"
+    for name, load, text in (
+        ("g.edges", load_edge_list, "# c\n\n7 3 2.5\n3 9 1.0\n"),
+        ("g.mtx", load_matrix_market, mtx),
+    ):
+        regular = tmp_path / name
+        regular.write_text(text)
+        pipe = tmp_path / f"{name}.fifo"
+        os.mkfifo(pipe)
+        writer = threading.Thread(target=pipe.write_text, args=(text,), daemon=True)
+        writer.start()
+        with time_limit(10):
+            matrix, labels = load(str(pipe))
+        writer.join(10)
+        want, want_labels = load(str(regular))
+        assert matrix == want and matrix.val.tobytes() == want.val.tobytes()
+        assert labels.externals == want_labels.externals
 
 
 # ---------------------------------------------------------------- selftest

@@ -4,6 +4,7 @@ mapping, and stdin support."""
 
 from __future__ import annotations
 
+import gzip
 import io
 import logging
 import os
@@ -228,6 +229,15 @@ def test_mtx_coordinate_out_of_range(tmp_path):
         tmp_path, "%%MatrixMarket matrix coordinate real general\n3 3 1\n5 1 1.0\n"
     )
     assert "coordinate (5, 1) outside 1..3" in err.message
+
+
+@pytest.mark.parametrize("entry", ["0 2", "4 2", "2 0", "2 4"])
+def test_mtx_coordinate_just_outside_each_bound(tmp_path, entry):
+    # one past each end of 1..n, in either coordinate, after an entry in range
+    text = f"%%MatrixMarket matrix coordinate real general\n3 3 2\n3 3 1.0\n{entry} 1.0\n"
+    path, err = mtx_error(tmp_path, text)
+    r, c = entry.split()
+    assert str(err) == f"{path}:4: coordinate ({r}, {c}) outside 1..3"
 
 
 def test_mtx_bad_weight_is_parse_error(tmp_path):
@@ -485,7 +495,7 @@ def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
         assert labels.externals == want_labels
         assert matrix == matrix_build(len(want_labels), np.array(triples).reshape(-1, 3))
         with monkeypatch.context() as patch:
-            patch.setattr(loaders, "_loadtxt", lambda lines, dtype: None)
+            patch.setattr(loaders, "_loadtxt", lambda *args: None)
             walked, walked_labels = load_edge_list(path)
         assert walked == matrix and walked_labels.externals == want_labels
     assert branches == {True, False, "object"}
@@ -573,6 +583,111 @@ def test_load_graph_dispatch(tmp_path):
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_edge_list(str(tmp_path / "nope.txt"))
+
+
+def _load_seeing_route(monkeypatch, load, path: str):
+    """A load's CSR bytes and labels, and for each numpy parse whether it read
+    the file from its path."""
+    routes = []
+    real = loaders._loadtxt
+
+    def spy(source, *args):
+        routes.append(isinstance(source, str))
+        return real(source, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(loaders, "_loadtxt", spy)
+        matrix, labels = load(path)
+    loaded = (matrix.indptr.tobytes(), matrix.col.tobytes(), matrix.val.tobytes())
+    return (*loaded, labels.externals), routes
+
+
+def test_file_at_the_size_rule_loads_like_one_below_it(tmp_path, monkeypatch):
+    # The same bytes parsed from the path (the file is exactly the size from
+    # which the loaders do so) and from memory (the size moved one byte past
+    # it): the leading comment and blank lines, ended by every newline style,
+    # must be skipped alike.
+    size = loaders._CHUNKED_BYTES
+    rng = np.random.default_rng(31)
+    u, v = rng.integers(1, 3_000, (2, size // 40)).tolist()
+    w = (10.0 * (1.0 - rng.random(len(u)))).tolist()
+    body = "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w))
+    banner = "%%MatrixMarket matrix coordinate real general\r\n% a\r"
+    for name, load, head in (
+        ("g.edges", load_edge_list, "# a\r% b\r\n\n \t\n#c\n"),
+        ("g.mtx", load_matrix_market, f"{banner}3000 3000 {len(u)}\n\n% b\r\n%c\r\r\n"),
+    ):
+        pad = "%" + "x" * (size - len(head) - len(body) - 2) + "\n"
+        path = tmp_path / name
+        path.write_text(head + pad + body, newline="")
+        assert path.stat().st_size == size
+        from_path, route = _load_seeing_route(monkeypatch, load, str(path))
+        assert route == [True]
+        with monkeypatch.context() as patch:
+            patch.setattr(loaders, "_CHUNKED_BYTES", size + 1)
+            from_memory, route = _load_seeing_route(monkeypatch, load, str(path))
+        assert route == [False]
+        assert from_path == from_memory
+
+
+MM_ARRAY = b"%%MatrixMarket matrix array real general\n"
+
+
+@pytest.mark.parametrize(
+    "name, data, lineno",
+    [
+        ("header.edges", b"# caf\xc3\n0 1 2\n", 1),
+        ("data.edges", b"# c\n0 1 2\n1 2 \xff\n", 3),
+        ("late.edges", b"0 1 2\n" * 3000 + b"\xfe\n", 3001),  # past the first 8 KiB read
+        ("header.mtx", MM.encode() + b"% \xe9\n2 2 1\n1 2 1.0\n", 2),
+        ("banner.mtx", MM_ARRAY + b"% c\n" * 3000 + b"\xff\n", 3002),  # a header error first
+    ],
+)
+def test_invalid_utf8_fails_alike_from_path_and_memory(tmp_path, monkeypatch, name, data, lineno):
+    path = tmp_path / name
+    path.write_bytes(data)
+    load = load_matrix_market if name.endswith(".mtx") else load_edge_list
+    for size in (0, loaders._CHUNKED_BYTES):
+        with monkeypatch.context() as patch:
+            patch.setattr(loaders, "_CHUNKED_BYTES", size)
+            with pytest.raises(ParseError) as info:
+                load(str(path))
+        assert str(info.value) == f"{path}:{lineno}: not valid UTF-8"
+
+
+def test_compressed_names_are_read_as_plain_text(tmp_path, monkeypatch):
+    # numpy's path opener would decompress these names, so they are read into
+    # memory as the bytes they hold, as `open` reads them
+    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
+    text = "# c\n0 1 2.5\n1 2 3.0\n"
+    want, route = _load_seeing_route(monkeypatch, load_edge_list, write(tmp_path, text))
+    assert route == [True]
+    for suffix in (".gz", ".bz2", ".xz", ".lzma", ".GZ"):
+        path = write(tmp_path, text, "g.txt" + suffix)
+        got, route = _load_seeing_route(monkeypatch, load_edge_list, path)
+        assert (got, route) == (want, [False])
+    packed = tmp_path / "packed.txt.gz"
+    packed.write_bytes(gzip.compress(text.encode(), mtime=0))
+    with pytest.raises(ParseError) as info:
+        load_edge_list(str(packed))
+    assert str(info.value) == f"{packed}:1: not valid UTF-8"
+    # numpy's opener would also try `name.gz` when `name` is missing
+    (tmp_path / "only.txt.gz").write_bytes(packed.read_bytes())
+    with pytest.raises(FileNotFoundError):
+        load_edge_list(str(tmp_path / "only.txt"))
+
+
+def test_url_shaped_relative_name_is_a_local_file(tmp_path, monkeypatch):
+    # numpy's path opener would take 'a://b/g.txt' for a URL to download
+    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
+    (tmp_path / "a:" / "b").mkdir(parents=True)
+    (tmp_path / "a:" / "b" / "g.txt").write_text("0 1 2.5\n")
+    monkeypatch.chdir(tmp_path)
+    loaded, route = _load_seeing_route(monkeypatch, load_edge_list, "a://b/g.txt")
+    assert route == [True]
+    assert loaded[3] == [0, 1]
+    matrix, _ = load_edge_list("a://b/g.txt")
+    assert matrix.entry_set() == {(0, 1, 2.5)}
 
 
 def test_label_map_range_equals_list():
@@ -666,6 +781,29 @@ def test_load_peak_memory_per_edge(tmp_path):
             tracemalloc.stop()
         assert matrix.nnz > 0.99 * copies * m
         assert peak < bound * m, (bound, peak / m)
+
+
+def test_file_parsed_from_its_path_is_never_held_as_text(tmp_path, monkeypatch):
+    # repr weights make a line (about 29 bytes) longer than its table row (24
+    # bytes), as on the kron workload. Parsed from its path, the text is never
+    # held: 41.6 bytes an edge traced at 120,000 edges, against 56.2 when the
+    # whole file was read into memory first.
+    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
+    rng = np.random.default_rng(13)
+    m, n = 120_000, 20_000
+    u, v = rng.integers(1, n + 1, (2, m)).tolist()
+    w = (10.0 * (1.0 - rng.random(m))).tolist()
+    body = "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w))
+    path = write(tmp_path, f"%%MatrixMarket matrix coordinate real general\n{n} {n} {m}\n" + body)
+    assert os.path.getsize(path) > 28 * m
+    tracemalloc.start()
+    try:
+        matrix, _ = load_matrix_market(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert matrix.nnz > 0.99 * m
+    assert peak < 47 * m, peak / m
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")

@@ -5,12 +5,15 @@ first) and once with the bulk parse switched off, so that only the line
 walker reads it. Both must give the same matrix bit for bit and the same
 label map, or raise the same error at the same line. Mutated copies (cut
 short, an extra token on a line, a 4-token size line) must fail the same
-way and exit 1 from the CLI with just the `path:line:` message.
+way and exit 1 from the CLI with just the `path:line:` message. Every file
+here is below the size from which the loaders parse a file from its path, so
+the `_from_path` twins rerun the tests with that size at 0.
 """
 
 from __future__ import annotations
 
 import io
+import os
 
 import numpy as np
 import pytest
@@ -188,21 +191,39 @@ def outcome(case: dict, path: str):
 def bulk_and_walker(monkeypatch, case: dict, path: str):
     """Both outcomes, and whether the default load fell back to the walker."""
     calls = []
-    for name in ("_walk_edge_list", "_walk_mm"):
-        real = getattr(loaders, name)
+    with monkeypatch.context() as patch:
+        for name in ("_walk_edge_list", "_walk_mm"):
+            real = getattr(loaders, name)
 
-        def spy(*args, real=real):
-            calls.append(1)
-            return real(*args)
+            def spy(*args, real=real):
+                calls.append(1)
+                return real(*args)
 
-        monkeypatch.setattr(loaders, name, spy)
-    bulk = outcome(case, path)
+            patch.setattr(loaders, name, spy)
+        bulk = outcome(case, path)
     walked = bool(calls)
     with monkeypatch.context() as patch:
-        patch.setattr(loaders, "_loadtxt", lambda lines, dtype: None)
+        patch.setattr(loaders, "_loadtxt", lambda *args: None)
         walker = outcome(case, path)
-    monkeypatch.undo()
     return bulk, walker, walked
+
+
+@pytest.fixture
+def from_path(monkeypatch):
+    """Every regular file is parsed from its path, whatever its size; yields
+    the paths numpy was handed."""
+    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
+    paths = []
+    real = loaders._loadtxt
+
+    def spy(source, *args):
+        if isinstance(source, str):
+            assert os.path.isabs(source), source
+            paths.append(source)
+        return real(source, *args)
+
+    monkeypatch.setattr(loaders, "_loadtxt", spy)
+    return paths
 
 
 def assert_same(bulk, walker, data: bytes) -> None:
@@ -299,3 +320,33 @@ def test_bulk_equals_walker_at_scale(tmp_path, monkeypatch):
         assert not walked
         assert_same(bulk, walker, case)
         assert bulk[0].nnz > 30_000
+
+
+# The twins below rerun the tests above with every regular file parsed from
+# its path, as large files are.
+
+
+@pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
+def test_bulk_parse_equals_line_walker_from_path(tmp_path, monkeypatch, from_path, make):
+    test_bulk_parse_equals_line_walker(tmp_path, monkeypatch, make)
+    assert len(from_path) > 150
+
+
+@pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
+def test_mutated_files_fail_like_the_walker_from_path(
+    tmp_path, monkeypatch, capsys, from_path, make
+):
+    test_mutated_files_fail_like_the_walker(tmp_path, monkeypatch, capsys, make)
+    assert len(from_path) > 600
+
+
+def test_lone_carriage_return_ends_a_line_in_files_only_from_path(
+    tmp_path, monkeypatch, from_path
+):
+    test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch)
+    assert from_path == [str(tmp_path / "cr.edges")]
+
+
+def test_bulk_equals_walker_at_scale_from_path(tmp_path, monkeypatch, from_path):
+    test_bulk_equals_walker_at_scale(tmp_path, monkeypatch)
+    assert from_path == [str(tmp_path / "big.edges"), str(tmp_path / "big.mtx")]

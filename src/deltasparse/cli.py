@@ -2,13 +2,15 @@
 
 Two subcommands: `run` loads a graph, solves shortest paths with the chosen
 backend, optionally checks the result against the reference solver, and
-prints one "label<TAB>distance" line per reachable vertex; `selftest` runs
-an embedded randomized oracle suite.
+prints one "label<TAB>distance" line per reachable vertex, then a summary
+line with both of SsspResult's bucket counts to stderr; `selftest` runs an
+embedded randomized oracle suite.
 
 Exit codes: 0 success, 1 load or parse failure, 2 verification mismatch,
 3 bad flags (including a source label the graph does not have, a delta so
 small that a distance needs a bucket index past the float range, or an
---output path that cannot be written).
+--output path that cannot be written) or a reachable vertex whose distance
+exceeds the float range.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .core import SparseVector
 from .fused import BackendChoice
 from .generate import random_graph
 from .io import GraphFile, GraphLoadError, load_graph
-from .sssp import DeltaTooSmall, delta_stepping, dijkstra_oracle
+from .sssp import DeltaTooSmall, DistanceOverflow, delta_stepping, dijkstra_oracle
 
 __all__ = ["run", "selftest", "main", "console_main"]
 
@@ -60,11 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--backend", choices=("unfused", "fused"), default="unfused")
     run_p.add_argument("--verify", action="store_true", help="check against the reference solver")
     run_p.add_argument("--repeat", type=int, default=1, help="timed repetitions, median reported")
-    run_p.add_argument(
-        "--skip-empty-buckets",
-        action="store_true",
-        help="print occupied_buckets, the windows holding a vertex, as outer_iterations",
-    )
     run_p.add_argument("--output", default=None, help="write distances here instead of stdout")
     run_p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
@@ -120,6 +117,10 @@ def run(args: argparse.Namespace) -> int:
         except DeltaTooSmall as exc:
             print(f"deltasparse: error: {exc}", file=sys.stderr)
             return 3
+        except DistanceOverflow as exc:  # named by the vertex's file label
+            label = labels.to_external(exc.vertex)
+            print(f"deltasparse: error: {DistanceOverflow(label)}", file=sys.stderr)
+            return 3
         times.append(result.elapsed)
     assert result is not None
     distances = _perturb(result.distances) if args.inject_fault else result.distances
@@ -151,11 +152,11 @@ def run(args: argparse.Namespace) -> int:
             )
             return 3
 
-    outer = result.occupied_buckets if args.skip_empty_buckets else result.outer_iterations
     print(
         f"n={matrix.n} m={matrix.nnz} delta={args.delta:g} backend={args.backend} "
-        f"outer_iterations={outer} inner_phases={result.inner_phases} "
-        f"median_time_s={statistics.median(times):.6f}",
+        f"outer_iterations={result.outer_iterations} inner_phases={result.inner_phases} "
+        f"median_time_s={statistics.median(times):.6f} "
+        f"occupied_buckets={result.occupied_buckets}",
         file=sys.stderr,
     )
     return code

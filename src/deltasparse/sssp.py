@@ -48,6 +48,8 @@ from .ops import (
 )
 
 __all__ = [
+    "DeltaTooSmall",
+    "DistanceOverflow",
     "SsspState",
     "SsspResult",
     "split_edges",
@@ -170,6 +172,28 @@ def _count_phase(phases: int, ceiling: int) -> int:
 class DeltaTooSmall(ValueError):
     """No float bucket window [i*delta, (i+1)*delta) holds a distance: the
     window index it would need lies beyond the float range."""
+
+
+class DistanceOverflow(ValueError):
+    """A reachable vertex whose every path from the source sums past the
+    float range to inf, so the solve would omit it; `vertex` is its id."""
+
+    def __init__(self, vertex: int) -> None:
+        super().__init__(f"the distance to vertex {vertex} exceeds the float range")
+        self.vertex = vertex
+
+
+def _check_reach(matrix: SparseMatrix, distances: SparseVector) -> None:
+    """Raise DistanceOverflow for a stored edge (u, v) with u reached and v
+    not, the smallest such v. Where the largest distance plus the largest
+    weight is finite, no candidate t[u] + w overflowed and none can exist."""
+    if not matrix.nnz or math.isfinite(float(distances.values.max()) + float(matrix.val.max())):
+        return
+    reached = np.zeros(matrix.n, dtype=bool)
+    reached[distances.indices] = True
+    lost = matrix.col[reached[matrix.row_ids()] & ~reached[matrix.col]]
+    if lost.size:
+        raise DistanceOverflow(int(lost.min()))
 
 
 def _window_start(index: int, delta: float) -> float:
@@ -304,8 +328,9 @@ def delta_stepping(
     `occupied_buckets` just the buckets visited (see SsspResult).
     Elapsed time covers everything from the edge split onward. Raises
     ValueError for a source out of range, a delta that is not positive and
-    finite, and DeltaTooSmall (a ValueError) for a delta too small to place
-    a distance in a float window.
+    finite, and two ValueErrors: DeltaTooSmall for a delta too small to
+    place a distance in a float window, DistanceOverflow for a reachable
+    vertex whose distance exceeds the float range.
     """
     if not 0 <= source < matrix.n:
         raise ValueError(f"source {source} out of range for {matrix.n} vertices")
@@ -323,8 +348,11 @@ def delta_stepping(
     ratio = delta / float(light.val.min()) if light.nnz else 0.0
     per_bucket = int(math.ceil(min(ratio, matrix.n))) + 2
     solve = _solve_fused if fused else _solve_unfused
-    t, buckets, last, phases = solve(light, heavy, source, delta, matrix.n * per_bucket)
+    # a sum past the float range is inf and lowers nothing (see _check_reach)
+    with np.errstate(over="ignore"):
+        t, buckets, last, phases = solve(light, heavy, source, delta, matrix.n * per_bucket)
     elapsed = time.perf_counter() - start
+    _check_reach(matrix, t)
     return SsspResult(t, last + 1, buckets, phases, elapsed)
 
 
@@ -333,7 +361,8 @@ def dijkstra_oracle(matrix: SparseMatrix, source: int) -> SparseVector:
 
     Textbook binary-heap implementation working directly on the adjacency
     rows; shares no kernel code with the solver under test. Returns the
-    same sparse shape: reachable vertices only.
+    same sparse shape: reachable vertices only. Raises DistanceOverflow as
+    delta_stepping does.
     """
     if not 0 <= source < matrix.n:
         raise ValueError(f"source {source} out of range for {matrix.n} vertices")
@@ -353,4 +382,6 @@ def dijkstra_oracle(matrix: SparseMatrix, source: int) -> SparseVector:
                 dist[v] = nd
                 heapq.heappush(heap, (nd, v))
     reach = np.flatnonzero(np.isfinite(dist)).astype(INDEX_DTYPE)
-    return SparseVector(matrix.n, reach, dist[reach])
+    distances = SparseVector(matrix.n, reach, dist[reach])
+    _check_reach(matrix, distances)
+    return distances

@@ -7,6 +7,7 @@ import io
 import os
 import signal
 import threading
+import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -63,7 +64,7 @@ def test_run_directed_edges(edge_path, capsys):
     summary = captured.err.strip().splitlines()[-1].split()
     assert summary[:4] == ["n=4", "m=3", "delta=1", "backend=unfused"]
     assert [field.split("=")[0] for field in summary[4:]] == [
-        "outer_iterations", "inner_phases", "median_time_s"
+        "outer_iterations", "inner_phases", "median_time_s", "occupied_buckets"
     ]
 
 
@@ -274,6 +275,7 @@ def test_usage_errors_exit_3(edge_path, capsys):
     assert run_cli(*base, "--delta", "nan") == 3
     assert run_cli(*base, "--delta", "inf") == 3
     assert run_cli(*base, "--repeat", "0") == 3
+    assert run_cli(*base, "--skip-empty-buckets") == 3
     captured = capsys.readouterr()
     assert "deltasparse: error:" in captured.err
     assert "--delta must be a positive finite number" in captured.err
@@ -325,18 +327,6 @@ def test_run_backends_print_identical_distances(edge_path, capsys):
     assert fused_out == unfused_out
 
 
-def test_run_skip_empty_buckets_same_distances(edge_path, capsys):
-    base = [
-        "run", "--graph", edge_path, "--format", "edges", "--directed",
-        "--source", "0", "--delta", "0.5",
-    ]
-    run_cli(*base)
-    plain = capsys.readouterr().out
-    run_cli(*base, "--skip-empty-buckets")
-    skipping = capsys.readouterr().out
-    assert skipping == plain
-
-
 @contextmanager
 def time_limit(seconds):
     def expire(signum, frame):
@@ -351,14 +341,13 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-def run_path_tiny_delta(tmp_path, delta, backend, skip=True):
+def run_path_tiny_delta(tmp_path, delta, backend):
     path = tmp_path / "path.edges"
     path.write_text("0 1 1\n1 2 1\n")
-    flags = ["--skip-empty-buckets"] if skip else []
     with time_limit(5):
         return run_cli(
             "run", "--graph", str(path), "--format", "edges", "--source", "0",
-            "--delta", delta, *flags, "--backend", backend,
+            "--delta", delta, "--backend", backend,
         )
 
 
@@ -372,7 +361,8 @@ def test_run_tiny_delta_skipping_solves(tmp_path, capsys, delta, backend):
     captured = capsys.readouterr()
     assert code == 0
     assert parse_distances(captured.out) == {0: 0.0, 1: 1.0, 2: 2.0}
-    assert "outer_iterations=3 inner_phases=3" in captured.err
+    summary = captured.err.strip().splitlines()[-1].split()
+    assert "inner_phases=3" in summary and summary[-1] == "occupied_buckets=3"
 
 
 @pytest.mark.parametrize("backend", ["unfused", "fused"])
@@ -390,10 +380,9 @@ def test_run_tiny_delta_skipping_is_a_usage_error(tmp_path, capsys, delta, backe
 @pytest.mark.parametrize("backend", ["unfused", "fused"])
 @pytest.mark.parametrize("delta", ["1e-17", "1e-20", "1e-300"])
 def test_run_tiny_delta_one_step_solves(tmp_path, capsys, delta, backend):
-    # without --skip-empty-buckets the summary counts every window up to
-    # distance 2, about 2/delta of them; the solve visits only the three
-    # that hold a vertex
-    code = run_path_tiny_delta(tmp_path, delta, backend, skip=False)
+    # outer_iterations counts every window up to distance 2, about 2/delta
+    # of them; the solve visits only the three that hold a vertex
+    code = run_path_tiny_delta(tmp_path, delta, backend)
     captured = capsys.readouterr()
     assert code == 0
     assert parse_distances(captured.out) == {0: 0.0, 1: 1.0, 2: 2.0}
@@ -404,7 +393,7 @@ def test_run_tiny_delta_one_step_solves(tmp_path, capsys, delta, backend):
 @pytest.mark.parametrize("backend", ["unfused", "fused"])
 @pytest.mark.parametrize("delta", ["5e-324", "3e-310"])
 def test_run_tiny_delta_one_step_is_a_usage_error(tmp_path, capsys, delta, backend):
-    code = run_path_tiny_delta(tmp_path, delta, backend, skip=False)
+    code = run_path_tiny_delta(tmp_path, delta, backend)
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("deltasparse: error:")
@@ -422,6 +411,37 @@ def test_run_huge_delta_over_tiny_light_weights(tmp_path, capsys, backend):
     captured = capsys.readouterr()
     assert code == 0
     assert parse_distances(captured.out) == {0: 0.0, 1: 1e-10, 2: 2e-10}
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+@pytest.mark.parametrize(
+    "text, source, delta, lost",
+    [
+        ("0 1 1e308\n1 2 1e308\n", "0", "1", 2),
+        ("0 1 1e-320\n1 2 1e308\n2 3 1e308\n", "0", "1e300", 3),
+        ("40 50 1e308\n50 60 1e308\n", "40", "1", 60),  # ids 0..2, named by label
+    ],
+    ids=["two-huge", "tiny-then-huge", "labelled"],
+)
+def test_run_distance_past_float_range_is_a_usage_error(
+    tmp_path, capsys, backend, text, source, delta, lost
+):
+    # the last vertex's one path sums to inf; the run must not drop it and
+    # report verification OK, and no numpy overflow warning may leak
+    path = tmp_path / "huge.edges"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = run_cli(
+            "run", "--graph", str(path), "--format", "edges", "--directed",
+            "--source", source, "--delta", delta, "--backend", backend, "--verify",
+        )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"deltasparse: error: the distance to vertex {lost} exceeds the float range\n"
+    )
 
 
 def test_run_repeat_reports_median(edge_path, capsys):

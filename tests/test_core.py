@@ -246,3 +246,12 @@ def test_exports_resolve_and_retired_names_are_gone():
     assert not hasattr(deltasparse.cli, "RunConfig")
     with pytest.raises(TypeError, match="skip_empty_buckets"):
         deltasparse.delta_stepping(matrix_build(1, []), 0, 1.0, skip_empty_buckets=True)
+
+
+def test_package_all_is_the_module_lists():
+    import deltasparse
+    from deltasparse import core, fused, generate, io, ops, sssp
+
+    lists = [module.__all__ for module in (core, fused, generate, io, ops, sssp)]
+    assert set(deltasparse.__all__) == set().union(*lists) | {"__version__"}
+    assert {"DeltaTooSmall", "DistanceOverflow"} <= set(deltasparse.__all__)

@@ -36,7 +36,7 @@ from deltasparse import (
     split_edges,
     vector_build,
 )
-from deltasparse.sssp import DeltaTooSmall, SsspState, _window_of
+from deltasparse.sssp import DeltaTooSmall, DistanceOverflow, SsspState, _window_of
 
 DELTAS = (0.5, 1.0, 3.0, 11.0)
 
@@ -561,6 +561,56 @@ def test_last_window_runs_to_inf(kind):
     result = delta_stepping(a, 0, 1e307, backend=BackendChoice(kind))
     assert result.distances == dijkstra_oracle(a, 0)
     assert (result.outer_iterations, result.occupied_buckets, result.inner_phases) == (18, 2, 2)
+
+
+def bfs_reach(matrix, source):
+    seen, todo = {source}, [source]
+    while todo:
+        for v in matrix.row(todo.pop())[0].tolist():
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
+def test_huge_weights_raise_or_reach_every_vertex(kind):
+    # weights near the float maximum make some path sums inf; the solver and
+    # the oracle must then raise, never drop a vertex that a BFS reaches
+    rng = np.random.default_rng(41)
+    outcomes = []
+    for _ in range(80):
+        n = int(rng.integers(2, 25))
+        m = int(rng.integers(1, 3 * n + 1))
+        w = np.where(
+            rng.random(m) < 0.3, rng.uniform(1e307, 1.7e308, m), rng.uniform(0.5, 10.0, m)
+        )
+        a = matrix_build(n, np.column_stack([rng.integers(0, n, (2, m)).T, w]))
+        source, delta = int(rng.integers(0, n)), float(rng.choice([1.0, 1e306]))
+        for solve in (
+            lambda: delta_stepping(a, source, delta, backend=BackendChoice(kind)).distances,
+            lambda: dijkstra_oracle(a, source),
+        ):
+            try:
+                reached = solve().indices.tolist()
+            except DistanceOverflow as exc:
+                assert exc.vertex in bfs_reach(a, source)
+                outcomes.append(False)
+            else:
+                assert reached == bfs_reach(a, source)
+                outcomes.append(True)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
+def test_subnormal_weights_solve_equal_to_the_oracle(kind):
+    rng = np.random.default_rng(43)
+    r, c, w = random_graph(40, 160, rng, weights="float").triples()
+    w = np.where(rng.random(w.size) < 0.5, 5e-324, w)
+    a = matrix_build(40, np.column_stack([r, c, w]))
+    for delta in (1e-300, 1.0, 3.0):
+        result = delta_stepping(a, 0, delta, backend=BackendChoice(kind))
+        assert result.distances == dijkstra_oracle(a, 0)
 
 
 # ---------------------------------------------------------------- oracle

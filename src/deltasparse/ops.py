@@ -82,15 +82,31 @@ def _require_length(actual: int, expected: int, what: str) -> None:
         raise ValueError(f"{what}: length {actual} does not match {expected}")
 
 
-def _common(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dense_pays(probes: int, searched: int, n: int) -> bool:
+    """Whether a few passes over an n-long workspace cost less than probing
+    `probes` sorted indices into `searched` ones by binary search, at about
+    log2(searched) steps a probe. The one size rule of the merge kernels."""
+    return probes * searched.bit_length() > n
+
+
+def _common(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Positions in `a` and in `b` of the indices both sorted, duplicate-free
-    arrays hold, in increasing index order. The smaller array is probed into
-    the larger one, so the cost is O(min log max) rather than O(max)."""
-    if a.size <= b.size:
+    arrays over 0..n-1 hold, in increasing index order. The smaller array is
+    probed into the larger one, at O(min log max); when that costs more than
+    O(n), the smaller one's positions are written into an n-long workspace
+    and the larger one reads them back."""
+    if a.size > b.size:
+        pb, pa = _common(b, a, n)
+        return pa, pb
+    if not _dense_pays(a.size, b.size, n):
         pb, found = _positions(b, a)
         return found.nonzero()[0], pb[found]
-    pa, found = _positions(a, b)
-    return pa[found], found.nonzero()[0]
+    mark = np.zeros(n, dtype=bool)
+    mark[a] = True
+    slot = np.empty(n, dtype=INDEX_DTYPE)
+    slot[a] = np.arange(a.size)
+    pb = mark[b].nonzero()[0]
+    return slot[b[pb]], pb
 
 
 def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
@@ -128,8 +144,56 @@ def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.
 def _restrict(vec: SparseVector, mask: SparseVector) -> SparseVector:
     if vec.indices is mask.indices:
         return vec
-    keep = _common(vec.indices, mask.indices)[0]
+    keep = _common(vec.indices, mask.indices, vec.length)[0]
     return SparseVector._adopt(vec.length, vec.indices[keep], vec.values[keep])
+
+
+def _merge(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, np.ndarray]:
+    # linear merge of two sorted, duplicate-free index sets: v's own entries
+    # land at their insertion slot plus the count of own entries before
+    # them, u's entries fill the remaining slots in order, and op combines
+    # the shared entries in their u slots
+    pos = u.indices.searchsorted(v.indices)
+    if u.nnz:
+        both = u.indices[np.minimum(pos, u.nnz - 1)] == v.indices
+    else:
+        both = np.zeros(v.nnz, dtype=bool)
+    own = ~both
+    pos_own = pos[own]
+    if not pos_own.size:
+        out = u.values.copy()
+        out[pos] = op(out[pos], v.values)
+        return u.indices, out
+    slots = pos_own + np.arange(pos_own.size)
+    from_u = np.empty(u.nnz + pos_own.size, dtype=bool)
+    from_u.fill(True)
+    from_u[slots] = False
+    idx = np.empty(from_u.size, dtype=INDEX_DTYPE)
+    idx[from_u] = u.indices
+    idx[slots] = v.indices[own]
+    out = np.empty(from_u.size, dtype=VALUE_DTYPE)
+    out[from_u] = u.values
+    out[slots] = v.values[own]
+    shared = pos[both]
+    out[shared + pos_own.searchsorted(shared, "right")] = op(u.values[shared], v.values[both])
+    return idx, out
+
+
+def _accumulate(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, np.ndarray]:
+    # dense accumulator over the index space: scatter v's values, then u's
+    # over them, op combines the shared entries in place, and the union's
+    # indices come back in order from one scan of the marks
+    mark = np.zeros(u.length, dtype=bool)
+    mark[u.indices] = True
+    both = mark[v.indices]
+    acc = np.empty(u.length, dtype=VALUE_DTYPE)
+    acc[v.indices] = v.values
+    acc[u.indices] = u.values
+    shared = v.indices[both]
+    acc[shared] = op(acc[shared], v.values[both])
+    mark[v.indices] = True
+    idx = mark.nonzero()[0]
+    return idx, acc[idx]
 
 
 def ewise_add_vector(
@@ -148,45 +212,32 @@ def ewise_add_vector(
     surviving entries to 1.0 and drop entries evaluating to 0.0.
 
     A mask restricts where the union is computed, not only what it keeps:
-    both operands are cut down to the mask's indices before the merge, so a
-    masked call costs about |mask| log n plus the merge of what is left.
-    The output is the same as merging everything and then gating by the
-    mask, since (u | v) & m == (u & m) | (v & m) with the same values.
-    A mask that is an operand (mask=u) restricts that operand for free.
-    When every index of v lies in u, u's indices are the union: the result
-    shares them, and op updates a copy of u's values at v's positions.
+    both operands are cut down to the mask's indices before the merge. The
+    output is the same as merging everything and then gating by the mask,
+    since (u | v) & m == (u & m) | (v & m) with the same values. A mask
+    that is the left operand (mask=u) makes u's indices the result's: op
+    updates a copy of u's values at the indices both hold, found as
+    ewise_mult_vector finds them, and v is never cut down.
+
+    The merge takes one of two paths by the operand sizes, with equal
+    results. While |v| log2 |u| is at most n, a linear merge places v's
+    entries by one binary search each into u. Past that, a dense
+    accumulator over all n indices takes both operands in O(n + |u| + |v|).
+    When every index of v lies in u, the linear merge shares u's indices
+    in the result and updates a copy of u's values at v's positions.
     """
     _require_length(v.length, u.length, "ewise_add operand")
     if mask is not None:
         _require_length(mask.length, u.length, "mask")
-        u, v = _restrict(u, mask), _restrict(v, mask)
-    # linear merge of two sorted, duplicate-free index sets: v's own entries
-    # land at their insertion slot plus the count of own entries before
-    # them, u's entries fill the remaining slots in order, and op combines
-    # the shared entries in their u slots
-    pos = u.indices.searchsorted(v.indices)
-    if u.nnz:
-        both = u.indices[np.minimum(pos, u.nnz - 1)] == v.indices
-    else:
-        both = np.zeros(v.nnz, dtype=bool)
-    own = ~both
-    pos_own = pos[own]
-    if not pos_own.size:
+    if mask is not None and mask.indices is u.indices:
+        pu, pv = _common(u.indices, v.indices, u.length)
         idx, out = u.indices, u.values.copy()
-        out[pos] = op(out[pos], v.values)
+        out[pu] = op(u.values[pu], v.values[pv])
     else:
-        slots = pos_own + np.arange(pos_own.size)
-        from_u = np.empty(u.nnz + pos_own.size, dtype=bool)
-        from_u.fill(True)
-        from_u[slots] = False
-        idx = np.empty(from_u.size, dtype=INDEX_DTYPE)
-        idx[from_u] = u.indices
-        idx[slots] = v.indices[own]
-        out = np.empty(from_u.size, dtype=VALUE_DTYPE)
-        out[from_u] = u.values
-        out[slots] = v.values[own]
-        shared = pos[both]
-        out[shared + pos_own.searchsorted(shared, "right")] = op(u.values[shared], v.values[both])
+        if mask is not None:
+            u, v = _restrict(u, mask), _restrict(v, mask)
+        union = _accumulate if _dense_pays(v.nnz, u.nnz, u.length) else _merge
+        idx, out = union(u, v, op)
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
     return SparseVector._adopt(u.length, idx, out)
@@ -196,12 +247,15 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
     """Intersection combine (Hadamard for op=*): output only where both
     inputs hold an entry, with op(u value, v value).
 
-    The smaller operand is probed into the larger one, so selecting a few
-    entries out of a long vector costs the few, not the long one."""
+    By the merge kernels' size rule, the smaller operand is probed into the
+    larger one by binary search while |smaller| log2 |larger| is at most n,
+    so selecting a few entries out of a long vector costs the few, not the
+    long one. Past that, an n-long workspace maps the smaller operand's
+    positions in O(n + |u| + |v|)."""
     _require_length(v.length, u.length, "ewise_mult operand")
     if u.nnz == 0 or v.nnz == 0:
         return SparseVector._adopt(u.length, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
-    pu, pv = _common(u.indices, v.indices)
+    pu, pv = _common(u.indices, v.indices, u.length)
     idx = u.indices[pu]
     out = op(u.values[pu], v.values[pv])
     if op.boolean:

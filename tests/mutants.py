@@ -43,6 +43,22 @@ MUTANTS = [
         "    return SparseVector._adopt(",
         "tests/test_ops.py",
     ),
+    # the dense accumulator: u's values overwrite v's at the shared indices
+    (
+        "ops.py",
+        "    acc[v.indices] = v.values\n    acc[u.indices] = u.values\n",
+        "    acc[u.indices] = u.values\n    acc[v.indices] = v.values\n",
+        "tests/test_kernel_reference.py",
+    ),
+    # the union masked by its left operand pairs each side's own positions
+    (
+        "ops.py",
+        "out[pu] = op(u.values[pu], v.values[pv])",
+        "out[pv] = op(u.values[pv], v.values[pu])",
+        "tests/test_kernel_reference.py",
+    ),
+    # the workspace intersection returns a's positions first
+    ("ops.py", "return slot[b[pb]], pb", "return pb, slot[b[pb]]", "tests/test_kernel_reference.py"),
     # the next window starts at the current window's end
     ("sssp.py", "window = (values >= hi)", "window = (values > hi)", "tests/test_fused_path.py"),
     # the run summary's two bucket counts

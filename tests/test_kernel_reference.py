@@ -1,6 +1,7 @@
-"""The push vxm_min_plus, the linear-merge ewise_add_vector and the
+"""The push vxm_min_plus, the ewise_add_vector merges and the
 smaller-side ewise_mult_vector must bit-equal the pull, union1d and
-probe-all bodies they replaced (tests/kernel_reference.py)."""
+probe-all bodies they replaced (tests/kernel_reference.py), on both sides
+of the size rule that picks between binary search and an n-long workspace."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import deltasparse.fused as fused_mod
+import deltasparse.ops as ops_mod
 from deltasparse import (
     LESS,
     MIN,
@@ -154,6 +156,76 @@ def test_ewise_mult_equals_probe_all_reference(op, shape):
         got = ewise_mult_vector(u, v, op)
         assert got == probe_all_ewise_mult_vector(u, v, op)
         got.check_invariants()
+
+
+def straddling_operands(rng, side):
+    """u on at least half of 0..n-1 and v on k indices, k the largest size
+    that stays with binary search ("below") or the smallest that takes the
+    n-long workspace ("above") for a searched side of |u|. Since k <= |u|,
+    the union's rule and the intersection's read the same sizes. v lies
+    within u (adding no new index) or anywhere in 0..n-1."""
+    n = int(rng.integers(8, 400))
+    held = int(rng.integers(n // 2, n + 1))
+    first = n // held.bit_length() + 1
+    assert ops_mod._dense_pays(first, held, n) and not ops_mod._dense_pays(first - 1, held, n)
+    k = first if side == "above" else first - 1
+    u_idx = np.sort(rng.choice(n, size=held, replace=False))
+    pool = u_idx if rng.random() < 0.5 else np.arange(n)
+    return n, vector_on(rng, n, u_idx), vector_on(rng, n, np.sort(rng.choice(pool, k, replace=False)))
+
+
+# n=1 and empty operands: the rule never picks the workspace for them
+EDGE_INDICES = (
+    (1, [], []), (1, [0], []), (1, [], [0]), (1, [0], [0]),
+    (64, [], list(range(64))), (64, list(range(64)), []), (64, [], []),
+)
+
+
+def edge_operands(rng):
+    for n, u_idx, v_idx in EDGE_INDICES:
+        u, v = vector_on(rng, n, np.array(u_idx)), vector_on(rng, n, np.array(v_idx))
+        assert not ops_mod._dense_pays(v.nnz, u.nnz, n)
+        assert not ops_mod._dense_pays(min(u.nnz, v.nnz), max(u.nnz, v.nnz), n)
+        yield n, u, v
+
+
+def masks_for(rng, n, u, v):
+    """No mask, each operand, and a third mask over the union plus extras."""
+    extra = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    third = mask_from_indices(n, np.union1d(np.union1d(u.indices, v.indices), extra))
+    return None, u, v, third
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
+@pytest.mark.parametrize("side", ("below", "above"))
+def test_ewise_add_either_side_of_the_size_rule_equals_union1d_reference(op, side):
+    rng = np.random.default_rng([107, OPS.index(op), side == "above"])
+    cases = [straddling_operands(rng, side) for _ in range(40)]
+    if side == "below":
+        cases += list(edge_operands(rng))
+    for n, u, v in cases:
+        before = bits(u), bits(v)
+        for mask in masks_for(rng, n, u, v):
+            got = ewise_add_vector(u, v, op, mask=mask)
+            assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
+            assert_sound(got)
+        for vec, (idx, val) in zip((u, v), before):
+            assert np.array_equal(vec.indices, idx)
+            assert np.array_equal(vec.values.view(np.uint64), val)
+
+
+@pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
+@pytest.mark.parametrize("side", ("below", "above"))
+def test_ewise_mult_either_side_of_the_size_rule_equals_probe_all_reference(op, side):
+    rng = np.random.default_rng([109, OPS.index(op), side == "above"])
+    cases = [straddling_operands(rng, side) for _ in range(40)]
+    if side == "below":
+        cases += list(edge_operands(rng))
+    for n, u, v in cases:
+        for a, b in ((u, v), (v, u)):
+            got = ewise_mult_vector(a, b, op)
+            assert got == probe_all_ewise_mult_vector(a, b, op)
+            got.check_invariants()
 
 
 def random_matrix(rng, n, m):

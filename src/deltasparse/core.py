@@ -282,11 +282,13 @@ def matrix_build(
     return _csr(n, [rows, cols, vals])
 
 
-def _csr(n: int, entries: list[np.ndarray]) -> SparseMatrix:
+def _csr(n: int, entries: list[np.ndarray], off_diag: np.ndarray | None = None) -> SparseMatrix:
     """The matrix of the entries [rows, cols, vals] that pass matrix_build's
-    checks, minus self-loops, each duplicate at its least weight. It empties
-    `entries` and writes into none: what no caller holds is freed once used."""
-    off_diag = entries[0] != entries[1]
+    checks, minus self-loops, each duplicate at its least weight. `off_diag`
+    is rows != cols, if the caller has it. It empties `entries` and writes
+    into none: what no caller holds is freed once used."""
+    if off_diag is None:
+        off_diag = entries[0] != entries[1]
     entries[:2] = [entries[0] * n + entries[1]]  # the key replaces rows and cols
     if not off_diag.all():
         entries[:] = entries[0][off_diag], entries[1][off_diag]

@@ -9,7 +9,13 @@ their minimum weight, and both loaders accept "-" for standard input.
 
 Both formats share one skeleton: the header is read as text, `_bulk`
 parses all data lines with one `np.loadtxt` call, and array operations check
-the labels and weights. A regular file of at least `_CHUNKED_BYTES` is parsed
+the labels and weights. 'u v w' lines have two record layouts. When the
+first weight token is an integer literal, all three fields are read as int64
+and the weights are converted to float64 once, to the bits a float parse
+gives. If numpy rejects that layout (a later fractional weight, a weight
+beyond int64), a second call parses the lines with float weights. When an
+edge list's labels fill 0..n-1, each label is its own id and the parsed
+labels are the ids. A regular file of at least `_CHUNKED_BYTES` is parsed
 from its path, so numpy's C reader reads it in chunks and the text is never
 held; standard input, pipes and smaller files are read once into memory and
 parsed from there. If numpy rejects a line or a check fails, the format's
@@ -26,6 +32,7 @@ import io
 import logging
 import math
 import os
+import re
 import stat
 import sys
 import warnings
@@ -126,9 +133,11 @@ class LabelMap:
         return list(self._labels) if isinstance(self._labels, range) else self._labels.tolist()
 
 
-# loadtxt record layouts: 'u v' lines and 'u v w' lines
+# loadtxt record layouts: 'u v' lines, and 'u v w' lines with float or integer weights
 _PAIR = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE)])
 _TRIPLE = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE), ("w", VALUE_DTYPE)])
+_INT_TRIPLE = np.dtype([("u", INDEX_DTYPE), ("v", INDEX_DTYPE), ("w", INDEX_DTYPE)])
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # a weight token the int64 layout reads
 _Entries = list[np.ndarray]  # rows, cols, weights: each stage replaces or empties them
 _Header = tuple[int, int, int, bool, int]  # n, declared entries, width, symmetric, size line
 
@@ -233,20 +242,34 @@ def _bulk(
     weight is not finite and > 0. `lines` has already yielded the first
     `skipped` lines; numpy parses the file at `source`, or `lines` if None,
     from the first data line. Each line holds `width` tokens; None means the
-    first line's count, if 2 or 3. Labels and read weights view the table."""
+    first line's count, if 2 or 3. Weights are read as int64 when the first
+    one is an integer literal, and numpy parses again with float weights if
+    a later line rejects that. Labels and read weights view the table."""
     lineno, first = next(_data_lines(lines, skipped, comments))
     if first is None:
         return None
     width = width or len(first)
-    if width not in (2, 3):
+    if width == 2:
+        layouts: tuple[np.dtype, ...] = (_PAIR,)
+    elif width != 3:
         return None
-    if source is None:
-        lines.seek(0)  # numpy skips the same lines of the text as of a file
-    table = _loadtxt(source or lines, _TRIPLE if width == 3 else _PAIR, lineno - 1)
-    if table is None:
+    elif len(first) == 3 and _INTEGER.fullmatch(first[2]):
+        layouts = (_INT_TRIPLE, _TRIPLE)
+    else:
+        layouts = (_TRIPLE,)
+    for layout in layouts:
+        if source is None:
+            lines.seek(0)  # numpy skips the same lines of the text as of a file
+        table = _loadtxt(source or lines, layout, lineno - 1)
+        if table is not None:
+            break
+    else:
         return None
-    w = np.ones(table.size) if width == 2 else table["w"]
-    if not np.all(np.isfinite(w) & (w > 0)):
+    w = np.ones(table.size) if layout is _PAIR else table["w"]
+    if layout is _INT_TRIPLE:
+        if w.min() <= 0:  # an integer is finite
+            return None
+    elif not np.all(np.isfinite(w) & (w > 0)):
         return None
     return [table["u"], table["v"], w]
 
@@ -282,17 +305,21 @@ def _arrays(pairs: list[int], vals: list[float]) -> _Entries:
 
 
 def _build(path: str, n: int, entries: _Entries, mirror: bool) -> SparseMatrix:
-    """Count the self-loops, add reverse edges if `mirror`, and hand the checked
-    entries to the CSR build; weights viewing the parsed table are copied out."""
-    loops = int(np.count_nonzero(entries[0] == entries[1]))
+    """Add reverse edges if `mirror`, count the self-loops and hand the checked
+    entries, with their off-diagonal mask, to the CSR build. Weights viewing
+    the parsed table are copied out as float64, which rounds int64 weights
+    as a float parse of their digits does."""
+    entries[2] = np.ascontiguousarray(entries[2], dtype=VALUE_DTYPE)
+    if mirror:  # each stored array is freed as soon as its mirror replaces it
+        half = entries[0].size
+        entries[:2] = [np.concatenate(entries[:2])]  # lets go of labels viewing the table
+        entries.insert(1, np.concatenate([entries[0][half:], entries[0][:half]]))
+        entries[2] = np.concatenate([entries[2], entries[2]])
+    off_diag = entries[0] != entries[1]
+    loops = (off_diag.size - int(np.count_nonzero(off_diag))) >> mirror  # mirrored, each is twice
     if loops:
         log.warning("%s: dropped %d self-loop entr%s", path, loops, "y" if loops == 1 else "ies")
-    entries[2] = np.ascontiguousarray(entries[2])
-    if mirror:  # each stored array is freed as soon as its mirror replaces it
-        entries[0] = np.concatenate(entries[:2])
-        entries[1] = np.concatenate([entries[1], entries[0][: entries[1].size]])
-        entries[2] = np.concatenate([entries[2], entries[2]])
-    return _csr(n, entries)
+    return _csr(n, entries, off_diag)
 
 
 def load_matrix_market(path: str) -> tuple[SparseMatrix, LabelMap]:
@@ -409,7 +436,7 @@ def load_edge_list(path: str, directed: bool = True) -> tuple[SparseMatrix, Labe
     if entries is None or entries[0].min() < 0 or entries[1].min() < 0:
         lines = _reread(path, lines, source)
         entries = _walk_edge_list(path, lines)
-    lines.close()  # free the text; the ids replace the labels, which frees the parsed table
+    lines.close()  # free the text; ids other than the labels themselves free the parsed table
     del lines
     entries[0], entries[1], externals = _intern(entries[0], entries[1])
     return _build(path, len(externals), entries, mirror=not directed), LabelMap(externals)
@@ -418,13 +445,17 @@ def load_edge_list(path: str, directed: bool = True) -> tuple[SparseMatrix, Labe
 def _intern(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each label's rank among the distinct labels of u and v: returns the
     ids of u, the ids of v and the increasing labels by id. Labels below 2m
-    mark a presence table by label; sparser ones, and the walker's Python
-    ints beyond int64, are sorted."""
+    mark a presence table by label; when they fill 0..max, each label is its
+    own id and u and v are returned as they are. Sparser labels, and the
+    walker's Python ints beyond int64, are sorted."""
     size = int(max(u.max(), v.max())) + 1
     if size <= 2 * u.size:
+        seen = np.zeros(size, dtype=bool)
+        seen[u] = seen[v] = True
+        labels = np.flatnonzero(seen)
+        if labels.size == size:
+            return u, v, labels
         rank = np.zeros(size, dtype=INDEX_DTYPE)
-        rank[u] = rank[v] = 1
-        labels = np.flatnonzero(rank)
         rank[labels] = np.arange(labels.size)
         return rank[u], rank[v], labels
     labels, ids = np.unique(np.concatenate([u, v]), return_inverse=True)

@@ -88,6 +88,61 @@ MUTANTS = [
         "or not math.isfinite(",
         "tests/test_sssp.py::test_huge_weights_raise_or_reach_every_vertex",
     ),
+    # the bisection keeps the largest window start at or below the value
+    (
+        "sssp.py",
+        "if _window_start(middle, delta) <= value:",
+        "if _window_start(middle, delta) < value:",
+        "tests/test_sssp.py::test_window_of_matches_single_steps",
+    ),
+    # selftest compares the backends' bucket and phase counts
+    (
+        "cli.py",
+        "counts[0] != counts[1]",
+        "counts[0] != counts[0]",
+        "tests/test_cli.py::test_selftest_reports_unequal_counts",
+    ),
+    # the loaders' label checks send bad labels to the walker's errors
+    (
+        "io.py",
+        "entries[0].min() < 0 or ",
+        "",
+        "tests/test_io.py::test_edges_negative_labels",
+    ),
+    (
+        "io.py",
+        "r.max() <= n and",
+        "r.max() <= n + 1 and",
+        "tests/test_io.py::test_mtx_coordinate_just_outside_each_bound",
+    ),
+    # labels that fill 0..max are their own ids, and only those
+    (
+        "io.py",
+        "if labels.size == size:",
+        "if labels.size <= size:",
+        "tests/test_io.py::test_intern_branches_match_a_rank_reference",
+    ),
+    # int64 weights: a zero fails the check, and a later fractional one is
+    # parsed again as a float, not walked
+    (
+        "io.py",
+        "if w.min() <= 0:",
+        "if w.min() < 0:",
+        "tests/test_io.py::test_integer_and_float_weight_layouts_load_alike",
+    ),
+    (
+        "io.py",
+        "layouts = (_INT_TRIPLE, _TRIPLE)",
+        "layouts = (_INT_TRIPLE,)",
+        "tests/test_io.py::test_integer_and_float_weight_layouts_load_alike",
+    ),
+    # a first line with no weight token is not read past its end
+    (
+        "io.py",
+        "len(first) == 3 and _INTEGER",
+        "_INTEGER",
+        "tests/test_io.py::test_malformed_first_line_reaches_the_walker",
+    ),
 ]
 
 

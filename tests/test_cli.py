@@ -165,7 +165,7 @@ def test_run_mtx_dimension_beyond_keys_is_a_parse_error(tmp_path, capsys, dimens
 def test_run_mtx_dimension_too_large_to_allocate(tmp_path, monkeypatch, capsys):
     # the build stands in for a size that passes the key limit but not the
     # allocator, so the test allocates nothing of that size
-    def out_of_memory(n, entries):
+    def out_of_memory(*args):
         raise MemoryError
 
     monkeypatch.setattr(deltasparse.io, "_csr", out_of_memory)

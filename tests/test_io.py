@@ -4,10 +4,12 @@ mapping, and stdin support."""
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import logging
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -462,7 +464,10 @@ def _intern_cases():
         yield u.tolist(), v.tolist()
     yield [0], [0]  # label 0 only
     yield [0, 0], [0, 0]
-    yield [0], [1]  # one edge, max + 1 == 2m
+    yield [0], [1]  # one edge, max + 1 == 2m, labels 0..max
+    yield [1], [1]  # labels 1..max: 0 missing
+    yield [2, 0, 3], [0, 2, 1]  # labels 0..max
+    yield [2, 0, 4], [0, 2, 1]  # 3 missing
     yield [3], [7]  # one edge, max + 1 > 2m
     yield [5, 0, 2], [1, 5, 3]  # max + 1 == 2m
     yield [6, 0, 2], [1, 6, 3]  # max + 1 == 2m + 1
@@ -473,7 +478,8 @@ def _intern_cases():
 
 
 def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
-    # The table branch runs when max label + 1 <= 2m; shifting every label
+    # The table branch runs when max label + 1 <= 2m, and returns u and v
+    # themselves when the labels are exactly 0..max; shifting every label
     # past 2m keeps their order and drives the sort branch, which also takes
     # the object arrays of labels beyond int64.
     branches = set()
@@ -481,12 +487,17 @@ def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
         m2 = 2 * len(u)
         shifted = ([x * (m2 + 1) + m2 for x in u], [x * (m2 + 1) + m2 for x in v])
         for su, sv in ((u, v), shifted) if max(u + v) < 2**40 else ((u, v),):
-            wide = max(su + sv) >= 2**63
-            dtype = object if wide else np.int64
-            ids_u, ids_v, labels = loaders._intern(np.array(su, dtype), np.array(sv, dtype))
+            top = max(su + sv)
+            branch = "object" if top >= 2**63 else "sort" if top + 1 > m2 else "table"
+            if branch == "table" and set(su + sv) == set(range(top + 1)):
+                branch = "identity"
+            dtype = object if branch == "object" else np.int64
+            au, av = np.array(su, dtype), np.array(sv, dtype)
+            ids_u, ids_v, labels = loaders._intern(au, av)
             assert ids_u.dtype == ids_v.dtype == np.int64 and labels.dtype == dtype
             assert (ids_u.tolist(), ids_v.tolist(), labels.tolist()) == _ranks(su, sv)
-            branches.add("object" if wide else max(su + sv) + 1 <= m2)
+            assert (ids_u is au and ids_v is av) == (branch == "identity")
+            branches.add(branch)
         body = "".join(f"{a} {b} {i + 1}\n" for i, (a, b) in enumerate(zip(u, v)))
         path = write(tmp_path, body)
         matrix, labels = load_edge_list(path)
@@ -498,7 +509,7 @@ def test_intern_branches_match_a_rank_reference(tmp_path, monkeypatch):
             patch.setattr(loaders, "_loadtxt", lambda *args: None)
             walked, walked_labels = load_edge_list(path)
         assert walked == matrix and walked_labels.externals == want_labels
-    assert branches == {True, False, "object"}
+    assert branches == {"identity", "table", "sort", "object"}
 
 
 def _runs(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -585,49 +596,129 @@ def test_missing_file_raises_oserror(tmp_path):
         load_edge_list(str(tmp_path / "nope.txt"))
 
 
-def _load_seeing_route(monkeypatch, load, path: str):
-    """A load's CSR bytes and labels, and for each numpy parse whether it read
-    the file from its path."""
-    routes = []
+def _load_seeing_parses(monkeypatch, load, path: str, **patches):
+    """A load's CSR bytes and labels, or its error text, and for each numpy
+    parse whether it read the file from its path and the kind of its weight
+    field ('i', 'f', or None for 'u v' lines). `patches` replace names in
+    the loader module for the load."""
+    parses = []
     real = loaders._loadtxt
 
-    def spy(source, *args):
-        routes.append(isinstance(source, str))
-        return real(source, *args)
+    def spy(source, dtype, skiprows):
+        parses.append((isinstance(source, str), dtype["w"].kind if "w" in dtype.names else None))
+        return real(source, dtype, skiprows)
 
     with monkeypatch.context() as patch:
         patch.setattr(loaders, "_loadtxt", spy)
-        matrix, labels = load(path)
+        for name, value in patches.items():
+            patch.setattr(loaders, name, value)
+        try:
+            matrix, labels = load(path)
+        except GraphLoadError as exc:
+            return str(exc), parses
     loaded = (matrix.indptr.tobytes(), matrix.col.tobytes(), matrix.val.tobytes())
-    return (*loaded, labels.externals), routes
+    return (*loaded, labels.externals), parses
 
 
 def test_file_at_the_size_rule_loads_like_one_below_it(tmp_path, monkeypatch):
     # The same bytes parsed from the path (the file is exactly the size from
     # which the loaders do so) and from memory (the size moved one byte past
     # it): the leading comment and blank lines, ended by every newline style,
-    # must be skipped alike.
+    # must be skipped alike. Integer and float weights take one parse each.
     size = loaders._CHUNKED_BYTES
     rng = np.random.default_rng(31)
     u, v = rng.integers(1, 3_000, (2, size // 40)).tolist()
-    w = (10.0 * (1.0 - rng.random(len(u)))).tolist()
-    body = "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w))
+    weights = {
+        "f": [repr(x) for x in (10.0 * (1.0 - rng.random(len(u)))).tolist()],
+        "i": [str(x) for x in rng.integers(1, 1_000, len(u)).tolist()],
+    }
     banner = "%%MatrixMarket matrix coordinate real general\r\n% a\r"
-    for name, load, head in (
-        ("g.edges", load_edge_list, "# a\r% b\r\n\n \t\n#c\n"),
-        ("g.mtx", load_matrix_market, f"{banner}3000 3000 {len(u)}\n\n% b\r\n%c\r\r\n"),
-    ):
-        pad = "%" + "x" * (size - len(head) - len(body) - 2) + "\n"
-        path = tmp_path / name
-        path.write_text(head + pad + body, newline="")
-        assert path.stat().st_size == size
-        from_path, route = _load_seeing_route(monkeypatch, load, str(path))
-        assert route == [True]
-        with monkeypatch.context() as patch:
-            patch.setattr(loaders, "_CHUNKED_BYTES", size + 1)
-            from_memory, route = _load_seeing_route(monkeypatch, load, str(path))
-        assert route == [False]
-        assert from_path == from_memory
+    for kind, w in weights.items():
+        body = "".join(f"{a} {b} {c}\n" for a, b, c in zip(u, v, w))
+        for name, load, head in (
+            ("g.edges", load_edge_list, "# a\r% b\r\n\n \t\n#c\n"),
+            ("g.mtx", load_matrix_market, f"{banner}3000 3000 {len(u)}\n\n% b\r\n%c\r\r\n"),
+        ):
+            pad = "%" + "x" * (size - len(head) - len(body) - 2) + "\n"
+            path = tmp_path / name
+            path.write_text(head + pad + body, newline="")
+            assert path.stat().st_size == size
+            from_path, parses = _load_seeing_parses(monkeypatch, load, str(path))
+            assert parses == [(True, kind)]
+            from_memory, parses = _load_seeing_parses(
+                monkeypatch, load, str(path), _CHUNKED_BYTES=size + 1
+            )
+            assert parses == [(False, kind)]
+            assert from_path == from_memory
+
+
+_NO_TOKEN = re.compile(r"(?!)")  # in place of `_INTEGER`: every weight takes the float layout
+
+# (weight tokens by line, weight kinds numpy parses with, line of the bad weight)
+WEIGHT_LAYOUT_CASES = [
+    (["9007199254740993", "9007199254740991", "9007199254740992", "9007199254740995"], "i", None),
+    (["+7", "007", "3"], "i", None),
+    (["5", "2.5", "1"], "if", None),  # integral first, fractional later: parsed again
+    (["5", str(2**63), "3"], "if", None),  # beyond int64
+    (["-0", "4"], "i", 1),
+    (["7", "0", "2"], "i", 2),
+    (["7", "2", "-3"], "i", 3),
+    (["7", "2", "1.5", "-3"], "if", 4),
+]
+
+
+@pytest.mark.parametrize("tokens, kinds, bad", WEIGHT_LAYOUT_CASES)
+def test_integer_and_float_weight_layouts_load_alike(tmp_path, monkeypatch, tokens, kinds, bad):
+    # Each file loads three ways: as shipped (int64 weights when the first
+    # weight is an integer literal), with every weight parsed as a float, and
+    # by the line walker alone. All three give the same matrix and labels bit
+    # for bit, or the same `path:line:` error, on both routes to numpy.
+    k = len(tokens)
+    field = "integer" if kinds == "i" and bad is None else "real"
+    for fmt, mirror in (("edges", False), ("edges", True), ("mtx", False), ("mtx", True)):
+        if fmt == "edges":
+            text = "# w\n" + "".join(f"{i} {i + 1} {w}\n" for i, w in enumerate(tokens))
+            load = functools.partial(load_edge_list, directed=not mirror)
+            head = 1
+        else:
+            symmetry = "symmetric" if mirror else "general"
+            text = f"%%MatrixMarket matrix coordinate {field} {symmetry}\n{k + 1} {k + 1} {k}\n"
+            text += "".join(f"{i + 1} {i + 2} {w}\n" for i, w in enumerate(tokens))
+            load = load_matrix_market
+            head = 2
+        path = write(tmp_path, text, f"g.{fmt}")
+        for size in (0, loaders._CHUNKED_BYTES):
+            shipped, parses = _load_seeing_parses(monkeypatch, load, path, _CHUNKED_BYTES=size)
+            assert parses == [(size == 0, kind) for kind in kinds]
+            floats, parses = _load_seeing_parses(
+                monkeypatch, load, path, _CHUNKED_BYTES=size, _INTEGER=_NO_TOKEN
+            )
+            assert parses == [(size == 0, "f")]
+            walked, _ = _load_seeing_parses(
+                monkeypatch, load, path, _loadtxt=lambda *args: None
+            )
+            assert shipped == floats == walked
+            if bad is None and not mirror:  # one edge per row, in file order
+                assert shipped[2] == np.array([float(w) for w in tokens]).tobytes()
+            elif bad is not None:
+                line = head + bad
+                message = f"edge weight must be strictly positive, got {tokens[bad - 1]}"
+                assert shipped == f"{path}:{line}: {message}"
+
+
+@pytest.mark.parametrize(
+    "text, parses, want",
+    [
+        (MM + "2 2 2\n1 2\n2 1 3\n", [(False, "f")], "3: expected 3 tokens, got 2"),
+        (MM + "2 2 2\n1 2 3 4\n2 1 3\n", [(False, "f")], "3: expected 3 tokens, got 4"),
+        (MM + "2 2 2\n1 2 3\n2 1\n", [(False, "i"), (False, "f")], "4: expected 3 tokens, got 2"),
+    ],
+)
+def test_malformed_first_line_reaches_the_walker(tmp_path, monkeypatch, text, parses, want):
+    # the first data line's weight token picks the layout; a line without
+    # one, or with a token too many, fails numpy and the walker names it
+    path = write(tmp_path, text, "g.mtx")
+    assert _load_seeing_parses(monkeypatch, load_matrix_market, path) == (f"{path}:{want}", parses)
 
 
 MM_ARRAY = b"%%MatrixMarket matrix array real general\n"
@@ -660,12 +751,12 @@ def test_compressed_names_are_read_as_plain_text(tmp_path, monkeypatch):
     # memory as the bytes they hold, as `open` reads them
     monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
     text = "# c\n0 1 2.5\n1 2 3.0\n"
-    want, route = _load_seeing_route(monkeypatch, load_edge_list, write(tmp_path, text))
-    assert route == [True]
+    want, parses = _load_seeing_parses(monkeypatch, load_edge_list, write(tmp_path, text))
+    assert parses == [(True, "f")]
     for suffix in (".gz", ".bz2", ".xz", ".lzma", ".GZ"):
         path = write(tmp_path, text, "g.txt" + suffix)
-        got, route = _load_seeing_route(monkeypatch, load_edge_list, path)
-        assert (got, route) == (want, [False])
+        got, parses = _load_seeing_parses(monkeypatch, load_edge_list, path)
+        assert (got, parses) == (want, [(False, "f")])
     packed = tmp_path / "packed.txt.gz"
     packed.write_bytes(gzip.compress(text.encode(), mtime=0))
     with pytest.raises(ParseError) as info:
@@ -683,8 +774,8 @@ def test_url_shaped_relative_name_is_a_local_file(tmp_path, monkeypatch):
     (tmp_path / "a:" / "b").mkdir(parents=True)
     (tmp_path / "a:" / "b" / "g.txt").write_text("0 1 2.5\n")
     monkeypatch.chdir(tmp_path)
-    loaded, route = _load_seeing_route(monkeypatch, load_edge_list, "a://b/g.txt")
-    assert route == [True]
+    loaded, parses = _load_seeing_parses(monkeypatch, load_edge_list, "a://b/g.txt")
+    assert parses == [(True, "f")]
     assert loaded[3] == [0, 1]
     matrix, _ = load_edge_list("a://b/g.txt")
     assert matrix.entry_set() == {(0, 1, 2.5)}

@@ -99,10 +99,11 @@ def run(args: argparse.Namespace) -> int:
     except (GraphLoadError, OSError) as exc:
         print(f"deltasparse: {exc}", file=sys.stderr)
         return 1
-    if args.source not in labels:
+    try:
+        internal_source = labels.to_internal(args.source)
+    except KeyError:
         print(f"deltasparse: source label {args.source} not in graph", file=sys.stderr)
         return 3
-    internal_source = labels.to_internal(args.source)
 
     result = None
     times = []

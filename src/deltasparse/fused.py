@@ -5,15 +5,13 @@ float64 array, +inf where absent; the settled set is a bool array that
 starts as the mask of the bucket's window, taken from the walk's own scan
 for the next window, and each bucket is an index array. It has two
 kernels: _push, the one gather-and-reduce relax, and the inline bucket
-test `lowered[t[lowered] < hi]`, the one combined tentative/bucket update.
+test `_distinct(lowered[t[lowered] < hi])`, the one tentative/bucket update.
 A push gathers the frontier's rows of the row-major light part, heavy part
 or whole input (see sssp._partition), forms t[i] + w per out-edge, keeps
-the candidates below t[j] and lowers t by a scatter-min over them
-(np.minimum.at), then returns the lowered targets, sorted and distinct;
-those below the window's end are the next bucket. The work is the
-frontier's out-edges, not every edge of the matrix, and nothing is sorted
-but the improving targets. ops.vxm_min_plus runs the same _push on the
-matrix it is given.
+the candidates below t[j], lowers t by a scatter-min over them
+(np.minimum.at) and returns their targets unordered; its work is the
+frontier's out-edges, not every edge. Only the light step and
+ops.vxm_min_plus, which runs the same _push, read them: each sorts once.
 
 Frontiers on high-diameter graphs hold a handful of vertices, so a push
 costs its numpy calls more than its edges. A push therefore works in place
@@ -32,11 +30,11 @@ targets that the unfused comparison with its pass-through rule calls
 improving.
 
 A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
-slices, one after another, through one slice body (_relax). Every slice
-forms its candidates from the frontier values read on entry, so the cut
-never changes a result. A push that fits in one slice, the common case,
-runs the body once with no cutting at all; a cut push merges the slices'
-sorted lowered targets with one sort and an adjacent-duplicate pass.
+slices, one after another, through one slice body (_relax), and a cut
+push concatenates their targets. Every slice forms its candidates from the
+frontier values read on entry, so the cut never changes the lowered state
+or the set of targets. A push that fits in one slice, the common case,
+runs the body once with no cutting at all.
 """
 
 from __future__ import annotations
@@ -80,8 +78,8 @@ def _push(
 ) -> np.ndarray:
     """Lower dense[j] to the minimum of values[k] + w over the out-edges
     (frontier[k], j, w) of the row-major `matrix` by a scatter-min, one
-    slice of at most RANGE_ENTRIES out-edges at a time; return the lowered
-    targets, sorted and distinct.
+    slice of at most RANGE_ENTRIES out-edges at a time; return the target
+    of each candidate that was below `dense`, unordered and with repeats.
 
     `values` must not alias `dense`: candidates come from the values as
     given, however many slices lower `dense` before them. Neither `values`
@@ -111,10 +109,7 @@ def _push(
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
         if a < b
     ]
-    # each slice's targets are sorted and distinct, but a later slice may
-    # lower a target again: one sort, then drop adjacent repeats
-    merged = np.sort(np.concatenate(lowered))
-    return merged[np.diff(merged, prepend=-1) > 0]
+    return np.concatenate(lowered)
 
 
 def _relax(
@@ -127,10 +122,9 @@ def _relax(
     dense: np.ndarray,
 ) -> np.ndarray:
     """One push slice: the frontier vertices with these values, entry bases
-    and out-degrees own the frontier out-edges [lo, hi). Keeps the out-edges
-    whose candidate is below `dense` at their target, lowers `dense` by a
-    scatter-min over them, and returns their targets, sorted and distinct.
-    Writes only `dense` and arrays it creates."""
+    and out-degrees own the frontier out-edges [lo, hi). Lowers `dense` by a
+    scatter-min over the out-edges whose candidate is below it and returns
+    their targets; writes only `dense` and arrays it creates."""
     eid = base.repeat(counts)
     eid += np.arange(lo, hi)
     target = matrix.col[eid]
@@ -139,6 +133,11 @@ def _relax(
     better = (cand < dense[target]).nonzero()[0]
     target = target[better]
     np.minimum.at(dense, target, cand[better])
+    return target
+
+
+def _distinct(target: np.ndarray) -> np.ndarray:
+    """The push targets `target`, sorted and distinct; sorts `target` in place."""
     target.sort()
     keep = np.empty(target.size, dtype=bool)
     keep[:1] = True

@@ -27,7 +27,7 @@ from .core import (
     _ones,
     _positions,
 )
-from .fused import _push
+from .fused import _distinct, _push
 
 __all__ = [
     "BinaryOp",
@@ -281,5 +281,5 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     if v.nnz == 0 or matrix.nnz == 0:
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
-    out_idx = _push(v.values, v.indices, matrix, dense)
+    out_idx = _distinct(_push(v.values, v.indices, matrix, dense))
     return SparseVector._adopt(matrix.n, out_idx, dense[out_idx])

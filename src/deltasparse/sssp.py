@@ -31,7 +31,7 @@ from .core import (
     SparseVector,
     vector_build,
 )
-from .fused import BackendChoice, _push, bucket_bounds
+from .fused import BackendChoice, _distinct, _push, bucket_bounds
 from .ops import (
     LESS,
     MIN,
@@ -288,10 +288,10 @@ def _solve_fused(
 ) -> tuple[SparseVector, int, int, int]:
     # the unfused loop step for step over dense state (see fused.py): t is
     # +inf where unreached; a light push from the window [lo, hi) lowers t
-    # to values >= lo over positive weights and returns the lowered targets,
-    # so those below hi form the next bucket. The walk's own scan for the
-    # next window gives its mask, which is the first bucket and grows into
-    # the settled set; the walk from bucket -1 finds the source's window.
+    # to values >= lo over positive weights, so its targets below hi, made
+    # distinct, are the next bucket. The walk's own scan for the next window
+    # gives its mask, the first bucket, which grows into the settled set; the
+    # walk from bucket -1 finds the source's window.
     n = light.n
     t = np.full(n, math.inf, dtype=VALUE_DTYPE)
     t[source] = 0.0
@@ -302,7 +302,7 @@ def _solve_fused(
         bucket = settled.nonzero()[0]
         while bucket.size:
             lowered = _push(t[bucket], bucket, light, t)
-            bucket = lowered[t[lowered] < hi]
+            bucket = _distinct(lowered[t[lowered] < hi])
             settled[bucket] = True
             phases = _count_phase(phases, ceiling)
         frontier = settled.nonzero()[0]

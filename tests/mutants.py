@@ -32,7 +32,22 @@ MUTANTS = [
         "tests/test_fused.py",
     ),
     ("fused.py", "np.minimum.at(dense", "np.maximum.at(dense", "tests/test_fused.py"),
+    # the push's readers order its targets: _distinct, the light step's
+    # next bucket and the (min,+) product's output
     ("fused.py", "keep[:1] = True", "keep[:1] = False", "tests/test_fused.py"),
+    ("fused.py", "    target.sort()\n", "", "tests/test_fused.py"),
+    (
+        "sssp.py",
+        "_distinct(lowered[t[lowered] < hi])",
+        "lowered[t[lowered] < hi]",
+        "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
+    ),
+    (
+        "ops.py",
+        "_distinct(_push(v.values, v.indices, matrix, dense))",
+        "_push(v.values, v.indices, matrix, dense)",
+        "tests/test_kernel_reference.py",
+    ),
     # the fused bucket's settled set
     ("sssp.py", "            settled[bucket] = True\n", "", "tests/test_fused_path.py"),
     # a comparison's union output normalized to 1.0, zeros dropped

@@ -40,8 +40,10 @@ def random_push(rng, n, m):
 
 
 def push(matrix, frontier, values, dense):
+    # the push returns its targets in edge order with repeats; its readers
+    # order them by _distinct, and the byte comparisons here compare that
     dense = dense.copy()
-    lowered = fused_mod._push(values.copy(), frontier, matrix, dense)
+    lowered = fused_mod._distinct(fused_mod._push(values.copy(), frontier, matrix, dense))
     return lowered, dense
 
 

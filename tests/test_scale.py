@@ -111,5 +111,5 @@ def test_rmat_hub_sources_float_weights_within_tolerance(monkeypatch):
         assert np.array_equal(unfused.indices, reach)
         assert np.all(np.abs(unfused.values - want) <= REL_TOLERANCE * (1.0 + want))
     # hub frontiers exceed one push slice: a slice past the first ran, so
-    # the slice merge did too
+    # the slices' targets were concatenated
     assert max(starts) > 0

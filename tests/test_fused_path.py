@@ -106,12 +106,23 @@ def test_window_arithmetic_at_large_magnitudes_skipping(scale):
     for _ in range(8):
         a = chain_graph(rng, scale, int(rng.integers(10, 40)))
         result = check_backends_and_oracle(a)
+        reach = max(reach, result.distances.values.max() / DELTA)
+        # the skip-mode count is bounded by the graph, not by the reach
+        assert result.occupied_buckets <= a.n
+    assert reach >= 1e15
+
+
+@pytest.mark.parametrize("scale", [1e13, 1e14, 1e15])
+def test_window_arithmetic_at_large_magnitudes_one_step(scale):
+    # the same reach for the one-step count, which takes in every window up
+    # to the largest distance, though the walk visits only those holding a vertex
+    rng = np.random.default_rng(int(np.log10(scale)))
+    reach = 0.0
+    for _ in range(8):
+        a = chain_graph(rng, scale, int(rng.integers(10, 40)))
+        result = check_backends_and_oracle(a)
         top = float(result.distances.values.max())
         reach = max(reach, top / DELTA)
-        # the walk visits only windows holding a vertex, so its count is
-        # bounded by the graph, not by the reach; the one-step count takes
-        # in every window up to the largest distance
-        assert result.occupied_buckets <= a.n
         assert result.outer_iterations == deltasparse.sssp._window_of(top, DELTA) + 1
     assert reach >= 1e15
 

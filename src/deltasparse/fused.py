@@ -10,8 +10,10 @@ A push gathers the frontier's rows of the row-major light part, heavy part
 or whole input (see sssp._partition), forms t[i] + w per out-edge, keeps
 the candidates below t[j], lowers t by a scatter-min over them
 (np.minimum.at) and returns their targets unordered; its work is the
-frontier's out-edges, not every edge. Only the light step and
-ops.vxm_min_plus, which runs the same _push, read them: each sorts once.
+frontier's out-edges, not every edge. Only the light step reads them, and
+sorts them once. ops.vxm_min_plus runs the same _push into a fresh +inf
+scratch with targets=False: every candidate goes into the scatter-min, no
+target is returned, and the product reads its output off the scratch.
 
 Frontiers on high-diameter graphs hold a handful of vertices, so a push
 costs its numpy calls more than its edges. A push therefore works in place
@@ -74,12 +76,18 @@ def bucket_bounds(index: int, delta: float) -> tuple[float, float]:
 
 
 def _push(
-    values: np.ndarray, frontier: np.ndarray, matrix: SparseMatrix, dense: np.ndarray
+    values: np.ndarray,
+    frontier: np.ndarray,
+    matrix: SparseMatrix,
+    dense: np.ndarray,
+    targets: bool = True,
 ) -> np.ndarray:
     """Lower dense[j] to the minimum of values[k] + w over the out-edges
     (frontier[k], j, w) of the row-major `matrix` by a scatter-min, one
     slice of at most RANGE_ENTRIES out-edges at a time; return the target
     of each candidate that was below `dense`, unordered and with repeats.
+    With targets=False every candidate goes into the scatter-min unfiltered,
+    which lowers `dense` alike, and the push returns an empty array.
 
     `values` must not alias `dense`: candidates come from the values as
     given, however many slices lower `dense` before them. Neither `values`
@@ -98,14 +106,16 @@ def _push(
     if total == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
     if total <= RANGE_ENTRIES:
-        return _relax(values, base, counts, 0, total, matrix, dense)
+        return _relax(values, base, counts, 0, total, matrix, dense, targets)
     # slice k takes the frontier vertices whose out-edges end in the k-th of
     # ceil(total / RANGE_ENTRIES) evenly sized edge ranges
     edge_cuts = np.linspace(0, total, -(-total // RANGE_ENTRIES) + 1).astype(int)
     cuts = np.searchsorted(ends, edge_cuts, side="right")
     offsets = ends - counts
     lowered = [
-        _relax(values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense)
+        _relax(
+            values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense, targets
+        )
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
         if a < b
     ]
@@ -120,20 +130,23 @@ def _relax(
     hi: int,
     matrix: SparseMatrix,
     dense: np.ndarray,
+    targets: bool,
 ) -> np.ndarray:
     """One push slice: the frontier vertices with these values, entry bases
     and out-degrees own the frontier out-edges [lo, hi). Lowers `dense` by a
     scatter-min over the out-edges whose candidate is below it and returns
-    their targets; writes only `dense` and arrays it creates."""
+    their targets, or over every out-edge returning none when not `targets`;
+    writes only `dense` and arrays it creates."""
     eid = base.repeat(counts)
     eid += np.arange(lo, hi)
     target = matrix.col[eid]
     cand = values.repeat(counts)
     cand += matrix.val[eid]
-    better = (cand < dense[target]).nonzero()[0]
-    target = target[better]
-    np.minimum.at(dense, target, cand[better])
-    return target
+    if targets:
+        better = (cand < dense[target]).nonzero()[0]
+        target, cand = target[better], cand[better]
+    np.minimum.at(dense, target, cand)
+    return target if targets else target[:0]
 
 
 def _distinct(target: np.ndarray) -> np.ndarray:

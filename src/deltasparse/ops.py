@@ -27,7 +27,7 @@ from .core import (
     _ones,
     _positions,
 )
-from .fused import _distinct, _push
+from .fused import _push
 
 __all__ = [
     "BinaryOp",
@@ -268,8 +268,12 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     v[i] + matrix[i][j].
 
     Pushes along the rows of `matrix` with the fused backend's own push, so
-    the work is v's out-edges rather than every edge. Outputs whose
-    reduction stays at the identity (+inf) are absent.
+    the work is v's out-edges rather than every edge, into a fresh n-long
+    +inf workspace with no pre-filter. The output is the workspace's finite
+    entries, read by one scan: sorted and distinct by construction, so
+    nothing is sorted (Gustavson's dense accumulator, ACM TOMS 1978).
+    Outputs whose reduction stays at the identity (+inf), a sum that
+    overflows included, are absent.
 
     For finite values of v this is bit-equal to gathering over the
     transpose: every candidate is the same single float sum
@@ -281,5 +285,6 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     if v.nnz == 0 or matrix.nnz == 0:
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
-    out_idx = _distinct(_push(v.values, v.indices, matrix, dense))
+    _push(v.values, v.indices, matrix, dense, False)
+    out_idx = (dense < math.inf).nonzero()[0]
     return SparseVector._adopt(matrix.n, out_idx, dense[out_idx])

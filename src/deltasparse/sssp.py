@@ -4,8 +4,11 @@ The solver partitions edges once into light (weight <= delta) and heavy
 (weight > delta) matrices, then settles vertices bucket by bucket: within
 bucket i it repeatedly relaxes light edges from the current bucket until no
 tentative distance falls back into the bucket's value window, then relaxes
-heavy edges once from everything the bucket processed. Unreachable vertices
-simply stay absent from the distance vector.
+heavy edges once from everything the bucket processed. Where delta is below
+the float spacing of the distances, a heavy sum can round back into the
+window; the targets it lowered there become the bucket again, and the light
+loop and one more heavy step run from them (see _lands_beyond). Unreachable
+vertices simply stay absent from the distance vector.
 
 Two interchangeable backends drive the loop: the unfused one composes the
 public kernels verbatim over sparse vectors, the fused one keeps dense state
@@ -40,10 +43,7 @@ from .ops import (
     ewise_add_vector,
     ewise_mult_vector,
     filter_vector,
-    filter_matrix,
-    greater_than,
     in_half_open,
-    positive_at_most,
     vxm_min_plus,
 )
 
@@ -83,7 +83,8 @@ class SsspResult:
     outer_iterations: the paper's outer loop count, windows i = 0, 1, ...
     up to the one holding the largest distance, empty windows included.
     occupied_buckets: the windows that held a tentative distance when the
-    walk reached them, the ones it visits; each takes one heavy step.
+    walk reached them, the ones it visits; each takes at least one heavy
+    step, more only where a heavy sum rounds back into its window.
     inner_phases: light relaxation passes, summed over those buckets.
     elapsed: seconds from the edge split to the final distances.
     """
@@ -95,27 +96,41 @@ class SsspResult:
     elapsed: float
 
 
+def _split(matrix: SparseMatrix, delta: float, share: bool) -> tuple[SparseMatrix, SparseMatrix]:
+    """The light part (weight <= delta) and the heavy part from one predicate
+    pass: weights are > 0 by invariant, so `val <= delta` picks the light
+    entries and its complement the heavy ones, whose row starts are the
+    input's less the light part's. With `share`, the input itself stands for
+    the heavy part where heavy edges are at least half of it (_partition)."""
+    is_light = matrix.val <= delta
+    kept = is_light.nonzero()[0]
+    starts = kept.searchsorted(matrix.indptr)
+    light = SparseMatrix(matrix.n, starts, matrix.col[kept], matrix.val[kept])
+    if share and 2 * kept.size <= matrix.nnz:
+        return light, matrix
+    rest = (~is_light).nonzero()[0]
+    return light, SparseMatrix(matrix.n, matrix.indptr - starts, matrix.col[rest], matrix.val[rest])
+
+
 def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
     """split_edges' light part, and the matrix the fused heavy step pushes
     along: the input itself, not copied, where heavy edges are at least half
     of it. Its light candidates never improve: when a bucket's light phases
     end, each settled u has pushed every light edge (u, j, w) with its
     current t[u], so t[j] <= t[u] + w fails the push's strict < test."""
-    light = filter_matrix(matrix, positive_at_most(delta))
-    if 2 * light.nnz <= matrix.nnz:
-        return light, matrix
-    return light, filter_matrix(matrix, greater_than(delta))
+    return _split(matrix, delta, True)
 
 
 def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
     """Partition edges into (light, heavy) by weight against delta.
 
-    Every input entry lands in exactly one output with its value untouched.
+    Every input entry lands in exactly one output with its value untouched:
+    the same matrices as filter_matrix with positive_at_most(delta) and
+    with greater_than(delta), from one pass over the weights.
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    light = filter_matrix(matrix, positive_at_most(delta))
-    return light, filter_matrix(matrix, greater_than(delta))
+    return _split(matrix, delta, False)
 
 
 def compute_bucket(t: SparseVector, index: int, delta: float) -> SparseVector:
@@ -151,13 +166,24 @@ def relax_light_phase(state: SsspState) -> SsspState:
 def relax_heavy(state: SsspState) -> SsspState:
     """Single heavy relaxation from the whole settled set of this bucket.
 
-    Heavy results land beyond the current window by construction, so one
-    pass suffices; the settled set is left as is.
+    Heavy results land beyond the current window in exact arithmetic; where
+    a float sum rounds back into it, the walk runs the bucket again from the
+    targets it lowered there (see _lands_beyond). The settled set is left
+    as is.
     """
     frontier = ewise_mult_vector(state.tentative, state.settled, TIMES)
     requests = vxm_min_plus(frontier, state.heavy)
     tentative = ewise_add_vector(state.tentative, requests, MIN)
     return replace(state, tentative=tentative, requests=requests)
+
+
+def _lands_beyond(index: int, delta: float) -> bool:
+    """Whether no heavy candidate from window `index` can land below its end:
+    heavy weights are at least nextafter(delta, inf), window values at least
+    lo, and float addition is monotone. Fails only where the window's float
+    ends lie closer than that, as where delta is below the distances' spacing."""
+    lo, hi = bucket_bounds(index, delta)
+    return lo + math.nextafter(delta, math.inf) >= hi
 
 
 def _count_phase(phases: int, ceiling: int) -> int:
@@ -264,20 +290,30 @@ def _solve_unfused(
     index: int | None = 0
     buckets = last = phases = 0
     while index is not None:
-        state = SsspState(
-            tentative=t,
-            requests=SparseVector(n),
-            bucket=compute_bucket(t, index, delta),
-            settled=SparseVector(n),
-            light=light,
-            heavy=heavy,
-            bucket_index=index,
-            delta=delta,
-        )
-        while state.bucket.nnz:
-            state = relax_light_phase(state)
-            phases = _count_phase(phases, ceiling)
-        t = relax_heavy(state).tentative
+        bucket = compute_bucket(t, index, delta)
+        while bucket.nnz:
+            state = SsspState(
+                tentative=t,
+                requests=SparseVector(n),
+                bucket=bucket,
+                settled=SparseVector(n),
+                light=light,
+                heavy=heavy,
+                bucket_index=index,
+                delta=delta,
+            )
+            while state.bucket.nnz:
+                state = relax_light_phase(state)
+                phases = _count_phase(phases, ceiling)
+            after = relax_heavy(state)
+            t, bucket = after.tentative, after.bucket
+            if not _lands_beyond(index, delta):
+                # the heavy requests that landed back in the window and
+                # improved: relax_light_phase's bucket chain
+                requests = after.requests
+                in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, delta)))
+                improving = ewise_add_vector(requests, state.tentative, LESS, mask=requests)
+                bucket = ewise_mult_vector(in_window, improving, TIMES)
         buckets, last = buckets + 1, index
         index = _next_index(index, delta, t.values)[0]
     return t, buckets, last, phases
@@ -291,7 +327,8 @@ def _solve_fused(
     # to values >= lo over positive weights, so its targets below hi, made
     # distinct, are the next bucket. The walk's own scan for the next window
     # gives its mask, the first bucket, which grows into the settled set; the
-    # walk from bucket -1 finds the source's window.
+    # walk from bucket -1 finds the source's window. A heavy step's targets
+    # below hi, where _lands_beyond allows any, start the bucket again.
     n = light.n
     t = np.full(n, math.inf, dtype=VALUE_DTYPE)
     t[source] = 0.0
@@ -301,12 +338,18 @@ def _solve_fused(
         hi = bucket_bounds(index, delta)[1]
         bucket = settled.nonzero()[0]
         while bucket.size:
-            lowered = _push(t[bucket], bucket, light, t)
-            bucket = _distinct(lowered[t[lowered] < hi])
-            settled[bucket] = True
-            phases = _count_phase(phases, ceiling)
-        frontier = settled.nonzero()[0]
-        _push(t[frontier], frontier, heavy, t)
+            while bucket.size:
+                lowered = _push(t[bucket], bucket, light, t)
+                bucket = _distinct(lowered[t[lowered] < hi])
+                settled[bucket] = True
+                phases = _count_phase(phases, ceiling)
+            frontier = settled.nonzero()[0]
+            lowered = _push(t[frontier], frontier, heavy, t)
+            if not _lands_beyond(index, delta):
+                bucket = _distinct(lowered[t[lowered] < hi])
+                if bucket.size:
+                    settled = np.zeros(n, dtype=bool)
+                    settled[bucket] = True
         buckets, last = buckets + 1, index
         index, settled = _next_index(index, delta, t)
     reached = np.flatnonzero(t < math.inf)
@@ -339,7 +382,7 @@ def delta_stepping(
 
     fused = backend.kind == "fused"
     start = time.perf_counter()
-    # the unfused split is the two filter_matrix calls; the fused one may skip the heavy one
+    # the unfused split copies both parts; the fused one may skip the heavy copy
     light, heavy = _partition(matrix, delta) if fused else split_edges(matrix, delta)
 
     # total light passes are bounded by the vertex count times the per-bucket

@@ -32,24 +32,58 @@ MUTANTS = [
         "tests/test_fused.py",
     ),
     ("fused.py", "np.minimum.at(dense", "np.maximum.at(dense", "tests/test_fused.py"),
-    # the push's readers order its targets: _distinct, the light step's
-    # next bucket and the (min,+) product's output
+    # the light step filters its candidates; the (min,+) product alone skips that
+    ("fused.py", "    if targets:\n", "    if not targets:\n", "tests/test_fused.py"),
+    # the light step's reader orders its targets: _distinct and the next bucket
     ("fused.py", "keep[:1] = True", "keep[:1] = False", "tests/test_fused.py"),
     ("fused.py", "    target.sort()\n", "", "tests/test_fused.py"),
     (
         "sssp.py",
-        "_distinct(lowered[t[lowered] < hi])",
-        "lowered[t[lowered] < hi]",
+        "bucket = _distinct(lowered[t[lowered] < hi])\n                settled",
+        "bucket = lowered[t[lowered] < hi]\n                settled",
         "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
     ),
+    # the (min,+) product reads its output off the workspace's finite entries
     (
         "ops.py",
-        "_distinct(_push(v.values, v.indices, matrix, dense))",
-        "_push(v.values, v.indices, matrix, dense)",
-        "tests/test_kernel_reference.py",
+        "(dense < math.inf).nonzero()",
+        "(dense <= math.inf).nonzero()",
+        "tests/test_kernel_reference.py::test_vxm_min_plus_edge_cases_equal_pull_reference",
+    ),
+    # the heavy part's row starts are the input's less the light part's
+    (
+        "sssp.py",
+        "matrix.indptr - starts",
+        "matrix.indptr",
+        "tests/test_ops.py::test_split_equals_the_two_filter_reference",
     ),
     # the fused bucket's settled set
-    ("sssp.py", "            settled[bucket] = True\n", "", "tests/test_fused_path.py"),
+    (
+        "sssp.py",
+        "                settled[bucket] = True\n                phases",
+        "                phases",
+        "tests/test_fused_path.py",
+    ),
+    # a heavy sum that rounds back into its window starts the bucket again,
+    # on either backend, wherever the scalar gate lets one through
+    (
+        "sssp.py",
+        "                bucket = _distinct(lowered[t[lowered] < hi])\n                if",
+        "                bucket = lowered[:0]\n                if",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    (
+        "sssp.py",
+        "bucket = ewise_mult_vector(in_window, improving, TIMES)\n        buckets",
+        "bucket = after.bucket\n        buckets",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    (
+        "sssp.py",
+        "math.nextafter(delta, math.inf) >= hi",
+        "math.nextafter(delta, math.inf) < hi",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
     # a comparison's union output normalized to 1.0, zeros dropped
     (
         "ops.py",

@@ -223,6 +223,36 @@ def test_criterion_4_fusion_transparency(corpus, monkeypatch):
     assert ok, mismatches[:5]
 
 
+def test_criterion_4_heavy_sums_rounding_into_their_window(monkeypatch):
+    # weights 10^U(-12, 12) at delta 1e-6: once a distance's float spacing
+    # exceeds delta, a heavy sum t[u] + w can round back into u's own window
+    # after that window's light phases have ended. Both backends must equal
+    # the oracle, step by step alike, and the set must take that path: some
+    # bucket takes a second heavy step.
+    log = step_recorder(monkeypatch)
+    rng = np.random.default_rng(26)
+    reentered = 0
+    for case in range(300):
+        n = int(rng.integers(2, 60))
+        m = int(rng.integers(1, 4 * n + 1))
+        weights = 10.0 ** rng.uniform(-12, 12, m)
+        edges = np.column_stack([rng.integers(0, n, m), rng.integers(0, n, m), weights])
+        matrix, source = matrix_build(n, edges), int(rng.integers(0, n))
+        want = dijkstra_oracle(matrix, source)
+        runs = []
+        for kind in ("unfused", "fused"):
+            log.clear()
+            result = delta_stepping(matrix, source, 1e-6, backend=BackendChoice(kind))
+            assert result.distances == want, (case, kind)
+            counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
+            runs.append((list(log), counts))
+        assert runs[0] == runs[1], case
+        heavy_steps = sum(step[0] == "heavy" for step in log)
+        assert heavy_steps >= result.occupied_buckets
+        reentered += heavy_steps > result.occupied_buckets
+    assert reentered > 0
+
+
 def test_criterion_5_parallel_determinism(corpus, monkeypatch):
     # a 1-entry range size cuts every fused call into one range per index,
     # so agreement here is not the one-range path agreeing with itself

@@ -6,6 +6,8 @@ from __future__ import annotations
 import io
 import os
 import signal
+import subprocess
+import sys
 import threading
 import warnings
 from contextlib import contextmanager
@@ -66,6 +68,35 @@ def test_run_directed_edges(edge_path, capsys):
     assert [field.split("=")[0] for field in summary[4:]] == [
         "outer_iterations", "inner_phases", "median_time_s", "occupied_buckets"
     ]
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+def test_run_heavy_sum_rounding_into_its_own_window(tmp_path, capsys, backend):
+    # at delta 1e-6, 1e11 + 1.5e-6 rounds to 1e11: vertex 2 lands in vertex
+    # 1's window after its light phases, starts that bucket again, and its
+    # heavy step reaches vertex 3
+    path = tmp_path / "g.edges"
+    path.write_text("0 1 1e11\n1 2 1.5e-6\n2 3 1\n")
+    code = run_cli(
+        "run", "--graph", str(path), "--format", "edges", "--directed", "--source", "0",
+        "--delta", "1e-6", "--backend", backend,
+    )
+    assert code == 0
+    assert capsys.readouterr().out == (
+        "0\t0.0\n1\t100000000000.0\n2\t100000000000.0\n3\t100000000001.0\n"
+    )
+
+
+def test_module_form_runs_the_console_entry_point(edge_path, capsys):
+    argv = ["run", "--graph", edge_path, "--format", "edges", "--source", "0"]
+    assert run_cli(*argv) == 0
+    want = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run(
+        [sys.executable, "-m", "deltasparse.cli", *argv], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0
+    assert done.stdout == want != ""
 
 
 def test_run_default_is_undirected(edge_path, capsys):

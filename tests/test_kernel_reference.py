@@ -250,3 +250,29 @@ def test_vxm_min_plus_equals_pull_reference(monkeypatch, entries, split):
             a = SparseMatrix(n, a.indptr, a.col, a.val)
         v = vector_on(rng, n, rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
         assert vxm_min_plus(v, a) == pull_vxm_min_plus(v, a)
+
+
+@pytest.mark.parametrize("entries", [fused_mod.RANGE_ENTRIES, 2])
+def test_vxm_min_plus_edge_cases_equal_pull_reference(monkeypatch, entries):
+    # 2 entries a slice cuts every push of more than two out-edges
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    big = 1e308
+    # rows 2 and 5 have no out-edges; targets 2 and 3 are reached from
+    # several rows; big + big overflows to inf
+    a = matrix_build(
+        6, [(0, 2, 1.0), (0, 3, 2.0), (1, 2, 3.0), (1, 3, 1.0), (3, 2, 0.5), (4, 5, big)]
+    )
+    cases = {
+        "empty frontier": SparseVector(6),
+        "zero out-degree rows": vector_build(6, [(2, 1.0), (5, 0.0)]),
+        "repeated targets": vector_build(6, [(0, 0.0), (1, 0.5), (3, 4.0), (5, 1.0)]),
+        "overflow only": vector_build(6, [(4, big)]),
+        "overflow and finite": vector_build(6, [(0, 0.0), (1, 2.0), (4, big)]),
+    }
+    with np.errstate(over="ignore"):
+        for name, v in cases.items():
+            got = vxm_min_plus(v, a)
+            assert got == pull_vxm_min_plus(v, a), name
+            got.check_invariants()
+        assert vxm_min_plus(cases["overflow only"], a).nnz == 0
+        assert vxm_min_plus(cases["repeated targets"], a).to_dict() == {2: 1.0, 3: 1.5}

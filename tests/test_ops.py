@@ -26,9 +26,11 @@ from deltasparse import (
     mask_from_indices,
     matrix_build,
     positive_at_most,
+    split_edges,
     vector_build,
     vxm_min_plus,
 )
+from deltasparse.sssp import _partition
 
 from conftest import grid_arcs, random_mask, random_sparse_vector
 
@@ -102,6 +104,42 @@ def test_filter_matrix_partitions_entries():
         assert low.nnz + high.nnz == a.nnz
         assert low.entry_set() | high.entry_set() == a.entry_set()
         assert not (low.entry_set() & high.entry_set())
+
+
+def same_bytes(got, want):
+    return got.n == want.n and all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in ((got.indptr, want.indptr), (got.col, want.col), (got.val, want.val))
+    )
+
+
+def test_split_equals_the_two_filter_reference():
+    # rows 1 and 5 (the last) are empty; delta 2.0 and 1.0 tie stored weights,
+    # 0.25 leaves every edge heavy and 10.0 every edge light
+    a = matrix_build(
+        6, [(0, 1, 2.0), (0, 2, 1.0), (0, 3, 3.0), (2, 0, 2.0), (3, 0, 0.5), (3, 4, 2.0)]
+    )
+    rng = np.random.default_rng(31)
+    cases = [(a, delta) for delta in (2.0, 1.0, 0.5, 0.25, 3.0, 10.0)]
+    cases.append((matrix_build(4, np.empty((0, 3))), 1.0))
+    for _ in range(30):
+        n = int(rng.integers(1, 30))
+        m = int(rng.integers(0, 4 * n + 1))
+        w = rng.integers(1, 4, m).astype(float)
+        b = matrix_build(n, np.column_stack([rng.integers(0, n, m), rng.integers(0, n, m), w]))
+        cases.append((b, float(rng.integers(0, 5)) or 0.5))
+    for matrix, delta in cases:
+        want_light = filter_matrix(matrix, positive_at_most(delta))
+        want_heavy = filter_matrix(matrix, greater_than(delta))
+        light, heavy = split_edges(matrix, delta)
+        assert same_bytes(light, want_light) and same_bytes(heavy, want_heavy), delta
+        light, heavy = _partition(matrix, delta)
+        assert same_bytes(light, want_light)
+        # the fused split shares the input where heavy edges are at least half
+        if 2 * want_light.nnz <= matrix.nnz:
+            assert heavy is matrix
+        else:
+            assert same_bytes(heavy, want_heavy)
 
 
 # ---------------------------------------------------------------- union combine

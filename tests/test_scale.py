@@ -97,9 +97,9 @@ def test_rmat_hub_sources_float_weights_within_tolerance(monkeypatch):
     starts = []
     relax = fused_mod._relax
 
-    def spy(values, base, counts, lo, hi, matrix, dense):
+    def spy(values, base, counts, lo, hi, matrix, dense, targets):
         starts.append(lo)
-        return relax(values, base, counts, lo, hi, matrix, dense)
+        return relax(values, base, counts, lo, hi, matrix, dense, targets)
 
     monkeypatch.setattr(fused_mod, "_relax", spy)
     hubs = np.argsort(-np.diff(matrix.indptr), kind="stable")[:4]

@@ -48,7 +48,8 @@ def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray,
         return np.zeros(queries.size, dtype=INDEX_DTYPE), np.zeros(queries.size, dtype=bool)
     pos = sorted_idx.searchsorted(queries)
     safe = np.minimum(pos, sorted_idx.size - 1)
-    found = (pos < sorted_idx.size) & (sorted_idx[safe] == queries)
+    # a query past the end meets the last, smaller index: unequal
+    found = sorted_idx[safe] == queries
     return safe, found
 
 

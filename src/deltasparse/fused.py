@@ -3,17 +3,19 @@
 The fused solver (sssp._solve_fused) keeps tentative distances in one
 float64 array, +inf where absent; the settled set is a bool array that
 starts as the mask of the bucket's window, taken from the walk's own scan
-for the next window, and each bucket is an index array. It has two
-kernels: _push, the one gather-and-reduce relax, and the inline bucket
-test `_distinct(lowered[t[lowered] < hi])`, the one tentative/bucket update.
+for the next window, and each bucket is an index array. It has one kernel,
+_push, the gather-and-reduce relax, whose bound is also the bucket test:
+the next bucket is `_distinct(_push(t[bucket], bucket, light, t, hi))`.
 A push gathers the frontier's rows of the row-major light part, heavy part
 or whole input (see sssp._partition), forms t[i] + w per out-edge, keeps
 the candidates below t[j], lowers t by a scatter-min over them
-(np.minimum.at) and returns their targets unordered; its work is the
-frontier's out-edges, not every edge. Only the light step reads them, and
-sorts them once. ops.vxm_min_plus runs the same _push into a fresh +inf
-scratch with targets=False: every candidate goes into the scatter-min, no
-target is returned, and the product reads its output off the scratch.
+(np.minimum.at) and returns, unordered, the targets of those whose
+candidate is also below its bound (see _push); its work is the frontier's
+out-edges, not every edge. The light step and the heavy re-entry read the
+targets, and sort them once. ops.vxm_min_plus, and the heavy step wherever
+sssp._lands_beyond holds, read none: they push with below=None, every
+candidate goes into the scatter-min, and nothing is returned; the product
+reads its output off a fresh +inf scratch.
 
 Frontiers on high-diameter graphs hold a handful of vertices, so a push
 costs its numpy calls more than its edges. A push therefore works in place
@@ -35,8 +37,10 @@ A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
 slices, one after another, through one slice body (_relax), and a cut
 push concatenates their targets. Every slice forms its candidates from the
 frontier values read on entry, so the cut never changes the lowered state
-or the set of targets. A push that fits in one slice, the common case,
-runs the body once with no cutting at all.
+or the set of targets. A slice keeps nothing past its end but the targets
+it returns, so a cut push holds one slice's temporaries at a time. A push
+that fits in one slice, the common case, runs the body once with no
+cutting at all.
 """
 
 from __future__ import annotations
@@ -51,11 +55,17 @@ __all__ = ["BackendChoice", "bucket_bounds"]
 
 # Frontier out-edges per push slice. Slices bound the push's temporaries
 # rather than buy speed. The largest push of the acceptance criterion-7
-# solve (10^5 vertices, 1.05*10^6 edges, delta 3; 338,361 out-edges) peaked
-# at 13.0 MB under tracemalloc as one slice, about 38 bytes per out-edge,
-# and at 3.8 MB in 64 Ki slices; fused solves of that graph ran as fast,
-# within noise, at 64 Ki as in one slice (README, Performance notes).
-RANGE_ENTRIES = 64 << 10
+# solve (10^5 vertices, 1.05*10^6 edges, delta 3: a heavy push along the
+# input, 482,783 out-edges) peaked at 16.5 MB under tracemalloc as one
+# slice, about 34 bytes per out-edge, and at 2.0 MB in 16 Ki slices (3.4 MB
+# in 64 Ki); fused solves of that graph took at most 4% longer at 16 Ki
+# than at 64 Ki (README, Performance notes).
+RANGE_ENTRIES = 16 << 10
+
+# what a push that returns no targets returns: not a view of a slice's
+# targets, which would keep that whole array alive until the push ends
+_NO_TARGETS = np.empty(0, dtype=INDEX_DTYPE)
+_NO_TARGETS.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -80,14 +90,19 @@ def _push(
     frontier: np.ndarray,
     matrix: SparseMatrix,
     dense: np.ndarray,
-    targets: bool = True,
+    below: float | None,
 ) -> np.ndarray:
     """Lower dense[j] to the minimum of values[k] + w over the out-edges
     (frontier[k], j, w) of the row-major `matrix` by a scatter-min, one
     slice of at most RANGE_ENTRIES out-edges at a time; return the target
-    of each candidate that was below `dense`, unordered and with repeats.
-    With targets=False every candidate goes into the scatter-min unfiltered,
-    which lowers `dense` alike, and the push returns an empty array.
+    of each candidate that was below `dense` and below `below`, unordered
+    and with repeats. With below=None every candidate goes into the
+    scatter-min unfiltered, which lowers `dense` alike, and the push
+    returns an empty array.
+
+    The targets returned are the lowered ones that end below `below`:
+    `dense` only falls, so a target ends below the bound exactly when one of
+    its improving candidates is, whichever slice that candidate is in.
 
     `values` must not alias `dense`: candidates come from the values as
     given, however many slices lower `dense` before them. Neither `values`
@@ -106,7 +121,7 @@ def _push(
     if total == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
     if total <= RANGE_ENTRIES:
-        return _relax(values, base, counts, 0, total, matrix, dense, targets)
+        return _relax(values, base, counts, 0, total, matrix, dense, below)
     # slice k takes the frontier vertices whose out-edges end in the k-th of
     # ceil(total / RANGE_ENTRIES) evenly sized edge ranges
     edge_cuts = np.linspace(0, total, -(-total // RANGE_ENTRIES) + 1).astype(int)
@@ -114,7 +129,7 @@ def _push(
     offsets = ends - counts
     lowered = [
         _relax(
-            values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense, targets
+            values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense, below
         )
         for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
         if a < b
@@ -130,23 +145,25 @@ def _relax(
     hi: int,
     matrix: SparseMatrix,
     dense: np.ndarray,
-    targets: bool,
+    below: float | None,
 ) -> np.ndarray:
     """One push slice: the frontier vertices with these values, entry bases
     and out-degrees own the frontier out-edges [lo, hi). Lowers `dense` by a
     scatter-min over the out-edges whose candidate is below it and returns
-    their targets, or over every out-edge returning none when not `targets`;
-    writes only `dense` and arrays it creates."""
+    the targets of those whose candidate is also below `below`; with
+    below=None, over every out-edge, returning the shared empty
+    _NO_TARGETS. Writes only `dense` and arrays it creates."""
     eid = base.repeat(counts)
     eid += np.arange(lo, hi)
     target = matrix.col[eid]
     cand = values.repeat(counts)
     cand += matrix.val[eid]
-    if targets:
+    del eid
+    if below is not None:
         better = (cand < dense[target]).nonzero()[0]
         target, cand = target[better], cand[better]
     np.minimum.at(dense, target, cand)
-    return target if targets else target[:0]
+    return _NO_TARGETS if below is None else target[cand < below]
 
 
 def _distinct(target: np.ndarray) -> np.ndarray:

@@ -155,7 +155,7 @@ def _merge(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, 
     # the shared entries in their u slots
     pos = u.indices.searchsorted(v.indices)
     if u.nnz:
-        both = u.indices[np.minimum(pos, u.nnz - 1)] == v.indices
+        both = u.indices.take(pos, mode="clip") == v.indices
     else:
         both = np.zeros(v.nnz, dtype=bool)
     own = ~both
@@ -285,6 +285,6 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     if v.nnz == 0 or matrix.nnz == 0:
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
-    _push(v.values, v.indices, matrix, dense, False)
+    _push(v.values, v.indices, matrix, dense, None)
     out_idx = (dense < math.inf).nonzero()[0]
     return SparseVector._adopt(matrix.n, out_idx, dense[out_idx])

@@ -289,14 +289,15 @@ def _solve_unfused(
     t = vector_build(n, [(source, 0.0)])
     index: int | None = 0
     buckets = last = phases = 0
+    empty = SparseVector(n)  # frozen, so every bucket's state can share it
     while index is not None:
         bucket = compute_bucket(t, index, delta)
         while bucket.nnz:
             state = SsspState(
                 tentative=t,
-                requests=SparseVector(n),
+                requests=empty,
                 bucket=bucket,
-                settled=SparseVector(n),
+                settled=empty,
                 light=light,
                 heavy=heavy,
                 bucket_index=index,
@@ -324,11 +325,13 @@ def _solve_fused(
 ) -> tuple[SparseVector, int, int, int]:
     # the unfused loop step for step over dense state (see fused.py): t is
     # +inf where unreached; a light push from the window [lo, hi) lowers t
-    # to values >= lo over positive weights, so its targets below hi, made
-    # distinct, are the next bucket. The walk's own scan for the next window
-    # gives its mask, the first bucket, which grows into the settled set; the
-    # walk from bucket -1 finds the source's window. A heavy step's targets
-    # below hi, where _lands_beyond allows any, start the bucket again.
+    # to values >= lo over positive weights, so the targets it lowered below
+    # hi, which a push bounded by hi returns, made distinct, are the next
+    # bucket. The walk's own scan for the next window gives its mask, the
+    # first bucket, which grows into the settled set; the walk from bucket -1
+    # finds the source's window. A heavy step's targets below hi, where
+    # _lands_beyond allows any, start the bucket again; elsewhere its push
+    # returns none.
     n = light.n
     t = np.full(n, math.inf, dtype=VALUE_DTYPE)
     t[source] = 0.0
@@ -339,14 +342,14 @@ def _solve_fused(
         bucket = settled.nonzero()[0]
         while bucket.size:
             while bucket.size:
-                lowered = _push(t[bucket], bucket, light, t)
-                bucket = _distinct(lowered[t[lowered] < hi])
+                bucket = _distinct(_push(t[bucket], bucket, light, t, hi))
                 settled[bucket] = True
                 phases = _count_phase(phases, ceiling)
             frontier = settled.nonzero()[0]
-            lowered = _push(t[frontier], frontier, heavy, t)
-            if not _lands_beyond(index, delta):
-                bucket = _distinct(lowered[t[lowered] < hi])
+            if _lands_beyond(index, delta):
+                _push(t[frontier], frontier, heavy, t, None)
+            else:
+                bucket = _distinct(_push(t[frontier], frontier, heavy, t, hi))
                 if bucket.size:
                     settled = np.zeros(n, dtype=bool)
                     settled[bucket] = True

@@ -33,14 +33,23 @@ MUTANTS = [
     ),
     ("fused.py", "np.minimum.at(dense", "np.maximum.at(dense", "tests/test_fused.py"),
     # the light step filters its candidates; the (min,+) product alone skips that
-    ("fused.py", "    if targets:\n", "    if not targets:\n", "tests/test_fused.py"),
+    ("fused.py", "    if below is not None:\n", "    if below is None:\n", "tests/test_fused.py"),
+    # a bounded push returns the lowered targets strictly below its bound
+    ("fused.py", "target[cand < below]", "target[cand <= below]", "tests/test_fused.py"),
+    # a push that returns no targets keeps no view of a slice's targets alive
+    (
+        "fused.py",
+        "return _NO_TARGETS if",
+        "return target[:0] if",
+        "tests/test_fused.py::test_cut_push_holds_one_slice_at_a_time",
+    ),
     # the light step's reader orders its targets: _distinct and the next bucket
     ("fused.py", "keep[:1] = True", "keep[:1] = False", "tests/test_fused.py"),
     ("fused.py", "    target.sort()\n", "", "tests/test_fused.py"),
     (
         "sssp.py",
-        "bucket = _distinct(lowered[t[lowered] < hi])\n                settled",
-        "bucket = lowered[t[lowered] < hi]\n                settled",
+        "bucket = _distinct(_push(t[bucket], bucket, light, t, hi))\n",
+        "bucket = _push(t[bucket], bucket, light, t, hi)\n",
         "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
     ),
     # the (min,+) product reads its output off the workspace's finite entries
@@ -68,8 +77,15 @@ MUTANTS = [
     # on either backend, wherever the scalar gate lets one through
     (
         "sssp.py",
-        "                bucket = _distinct(lowered[t[lowered] < hi])\n                if",
-        "                bucket = lowered[:0]\n                if",
+        "                bucket = _distinct(_push(t[frontier], frontier, heavy, t, hi))\n",
+        "                _push(t[frontier], frontier, heavy, t, None)\n",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    # the re-entry bucket is the heavy step's targets below the window's end
+    (
+        "sssp.py",
+        "frontier, heavy, t, hi))",
+        "frontier, heavy, t, math.inf))",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
     (

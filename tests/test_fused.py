@@ -4,7 +4,9 @@ lowered, and give the same result however a push is cut into slices."""
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +45,7 @@ def push(matrix, frontier, values, dense):
     # the push returns its targets in edge order with repeats; its readers
     # order them by _distinct, and the byte comparisons here compare that
     dense = dense.copy()
-    lowered = fused_mod._distinct(fused_mod._push(values.copy(), frontier, matrix, dense))
+    lowered = fused_mod._distinct(fused_mod._push(values.copy(), frontier, matrix, dense, math.inf))
     return lowered, dense
 
 
@@ -185,7 +187,7 @@ def test_push_leaves_values_and_frontier_unchanged(monkeypatch, entries):
         n = int(rng.integers(1, 50))
         matrix, frontier, values, dense = random_push(rng, n, int(rng.integers(0, 4 * n + 1)))
         before = values.tobytes(), frontier.tobytes()
-        lowered = fused_mod._push(values, frontier, matrix, dense)
+        lowered = fused_mod._push(values, frontier, matrix, dense, math.inf)
         assert (values.tobytes(), frontier.tobytes()) == before
         pushes += lowered.size > 0
     assert pushes > 0
@@ -205,3 +207,63 @@ def test_vxm_push_reads_its_read_only_operand(monkeypatch, entries):
         got = vxm_min_plus(v, matrix)
         assert (v.indices.tobytes(), v.values.tobytes()) == before
         assert got == pull_vxm_min_plus(v, matrix)
+
+
+def integer_push(rng, n, m):
+    """random_push with integer weights 1..5 as well, so that candidates
+    fall exactly on an integer bound."""
+    matrix, frontier, values, dense = random_push(rng, n, m)
+    weights = rng.integers(1, 6, matrix.nnz).astype(float)
+    matrix = matrix_build(n, np.column_stack([matrix.row_ids(), matrix.col, weights]))
+    return matrix, frontier, values, dense
+
+
+@pytest.mark.parametrize("entries", [fused_mod.RANGE_ENTRIES, 1, 3])
+def test_bounded_push_returns_the_lowered_targets_below_the_bound(monkeypatch, entries):
+    # _distinct(_push(..., hi)) is the bucket test it replaced,
+    # _distinct(lowered[t[lowered] < hi]) over all the push's lowered
+    # targets, in one slice and cut into many; a target lowered to exactly
+    # hi is not below it
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    rng = np.random.default_rng(79)
+    at_bound = kept = 0
+    for _ in range(80):
+        n = int(rng.integers(1, 50))
+        matrix, frontier, values, dense = integer_push(rng, n, int(rng.integers(0, 4 * n + 1)))
+        hi = float(rng.integers(1, 30))
+        want_t = dense.copy()
+        lowered = fused_mod._push(values, frontier, matrix, want_t, math.inf)
+        want = fused_mod._distinct(lowered[want_t[lowered] < hi])
+        got_t = dense.copy()
+        got = fused_mod._distinct(fused_mod._push(values, frontier, matrix, got_t, hi))
+        assert got.tobytes() == want.tobytes()
+        assert got_t.tobytes() == want_t.tobytes()
+        requests = pull_vxm_min_plus(SparseVector(n, frontier, values), matrix)
+        improving = requests.values < dense[requests.indices]
+        at_bound += int(np.sum(improving & (requests.values == hi)))
+        kept += got.size
+    assert at_bound > 0 and kept > 0
+
+
+def test_cut_push_holds_one_slice_at_a_time(monkeypatch):
+    # a (min,+) product over 160,000 out-edges cut into 40 slices: no
+    # slice's arrays outlive it, so the traced peak is the frontier's and
+    # the output's arrays and a slice's temporaries at about 35 bytes an
+    # out-edge, not a few bytes for every out-edge of the push
+    entries, n, degree = 4096, 2000, 80
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    rng = np.random.default_rng(83)
+    rows = np.repeat(np.arange(n), degree)
+    tri = np.column_stack([rows, rng.integers(0, n, rows.size), 1.0 + rng.random(rows.size)])
+    matrix = matrix_build(n, tri)
+    v = SparseVector(n, np.arange(n), rng.random(n))
+    assert matrix.nnz >= 20 * entries
+    gc.collect()
+    tracemalloc.start()
+    try:
+        got = vxm_min_plus(v, matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == pull_vxm_min_plus(v, matrix)
+    assert peak <= 48 * entries + 64 * n, peak

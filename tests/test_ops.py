@@ -303,8 +303,8 @@ def test_user_op_output_is_adopted_only_when_fresh_float64(fn):
 
 def test_unfused_solve_builds_no_kernel_vector_through_the_constructor(monkeypatch):
     # the kernels adopt the arrays they allocate: only the solve's start
-    # vector and its two empty vectors per bucket take the converting
-    # constructor, and the count repeats exactly
+    # vector and the one empty vector all its buckets share take the
+    # converting constructor, and the count repeats exactly
     side = 12
     tails, heads = grid_arcs(side)
     weights = np.random.default_rng(7).integers(1, 101, tails.size).astype(float)
@@ -322,10 +322,10 @@ def test_unfused_solve_builds_no_kernel_vector_through_the_constructor(monkeypat
         calls.clear()
         result = delta_stepping(a, 0, 20.0)
         assert len(calls[0]) == 3  # the start vector
-        assert calls[1:] == [(side * side,)] * (2 * result.occupied_buckets)
+        assert calls[1:] == [(side * side,)]
         counts.append(len(calls))
     assert result.occupied_buckets > 10 and result.inner_phases > result.occupied_buckets
-    assert counts[0] == counts[1] == 1 + 2 * result.occupied_buckets
+    assert counts[0] == counts[1] == 2
 
 
 # ---------------------------------------------------------------- vxm

@@ -319,25 +319,26 @@ def test_delta_stepping_backends_bit_identical(monkeypatch):
 # only their light part; unit weights at delta 3 are all light and take
 # the copy side of that rule
 SOLVE_PEAK_BOUNDS = {
-    ("unfused", "unit"): 56,
-    ("unfused", "int"): 56,
-    ("unfused", "float"): 56,
-    ("fused", "unit"): 56,
-    ("fused", "int"): 27,
-    ("fused", "float"): 27,
+    ("unfused", "unit"): 48,
+    ("unfused", "int"): 48,
+    ("unfused", "float"): 48,
+    ("fused", "unit"): 36,
+    ("fused", "int"): 18,
+    ("fused", "float"): 18,
 }
 
 
 @pytest.mark.parametrize("backend, kind", list(SOLVE_PEAK_BOUNDS))
 def test_solve_memory_per_edge(backend, kind):
-    # The unfused split keeps the light and heavy parts (16 bytes an edge)
-    # and a push slice of up to RANGE_ENTRIES out-edges costs about 24 bytes
-    # an edge at this size: traced peaks read 48.5, 38.2 and 40.4 bytes an
-    # edge for unit, int and float weights. A transposed copy of the input
-    # costs 16 bytes an edge more, and filtered views of it 16 more (74 to
-    # 85 with both); a copy cached on the input stays allocated after the
-    # solve. The fused solve reads 42.3, 21.5 and 24.3; copying the heavy
-    # part as well reads 30.6 and 32.7 for int and float weights.
+    # The unfused split keeps the light and heavy parts (16 bytes an edge),
+    # and a push holds one slice of up to RANGE_ENTRIES out-edges at 35 to
+    # 40 bytes each: traced peaks read 40.2, 36.8 and 36.6 bytes an edge for
+    # unit, int and float weights, and 45.1, 39.7 and 41.1 with every push
+    # in one slice. A transposed copy of the input costs 16 bytes an edge
+    # more, and filtered views of it 16 more (74 to 85 with both); a copy
+    # cached on the input stays allocated after the solve. The fused solve
+    # reads 29.4, 14.2 and 14.4, and 41.1, 21.1 and 23.9 in one slice;
+    # copying the heavy part as well reads 27.7 for int and float weights.
     a = random_graph(20_000, 120_000, np.random.default_rng(5), weights=kind)
     gc.collect()
     tracemalloc.start()
@@ -478,10 +479,10 @@ def heavy_step_recorder(monkeypatch):
         split[:] = partition(matrix, delta)
         return tuple(split)
 
-    def fused_push(values, frontier, matrix, dense):
+    def fused_push(values, frontier, matrix, dense, below):
         if matrix is split[1]:
             sizes.append(frontier.size)
-        return push(values, frontier, matrix, dense)
+        return push(values, frontier, matrix, dense, below)
 
     def unfused_heavy(state):
         sizes.append(state.settled.nnz)
@@ -546,7 +547,9 @@ def test_phase_ceiling_stops_a_bucket_that_never_empties(monkeypatch, kind):
     # light passes that neither lower t nor drain the bucket would cycle
     # forever; the solve must stop at n * (ceil(delta / lightest) + 2)
     monkeypatch.setattr(sssp_mod, "relax_light_phase", lambda state: state)
-    monkeypatch.setattr(sssp_mod, "_push", lambda values, frontier, matrix, dense: frontier)
+    monkeypatch.setattr(
+        sssp_mod, "_push", lambda values, frontier, matrix, dense, below: frontier
+    )
     a = matrix_build(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(RuntimeError, match="light phase count exceeded ceiling 9;"):
         delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))

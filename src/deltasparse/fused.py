@@ -37,10 +37,10 @@ A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
 slices, one after another, through one slice body (_relax), and a cut
 push concatenates their targets. Every slice forms its candidates from the
 frontier values read on entry, so the cut never changes the lowered state
-or the set of targets. A slice keeps nothing past its end but the targets
-it returns, so a cut push holds one slice's temporaries at a time. A push
-that fits in one slice, the common case, runs the body once with no
-cutting at all.
+or the set of targets. Past the cut a push keeps only the out-degrees;
+each slice numbers its out-edges by a cumsum of its own and keeps nothing
+past its end but the targets it returns. A push that fits in one slice,
+the common case, runs the body once with no cutting at all.
 """
 
 from __future__ import annotations
@@ -56,10 +56,10 @@ __all__ = ["BackendChoice", "bucket_bounds"]
 # Frontier out-edges per push slice. Slices bound the push's temporaries
 # rather than buy speed. The largest push of the acceptance criterion-7
 # solve (10^5 vertices, 1.05*10^6 edges, delta 3: a heavy push along the
-# input, 482,783 out-edges) peaked at 16.5 MB under tracemalloc as one
-# slice, about 34 bytes per out-edge, and at 2.0 MB in 16 Ki slices (3.4 MB
-# in 64 Ki); fused solves of that graph took at most 4% longer at 16 Ki
-# than at 64 Ki (README, Performance notes).
+# input from 45,951 vertices, 482,783 out-edges) peaks at 12.7 MB under
+# tracemalloc as one slice, about 26 bytes per out-edge, and at 0.77 MB in
+# 16 Ki slices (1.9 MB in 64 Ki); fused solves of that graph took at most
+# 4% longer at 16 Ki than at 64 Ki (README, Performance notes).
 RANGE_ENTRIES = 16 << 10
 
 # what a push that returns no targets returns: not a view of a slice's
@@ -110,30 +110,33 @@ def _push(
     """
     # in place on the arrays this push gathers: counts are the out-degrees,
     # and out-edge e of the frontier's out-edges is matrix entry base[k] + e,
-    # where k is the frontier vertex it belongs to
-    base = matrix.indptr[frontier]
-    counts = matrix.indptr[1:][frontier]
-    counts -= base
+    # where k is the frontier vertex it belongs to: k's row end less ends[k]
+    row_ends = matrix.indptr[1:]
+    counts = row_ends[frontier]
+    counts -= matrix.indptr[frontier]
     ends = counts.cumsum()
-    base -= ends
-    base += counts
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
     if total <= RANGE_ENTRIES:
-        return _relax(values, base, counts, 0, total, matrix, dense, below)
+        return _relax(values, row_ends[frontier] - ends, counts, 0, total, matrix, dense, below)
     # slice k takes the frontier vertices whose out-edges end in the k-th of
-    # ceil(total / RANGE_ENTRIES) evenly sized edge ranges
+    # ceil(total / RANGE_ENTRIES) evenly sized edge ranges, and numbers its
+    # out-edges from lo, the count before it, by a cumsum of its own
     edge_cuts = np.linspace(0, total, -(-total // RANGE_ENTRIES) + 1).astype(int)
-    cuts = np.searchsorted(ends, edge_cuts, side="right")
-    offsets = ends - counts
-    lowered = [
-        _relax(
-            values[a:b], base[a:b], counts[a:b], offsets[a], ends[b - 1], matrix, dense, below
-        )
-        for a, b in zip(cuts[:-1].tolist(), cuts[1:].tolist())
-        if a < b
-    ]
+    cuts = ends.searchsorted(edge_cuts, side="right").tolist()
+    del ends
+    lowered, lo = [], 0
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        if a < b:
+            ends = counts[a:b].cumsum()
+            ends += lo
+            base = row_ends[frontier[a:b]]
+            base -= ends
+            hi = int(ends[-1])
+            del ends
+            lowered.append(_relax(values[a:b], base, counts[a:b], lo, hi, matrix, dense, below))
+            lo = hi
     return np.concatenate(lowered)
 
 
@@ -153,11 +156,12 @@ def _relax(
     the targets of those whose candidate is also below `below`; with
     below=None, over every out-edge, returning the shared empty
     _NO_TARGETS. Writes only `dense` and arrays it creates."""
+    # weights before targets: at most three edge-long arrays alive at once
     eid = base.repeat(counts)
     eid += np.arange(lo, hi)
-    target = matrix.col[eid]
     cand = values.repeat(counts)
     cand += matrix.val[eid]
+    target = matrix.col[eid]
     del eid
     if below is not None:
         better = (cand < dense[target]).nonzero()[0]

@@ -100,24 +100,18 @@ class LabelMap:
     def __len__(self) -> int:
         return len(self._labels)
 
-    def __contains__(self, label: int) -> bool:
-        return self._find(label) is not None
-
-    def _find(self, label: int) -> int | None:
-        labels = self._labels
-        if isinstance(labels, range):
-            return labels.index(label) if label in labels else None
-        if labels.dtype != object and not -(2**63) <= label < 2**63:
-            return None  # numpy 1.x would compare int64 labels with 2**63 as float64
-        hits = (labels == label).nonzero()[0]
-        return int(hits[0]) if hits.size else None
-
     def to_internal(self, label: int) -> int:
         """The dense id of `label`; KeyError if the map lacks it."""
-        internal = self._find(label)
-        if internal is None:
-            raise KeyError(label)
-        return internal
+        labels = self._labels
+        if isinstance(labels, range):
+            if label in labels:
+                return labels.index(label)
+        # absent outside int64, which numpy 1.x would compare as float64
+        elif labels.dtype == object or -(2**63) <= label < 2**63:
+            hits = (labels == label).nonzero()[0]
+            if hits.size:
+                return int(hits[0])
+        raise KeyError(label)
 
     def to_external(self, internal: int) -> int:
         return int(self._labels[internal])

@@ -104,11 +104,12 @@ def _split(matrix: SparseMatrix, delta: float, share: bool) -> tuple[SparseMatri
     the heavy part where heavy edges are at least half of it (_partition)."""
     is_light = matrix.val <= delta
     kept = is_light.nonzero()[0]
+    rest = None if share and 2 * kept.size <= matrix.nnz else (~is_light).nonzero()[0]
+    del is_light  # not held through the gathers
     starts = kept.searchsorted(matrix.indptr)
     light = SparseMatrix(matrix.n, starts, matrix.col[kept], matrix.val[kept])
-    if share and 2 * kept.size <= matrix.nnz:
+    if rest is None:
         return light, matrix
-    rest = (~is_light).nonzero()[0]
     return light, SparseMatrix(matrix.n, matrix.indptr - starts, matrix.col[rest], matrix.val[rest])
 
 

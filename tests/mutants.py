@@ -43,6 +43,27 @@ MUTANTS = [
         "return target[:0] if",
         "tests/test_fused.py::test_cut_push_holds_one_slice_at_a_time",
     ),
+    # a cut push keeps only the out-degrees past the cut: each slice gathers
+    # its own entry bases, numbered by a cumsum over its own vertices
+    (
+        "fused.py",
+        "base = row_ends[frontier[a:b]]",
+        "base = row_ends[frontier][a:b]",
+        "tests/test_fused.py::test_cut_push_holds_one_slice_at_a_time",
+    ),
+    (
+        "fused.py",
+        "base -= ends\n",
+        "base -= ends - counts[a:b]\n",
+        "tests/test_fused.py",
+    ),
+    # a slice gathers its weights before its targets: three edge-long arrays
+    (
+        "fused.py",
+        "    cand = values.repeat(counts)\n    cand += matrix.val[eid]\n    target = matrix.col[eid]\n",
+        "    target = matrix.col[eid]\n    cand = values.repeat(counts)\n    cand += matrix.val[eid]\n",
+        "tests/test_fused.py::test_push_slice_holds_three_edge_long_arrays",
+    ),
     # the light step's reader orders its targets: _distinct and the next bucket
     ("fused.py", "keep[:1] = True", "keep[:1] = False", "tests/test_fused.py"),
     ("fused.py", "    target.sort()\n", "", "tests/test_fused.py"),
@@ -65,6 +86,13 @@ MUTANTS = [
         "matrix.indptr - starts",
         "matrix.indptr",
         "tests/test_ops.py::test_split_equals_the_two_filter_reference",
+    ),
+    # the shared split frees its weight mask before the light gathers
+    (
+        "sssp.py",
+        "    del is_light",
+        "    pass",
+        "tests/test_sssp.py::test_shared_split_drops_its_weight_mask_before_the_light_gathers",
     ),
     # the fused bucket's settled set
     (

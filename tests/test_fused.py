@@ -245,25 +245,54 @@ def test_bounded_push_returns_the_lowered_targets_below_the_bound(monkeypatch, e
     assert at_bound > 0 and kept > 0
 
 
-def test_cut_push_holds_one_slice_at_a_time(monkeypatch):
-    # a (min,+) product over 160,000 out-edges cut into 40 slices: no
-    # slice's arrays outlive it, so the traced peak is the frontier's and
-    # the output's arrays and a slice's temporaries at about 35 bytes an
-    # out-edge, not a few bytes for every out-edge of the push
-    entries, n, degree = 4096, 2000, 80
-    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
-    rng = np.random.default_rng(83)
-    rows = np.repeat(np.arange(n), degree)
-    tri = np.column_stack([rows, rng.integers(0, n, rows.size), 1.0 + rng.random(rows.size)])
-    matrix = matrix_build(n, tri)
-    v = SparseVector(n, np.arange(n), rng.random(n))
-    assert matrix.nnz >= 20 * entries
+def traced_peak(call):
+    """call()'s result and the traced peak bytes it allocated."""
     gc.collect()
     tracemalloc.start()
     try:
-        got = vxm_min_plus(v, matrix)
-        peak = tracemalloc.get_traced_memory()[1]
+        got = call()
+        return got, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n, degree, reach", [(2000, 80, 2000), (100_000, 2, 1000)])
+def test_cut_push_holds_one_slice_at_a_time(monkeypatch, n, degree, reach):
+    # a (min,+) product cut into 4,096-entry slices: 160,000 out-edges from
+    # 2,000 vertices, then 200,000 from 100,000 vertices into 1,000 columns.
+    # The push holds the out-degrees and their running sum (16 bytes a
+    # frontier vertex) while it finds the cut points, then the out-degrees
+    # and one slice's temporaries (about 24 bytes an out-edge) with nothing
+    # of an earlier slice; the product adds its +inf workspace and finite
+    # mask (9 bytes a vertex) and its output (16 bytes a target). Traced
+    # peaks read 138 KB and 2.40 MB, against 218 KB and 4.14 MB when the
+    # push kept four whole-frontier arrays through every slice and a slice
+    # held four edge-long arrays
+    entries = 4096
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", entries)
+    rng = np.random.default_rng(83)
+    rows = np.repeat(np.arange(n), degree)
+    tri = np.column_stack([rows, rng.integers(0, reach, rows.size), 1.0 + rng.random(rows.size)])
+    matrix = matrix_build(n, tri)
+    v = SparseVector(n, np.arange(n), rng.random(n))
+    assert matrix.nnz >= 30 * entries
+    got, peak = traced_peak(lambda: vxm_min_plus(v, matrix))
     assert got == pull_vxm_min_plus(v, matrix)
-    assert peak <= 48 * entries + 64 * n, peak
+    assert peak <= 32 * entries + 16 * v.nnz + 9 * n + 16 * reach, peak
+
+
+def test_push_slice_holds_three_edge_long_arrays(monkeypatch):
+    # one slice of 99,900 out-edges from 100 vertices into 1,000 columns:
+    # the slice gathers the weights into its candidates before it gathers
+    # the targets, so its edge ids, candidates and targets are all it holds
+    # per out-edge (24 bytes; 32 with the targets gathered first)
+    n, rows = 1000, 100
+    rng = np.random.default_rng(91)
+    heads = np.repeat(np.arange(rows), n)
+    tri = np.column_stack([heads, np.tile(np.arange(n), rows), 1.0 + rng.random(heads.size)])
+    matrix = matrix_build(n, tri)
+    monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", matrix.nnz)
+    v = SparseVector(n, np.arange(rows), rng.random(rows))
+    got, peak = traced_peak(lambda: vxm_min_plus(v, matrix))
+    assert got == pull_vxm_min_plus(v, matrix)
+    assert peak <= 28 * matrix.nnz, peak / matrix.nnz

@@ -322,23 +322,23 @@ SOLVE_PEAK_BOUNDS = {
     ("unfused", "unit"): 48,
     ("unfused", "int"): 48,
     ("unfused", "float"): 48,
-    ("fused", "unit"): 36,
-    ("fused", "int"): 18,
-    ("fused", "float"): 18,
+    ("fused", "unit"): 32,
+    ("fused", "int"): 15,
+    ("fused", "float"): 15,
 }
 
 
 @pytest.mark.parametrize("backend, kind", list(SOLVE_PEAK_BOUNDS))
 def test_solve_memory_per_edge(backend, kind):
     # The unfused split keeps the light and heavy parts (16 bytes an edge),
-    # and a push holds one slice of up to RANGE_ENTRIES out-edges at 35 to
-    # 40 bytes each: traced peaks read 40.2, 36.8 and 36.6 bytes an edge for
-    # unit, int and float weights, and 45.1, 39.7 and 41.1 with every push
+    # and a push holds one slice of up to RANGE_ENTRIES out-edges at about
+    # 24 bytes each: traced peaks read 40.2, 36.8 and 36.6 bytes an edge for
+    # unit, int and float weights, and 40.9, 37.7 and 38.7 with every push
     # in one slice. A transposed copy of the input costs 16 bytes an edge
     # more, and filtered views of it 16 more (74 to 85 with both); a copy
     # cached on the input stays allocated after the solve. The fused solve
-    # reads 29.4, 14.2 and 14.4, and 41.1, 21.1 and 23.9 in one slice;
-    # copying the heavy part as well reads 27.7 for int and float weights.
+    # reads 26.7, 12.2 and 12.2, and 37.4, 18.3 and 20.5 in one slice;
+    # copying the heavy part as well reads 26.7 for int and float weights.
     a = random_graph(20_000, 120_000, np.random.default_rng(5), weights=kind)
     gc.collect()
     tracemalloc.start()
@@ -352,6 +352,23 @@ def test_solve_memory_per_edge(backend, kind):
         tracemalloc.stop()
     assert peak <= SOLVE_PEAK_BOUNDS[backend, kind] * a.nnz, peak / a.nnz
     assert kept <= 1 * a.nnz, kept / a.nnz
+
+
+def test_shared_split_drops_its_weight_mask_before_the_light_gathers():
+    # where the input stands for the heavy part, the split's peak is the
+    # light part (row starts, columns and values) and the positions it was
+    # gathered from, 8 bytes a vertex and 24 a light edge; holding the
+    # light-weight mask through the gathers adds a byte for every edge
+    a = random_graph(20_000, 120_000, np.random.default_rng(5), weights="int")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        light, heavy = sssp_mod._partition(a, 3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert heavy is a and 2 * light.nnz <= a.nnz
+    assert peak <= 8 * (a.n + 1) + 24 * light.nnz + 16_384, peak - 24 * light.nnz
 
 
 def test_delta_stepping_rejects_bad_arguments():

@@ -7,31 +7,32 @@ for the next window, and each bucket is an index array. It has one kernel,
 _push, the gather-and-reduce relax, whose bound is also the bucket test:
 the next bucket is `_distinct(_push(t[bucket], bucket, light, t, hi))`.
 A push gathers the frontier's rows of the row-major light part, heavy part
-or whole input (see sssp._partition), forms t[i] + w per out-edge, keeps
-the candidates below t[j], lowers t by a scatter-min over them
-(np.minimum.at) and returns, unordered, the targets of those whose
-candidate is also below its bound (see _push); its work is the frontier's
-out-edges, not every edge. The light step and the heavy re-entry read the
-targets, and sort them once. ops.vxm_min_plus, and the heavy step wherever
-sssp._lands_beyond holds, read none: they push with below=None, every
-candidate goes into the scatter-min, and nothing is returned; the product
+or whole input (see sssp._partition), forms t[i] + w per out-edge, reads
+t[j] once per out-edge, lowers t by a scatter-min over every candidate
+(np.minimum.at) and returns, unordered, the targets whose candidate was
+below both the value it read and its bound (see _push); its work is the
+frontier's out-edges, not every edge. The light step and the heavy
+re-entry read the targets, and sort them once. ops.vxm_min_plus, and the
+heavy step wherever sssp._lands_beyond holds, read none: they push with
+below=None, which reads nothing of t back and returns nothing; the product
 reads its output off a fresh +inf scratch.
 
 Frontiers on high-diameter graphs hold a handful of vertices, so a push
 costs its numpy calls more than its edges. A push therefore works in place
 on the arrays it has just gathered, never on the caller's values or
-frontier, and calls ndarray methods (repeat, nonzero, sort) rather than
-their np.* wrappers, each of which adds a Python-level dispatch.
+frontier, and calls ndarray methods (repeat, sort) rather than their np.*
+wrappers, each of which adds a Python-level dispatch.
 
 Bit identity with the unfused chain: every candidate is the same single
 float sum t[i] + w that the composed (min,+) product forms, and a
 scatter-min leaves each target at the minimum of its candidates whatever
 order it visits them in, so each target receives the same request. Weights
 are > 0, so every candidate is > 0 and neither NaN nor -0.0 can occur, and
-a target has a candidate below t[j] (+inf where t holds nothing) exactly
-when its minimum request is below it: the pre-filter keeps exactly the
-targets that the unfused comparison with its pass-through rule calls
-improving.
+a target has a candidate below the value t[j] read before the scatter
+(+inf where t holds nothing) exactly when its minimum request is below it:
+the test against that value keeps exactly the targets that the unfused
+comparison with its pass-through rule calls improving. A candidate that
+fails it leaves t[j] as it was, so scattering it too changes nothing.
 
 A push runs as ceil(frontier_out_edges / RANGE_ENTRIES) contiguous frontier
 slices, one after another, through one slice body (_relax), and a cut
@@ -62,8 +63,8 @@ __all__ = ["BackendChoice", "bucket_bounds"]
 # 4% longer at 16 Ki than at 64 Ki (README, Performance notes).
 RANGE_ENTRIES = 16 << 10
 
-# what a push that returns no targets returns: not a view of a slice's
-# targets, which would keep that whole array alive until the push ends
+# what an unbounded push, or one with no out-edges, returns: not a view of a
+# slice's targets, which would keep that whole array alive until the push ends
 _NO_TARGETS = np.empty(0, dtype=INDEX_DTYPE)
 _NO_TARGETS.setflags(write=False)
 
@@ -95,10 +96,10 @@ def _push(
     """Lower dense[j] to the minimum of values[k] + w over the out-edges
     (frontier[k], j, w) of the row-major `matrix` by a scatter-min, one
     slice of at most RANGE_ENTRIES out-edges at a time; return the target
-    of each candidate that was below `dense` and below `below`, unordered
-    and with repeats. With below=None every candidate goes into the
-    scatter-min unfiltered, which lowers `dense` alike, and the push
-    returns an empty array.
+    of each candidate that was below `below` and below dense[j] as its
+    slice read it before its scatter, unordered and with repeats. With
+    below=None, and where the frontier has no out-edges, the push returns
+    the shared empty _NO_TARGETS.
 
     The targets returned are the lowered ones that end below `below`:
     `dense` only falls, so a target ends below the bound exactly when one of
@@ -117,7 +118,7 @@ def _push(
     ends = counts.cumsum()
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
+        return _NO_TARGETS
     if total <= RANGE_ENTRIES:
         return _relax(values, row_ends[frontier] - ends, counts, 0, total, matrix, dense, below)
     # slice k takes the frontier vertices whose out-edges end in the k-th of
@@ -152,10 +153,10 @@ def _relax(
 ) -> np.ndarray:
     """One push slice: the frontier vertices with these values, entry bases
     and out-degrees own the frontier out-edges [lo, hi). Lowers `dense` by a
-    scatter-min over the out-edges whose candidate is below it and returns
-    the targets of those whose candidate is also below `below`; with
-    below=None, over every out-edge, returning the shared empty
-    _NO_TARGETS. Writes only `dense` and arrays it creates."""
+    scatter-min over every out-edge's candidate and returns the targets
+    whose candidate was below both `below` and the value of `dense` read
+    before the scatter; with below=None it reads nothing back and returns
+    the shared empty _NO_TARGETS. Writes only `dense` and arrays it creates."""
     # weights before targets: at most three edge-long arrays alive at once
     eid = base.repeat(counts)
     eid += np.arange(lo, hi)
@@ -163,15 +164,21 @@ def _relax(
     cand += matrix.val[eid]
     target = matrix.col[eid]
     del eid
-    if below is not None:
-        better = (cand < dense[target]).nonzero()[0]
-        target, cand = target[better], cand[better]
+    # scatter first; gather the kept targets once the candidates are gone
+    old = None if below is None else dense[target]
     np.minimum.at(dense, target, cand)
-    return _NO_TARGETS if below is None else target[cand < below]
+    if old is None:
+        return _NO_TARGETS
+    np.minimum(old, below, out=old)
+    better = cand < old
+    del old, cand
+    return target[better]
 
 
 def _distinct(target: np.ndarray) -> np.ndarray:
-    """The push targets `target`, sorted and distinct; sorts `target` in place."""
+    """The push targets `target`, sorted and distinct; sorts two or more in place."""
+    if target.size < 2:
+        return target
     target.sort()
     keep = np.empty(target.size, dtype=bool)
     keep[:1] = True

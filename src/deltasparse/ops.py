@@ -141,13 +141,6 @@ def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.
     return idx, _ones(idx.size)
 
 
-def _restrict(vec: SparseVector, mask: SparseVector) -> SparseVector:
-    if vec.indices is mask.indices:
-        return vec
-    keep = _common(vec.indices, mask.indices, vec.length)[0]
-    return SparseVector._adopt(vec.length, vec.indices[keep], vec.values[keep])
-
-
 def _merge(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, np.ndarray]:
     # linear merge of two sorted, duplicate-free index sets: v's own entries
     # land at their insertion slot plus the count of own entries before
@@ -207,17 +200,11 @@ def ewise_add_vector(
     Where exactly one input is defined its value passes through unchanged,
     whatever op is. With a comparison op this pass-through is hazardous:
     indices present only in the *other* vector surface in the result as if
-    they had compared true. Gate with mask=<the domain you care about>
-    (typically the left operand) to suppress them. Boolean ops normalize
+    they had compared true. Gate with mask=u, the left operand and the one
+    mask this kernel takes (any other raises ValueError): u's indices are
+    then the result's, and op updates a copy of u's values at the indices
+    both hold, found as ewise_mult_vector finds them. Boolean ops normalize
     surviving entries to 1.0 and drop entries evaluating to 0.0.
-
-    A mask restricts where the union is computed, not only what it keeps:
-    both operands are cut down to the mask's indices before the merge. The
-    output is the same as merging everything and then gating by the mask,
-    since (u | v) & m == (u & m) | (v & m) with the same values. A mask
-    that is the left operand (mask=u) makes u's indices the result's: op
-    updates a copy of u's values at the indices both hold, found as
-    ewise_mult_vector finds them, and v is never cut down.
 
     The merge takes one of two paths by the operand sizes, with equal
     results. While |v| log2 |u| is at most n, a linear merge places v's
@@ -227,15 +214,13 @@ def ewise_add_vector(
     in the result and updates a copy of u's values at v's positions.
     """
     _require_length(v.length, u.length, "ewise_add operand")
-    if mask is not None:
-        _require_length(mask.length, u.length, "mask")
-    if mask is not None and mask.indices is u.indices:
+    if mask is u:
         pu, pv = _common(u.indices, v.indices, u.length)
         idx, out = u.indices, u.values.copy()
         out[pu] = op(u.values[pu], v.values[pv])
+    elif mask is not None:
+        raise ValueError("ewise_add_vector takes only mask=None or mask=u, its left operand")
     else:
-        if mask is not None:
-            u, v = _restrict(u, mask), _restrict(v, mask)
         union = _accumulate if _dense_pays(v.nnz, u.nnz, u.length) else _merge
         idx, out = union(u, v, op)
     if op.boolean:

@@ -272,20 +272,32 @@ def _next_index(index: int, delta: float, values: np.ndarray) -> tuple[int | Non
     _window_of places the smallest value beyond and a second scan masks its
     window."""
     hi = bucket_bounds(index, delta)[1]
-    window = (values >= hi) & (values < _window_start(index + 2, delta))
+    window = values >= hi
+    window &= values < _window_start(index + 2, delta)
     if np.count_nonzero(window):
         return index + 1, window
-    beyond = np.compress((values >= hi) & (values < math.inf), values)
-    if not beyond.size:
+    smallest = float(values.min(initial=math.inf, where=values >= hi))
+    if smallest == math.inf:
         return None, window
-    index = _window_of(float(beyond.min()), delta)
+    index = _window_of(smallest, delta)
     lo, hi = bucket_bounds(index, delta)
-    return index, (values >= lo) & (values < hi)
+    np.greater_equal(values, lo, out=window)
+    window &= values < hi
+    return index, window
+
+
+def _phase_ceiling(light: SparseMatrix, delta: float) -> int:
+    # light passes past n per-bucket bounds cycle: float addition is monotone,
+    # so no walk with a cycle beats a simple path, and n passes bound a bucket
+    ratio = delta / float(light.val.min()) if light.nnz else 0.0
+    return light.n * (int(math.ceil(min(ratio, light.n))) + 2)
 
 
 def _solve_unfused(
-    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, ceiling: int
+    matrix: SparseMatrix, source: int, delta: float
 ) -> tuple[SparseVector, int, int, int]:
+    light, heavy = split_edges(matrix, delta)
+    ceiling = _phase_ceiling(light, delta)
     n = light.n
     t = vector_build(n, [(source, 0.0)])
     index: int | None = 0
@@ -322,7 +334,7 @@ def _solve_unfused(
 
 
 def _solve_fused(
-    light: SparseMatrix, heavy: SparseMatrix, source: int, delta: float, ceiling: int
+    matrix: SparseMatrix, source: int, delta: float
 ) -> tuple[SparseVector, int, int, int]:
     # the unfused loop step for step over dense state (see fused.py): t is
     # +inf where unreached; a light push from the window [lo, hi) lowers t
@@ -332,7 +344,9 @@ def _solve_fused(
     # first bucket, which grows into the settled set; the walk from bucket -1
     # finds the source's window. A heavy step's targets below hi, where
     # _lands_beyond allows any, start the bucket again; elsewhere its push
-    # returns none.
+    # returns none. The split, owned here, is freed before the result is built.
+    light, heavy = _partition(matrix, delta)
+    ceiling = _phase_ceiling(light, delta)
     n = light.n
     t = np.full(n, math.inf, dtype=VALUE_DTYPE)
     t[source] = 0.0
@@ -356,6 +370,7 @@ def _solve_fused(
                     settled[bucket] = True
         buckets, last = buckets + 1, index
         index, settled = _next_index(index, delta, t)
+    del light, heavy, settled
     reached = np.flatnonzero(t < math.inf)
     return SparseVector(n, reached, t[reached]), buckets, last, phases
 
@@ -384,20 +399,12 @@ def delta_stepping(
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
 
-    fused = backend.kind == "fused"
+    # each solve splits the edges itself, so that it can free the parts
+    solve = _solve_fused if backend.kind == "fused" else _solve_unfused
     start = time.perf_counter()
-    # the unfused split copies both parts; the fused one may skip the heavy copy
-    light, heavy = _partition(matrix, delta) if fused else split_edges(matrix, delta)
-
-    # total light passes are bounded by the vertex count times the per-bucket
-    # pass bound, beyond which something cycles; float addition is monotone,
-    # so no walk with a cycle beats a simple path, and n passes bound a bucket
-    ratio = delta / float(light.val.min()) if light.nnz else 0.0
-    per_bucket = int(math.ceil(min(ratio, matrix.n))) + 2
-    solve = _solve_fused if fused else _solve_unfused
     # a sum past the float range is inf and lowers nothing (see _check_reach)
     with np.errstate(over="ignore"):
-        t, buckets, last, phases = solve(light, heavy, source, delta, matrix.n * per_bucket)
+        t, buckets, last, phases = solve(matrix, source, delta)
     elapsed = time.perf_counter() - start
     _check_reach(matrix, t)
     return SsspResult(t, last + 1, buckets, phases, elapsed)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from deltasparse import SparseVector, mask_from_indices, vector_build
+from deltasparse import SparseVector, vector_build
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -44,11 +44,3 @@ def grid_arcs(side: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
     return np.concatenate([u, v]), np.concatenate([v, u])
-
-
-def random_mask(
-    rng: np.random.Generator, length: int, max_entries: int | None = None
-) -> SparseVector:
-    cap = length if max_entries is None else min(max_entries, length)
-    k = int(rng.integers(0, cap + 1))
-    return mask_from_indices(length, np.sort(rng.choice(length, size=k, replace=False)))

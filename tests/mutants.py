@@ -24,23 +24,37 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 MUTANTS = [
-    # the push keeps only candidates that strictly improve
+    # a bounded push returns the targets whose candidate strictly improves
+    # and lies strictly below its bound
+    ("fused.py", "better = cand < old", "better = cand <= old", "tests/test_fused.py"),
+    ("fused.py", "np.minimum.at(dense", "np.maximum.at(dense", "tests/test_fused.py"),
+    # the test reads the value before the slice's scatter, not after it
     (
         "fused.py",
-        "better = (cand < dense[target])",
-        "better = (cand <= dense[target])",
+        "    old = None if below is None else dense[target]\n    np.minimum.at(dense, target, cand)\n",
+        "    np.minimum.at(dense, target, cand)\n    old = None if below is None else dense[target]\n",
         "tests/test_fused.py",
     ),
-    ("fused.py", "np.minimum.at(dense", "np.maximum.at(dense", "tests/test_fused.py"),
-    # the light step filters its candidates; the (min,+) product alone skips that
-    ("fused.py", "    if below is not None:\n", "    if below is None:\n", "tests/test_fused.py"),
-    # a bounded push returns the lowered targets strictly below its bound
-    ("fused.py", "target[cand < below]", "target[cand <= below]", "tests/test_fused.py"),
-    # a push that returns no targets keeps no view of a slice's targets alive
+    # the value read is lowered to the bound in place, and strictly
+    ("fused.py", "    np.minimum(old, below, out=old)\n", "", "tests/test_fused.py"),
     (
         "fused.py",
-        "return _NO_TARGETS if",
-        "return target[:0] if",
+        "np.minimum(old, below, out=old)",
+        "np.minimum(old, np.nextafter(below, np.inf), out=old)",
+        "tests/test_fused.py",
+    ),
+    # the targets are gathered only once the candidates and values are freed
+    (
+        "fused.py",
+        "    del old, cand\n    return target[better]\n",
+        "    kept = target[better]\n    del old, cand\n    return kept\n",
+        "tests/test_fused.py::test_push_slice_holds_three_edge_long_arrays",
+    ),
+    # an unbounded push keeps no view of a slice's targets alive
+    (
+        "fused.py",
+        "    if old is None:\n        return _NO_TARGETS\n",
+        "    if old is None:\n        return target[:0]\n",
         "tests/test_fused.py::test_cut_push_holds_one_slice_at_a_time",
     ),
     # a cut push keeps only the out-degrees past the cut: each slice gathers
@@ -67,6 +81,13 @@ MUTANTS = [
     # the light step's reader orders its targets: _distinct and the next bucket
     ("fused.py", "keep[:1] = True", "keep[:1] = False", "tests/test_fused.py"),
     ("fused.py", "    target.sort()\n", "", "tests/test_fused.py"),
+    # only fewer than two targets are already sorted and distinct
+    (
+        "fused.py",
+        "if target.size < 2:",
+        "if target.size < 3:",
+        "tests/test_fused.py::test_distinct_sorts_and_drops_repeats",
+    ),
     (
         "sssp.py",
         "bucket = _distinct(_push(t[bucket], bucket, light, t, hi))\n",
@@ -93,6 +114,13 @@ MUTANTS = [
         "    del is_light",
         "    pass",
         "tests/test_sssp.py::test_shared_split_drops_its_weight_mask_before_the_light_gathers",
+    ),
+    # the fused solve frees its split before it builds the result
+    (
+        "sssp.py",
+        "    del light, heavy, settled\n",
+        "",
+        "tests/test_sssp.py::test_fused_solve_frees_its_split_before_the_result",
     ),
     # the fused bucket's settled set
     (
@@ -136,6 +164,13 @@ MUTANTS = [
         "    return SparseVector._adopt(",
         "tests/test_ops.py",
     ),
+    # the union takes no mask but its left operand
+    (
+        "ops.py",
+        "    elif mask is not None:\n",
+        "    elif False:\n",
+        "tests/test_ops.py::test_ewise_add_empty_and_errors",
+    ),
     # the dense accumulator: u's values overwrite v's at the shared indices
     (
         "ops.py",
@@ -153,7 +188,7 @@ MUTANTS = [
     # the workspace intersection returns a's positions first
     ("ops.py", "return slot[b[pb]], pb", "return pb, slot[b[pb]]", "tests/test_kernel_reference.py"),
     # the next window starts at the current window's end
-    ("sssp.py", "window = (values >= hi)", "window = (values > hi)", "tests/test_fused_path.py"),
+    ("sssp.py", "window = values >= hi\n", "window = values > hi\n", "tests/test_fused_path.py"),
     # the run summary's two bucket counts
     (
         "cli.py",

@@ -281,11 +281,17 @@ def test_cut_push_holds_one_slice_at_a_time(monkeypatch, n, degree, reach):
     assert peak <= 32 * entries + 16 * v.nnz + 9 * n + 16 * reach, peak
 
 
-def test_push_slice_holds_three_edge_long_arrays(monkeypatch):
+@pytest.mark.parametrize("below", [None, math.inf])
+def test_push_slice_holds_three_edge_long_arrays(monkeypatch, below):
     # one slice of 99,900 out-edges from 100 vertices into 1,000 columns:
     # the slice gathers the weights into its candidates before it gathers
     # the targets, so its edge ids, candidates and targets are all it holds
-    # per out-edge (24 bytes; 32 with the targets gathered first)
+    # per out-edge (24 bytes; 32 with the targets gathered first). Bounded by
+    # +inf into an all-+inf state, every candidate passes the test: the
+    # slice holds its candidates, targets and the values read before the
+    # scatter, plus the test's bools, and gathers the targets it returns
+    # only once the candidates and values are gone (25 bytes; 33 gathering
+    # them first, 40 filtering the candidates before the scatter)
     n, rows = 1000, 100
     rng = np.random.default_rng(91)
     heads = np.repeat(np.arange(rows), n)
@@ -293,6 +299,28 @@ def test_push_slice_holds_three_edge_long_arrays(monkeypatch):
     matrix = matrix_build(n, tri)
     monkeypatch.setattr(fused_mod, "RANGE_ENTRIES", matrix.nnz)
     v = SparseVector(n, np.arange(rows), rng.random(rows))
-    got, peak = traced_peak(lambda: vxm_min_plus(v, matrix))
-    assert got == pull_vxm_min_plus(v, matrix)
+    want = pull_vxm_min_plus(v, matrix)
+    if below is None:
+        got, peak = traced_peak(lambda: vxm_min_plus(v, matrix))
+        assert got == want
+    else:
+        dense = np.full(n, math.inf)
+        lowered, peak = traced_peak(lambda: fused_mod._push(v.values, v.indices, matrix, dense, below))
+        assert lowered.size == matrix.nnz
+        assert fused_mod._distinct(lowered).tobytes() == want.indices.tobytes()
+        assert dense.tobytes() == want.values.tobytes()
     assert peak <= 28 * matrix.nnz, peak / matrix.nnz
+
+
+@pytest.mark.parametrize(
+    "given, want",
+    [([], []), ([4], [4]), ([2, 7], [2, 7]), ([7, 2], [2, 7]), ([5, 5], [5]), ([3, 1, 3], [1, 3])],
+)
+def test_distinct_sorts_and_drops_repeats(given, want):
+    # an empty or one-target push comes back as given, not sorted or copied;
+    # a pair is sorted, and a repeated pair is one target
+    target = np.array(given, dtype=np.int64)
+    got = fused_mod._distinct(target)
+    assert got.tolist() == want
+    assert (got is target) == (len(given) < 2)
+    assert fused_mod._distinct(fused_mod._NO_TARGETS) is fused_mod._NO_TARGETS

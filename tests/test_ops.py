@@ -32,7 +32,7 @@ from deltasparse import (
 )
 from deltasparse.sssp import _partition
 
-from conftest import grid_arcs, random_mask, random_sparse_vector
+from conftest import grid_arcs, random_sparse_vector
 
 
 # ---------------------------------------------------------------- predicates
@@ -207,20 +207,27 @@ def test_ewise_add_empty_and_errors():
         ewise_add_vector(SparseVector(3), SparseVector(4), MIN)
     with pytest.raises(ValueError):
         ewise_add_vector(SparseVector(3), SparseVector(3), MIN, mask=SparseVector(4))
+    # the one mask taken is the left operand: the right one, a copy of u and
+    # any other index set raise
+    u = vector_build(4, [(0, 2.0), (2, 1.0)])
+    v = vector_build(4, [(2, 3.0), (3, 4.0)])
+    copy = SparseVector(4, u.indices.copy(), u.values.copy())
+    for mask in (v, copy, mask_from_indices(4, [0, 1, 2, 3]), SparseVector(4)):
+        with pytest.raises(ValueError, match="mask=u"):
+            ewise_add_vector(u, v, MIN, mask=mask)
 
 
 def test_ewise_add_mask_restricts_domain():
+    # mask=u, the left operand, gates the union by u's indices
     rng = np.random.default_rng(37)
     for _ in range(30):
         n = int(rng.integers(1, 50))
         u = random_sparse_vector(rng, n)
         v = random_sparse_vector(rng, n)
-        mask = random_mask(rng, n)
-        got = ewise_add_vector(u, v, MIN, mask=mask)
+        got = ewise_add_vector(u, v, MIN, mask=u)
         want = ewise_add_vector(u, v, MIN)
-        kept = set(want.indices.tolist()) & set(mask.indices.tolist())
-        assert set(got.indices.tolist()) == kept
-        for i in kept:
+        assert got.indices.tolist() == u.indices.tolist()
+        for i in u.indices.tolist():
             assert got.get(i) == want.get(i)
 
 

@@ -38,6 +38,8 @@ from deltasparse import (
 )
 from deltasparse.sssp import DeltaTooSmall, DistanceOverflow, SsspState, _window_of
 
+from conftest import grid_arcs
+
 DELTAS = (0.5, 1.0, 3.0, 11.0)
 
 
@@ -369,6 +371,30 @@ def test_shared_split_drops_its_weight_mask_before_the_light_gathers():
         tracemalloc.stop()
     assert heavy is a and 2 * light.nnz <= a.nnz
     assert peak <= 8 * (a.n + 1) + 24 * light.nnz + 16_384, peak - 24 * light.nnz
+
+
+def test_fused_solve_frees_its_split_before_the_result():
+    # a road-pattern grid at delta 200: the light part and t, with the
+    # settled set and the next window's mask (about 11 bytes a vertex), are
+    # what a solve of tiny frontiers holds; the solve frees its split and
+    # settled set before it builds the result's two arrays (16 bytes a
+    # reached vertex), which kept with the light part would add those
+    side = 64
+    tails, heads = grid_arcs(side)
+    weights = np.random.default_rng(3).integers(1, 1001, tails.size // 2).astype(float)
+    a = matrix_build(side * side, np.column_stack([tails, heads, np.tile(weights, 2)]))
+    light = sssp_mod._partition(a, 200.0)[0]
+    light_bytes = light.indptr.nbytes + light.col.nbytes + light.val.nbytes
+    del light
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = delta_stepping(a, 0, 200.0, backend=BackendChoice("fused"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.distances.nnz == a.n
+    assert peak <= light_bytes + 12 * a.n + 16_384, (peak - light_bytes) / a.n
 
 
 def test_delta_stepping_rejects_bad_arguments():

@@ -102,22 +102,9 @@ class SparseVector:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def get(self, index: int, default: float = math.inf) -> float:
-        pos = int(np.searchsorted(self.indices, index))
-        if pos < self.indices.size and self.indices[pos] == index:
-            return float(self.values[pos])
-        return default
-
-    def __contains__(self, index: int) -> bool:
-        pos = int(np.searchsorted(self.indices, index))
-        return pos < self.indices.size and self.indices[pos] == index
-
     def items(self) -> Iterator[tuple[int, float]]:
         for i, v in zip(self.indices, self.values):
             yield int(i), float(v)
-
-    def to_dict(self) -> dict[int, float]:
-        return dict(self.items())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseVector):
@@ -176,10 +163,6 @@ class SparseMatrix:
 
     def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return self.row_ids(), self.col, self.val
-
-    def entry_set(self) -> set[tuple[int, int, float]]:
-        r, c, v = self.triples()
-        return {(int(i), int(j), float(w)) for i, j, w in zip(r, c, v)}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):

@@ -1,10 +1,10 @@
 """The fused backend's kernels over dense state.
 
-The fused solver (sssp._solve_fused) keeps tentative distances in one
-float64 array, +inf where absent; the settled set is a bool array that
-starts as the mask of the bucket's window, taken from the walk's own scan
-for the next window, and each bucket is an index array. It has one kernel,
-_push, the gather-and-reduce relax, whose bound is also the bucket test:
+The fused steps (sssp._Fused, driven by sssp._walk) keep tentative
+distances in one float64 array, +inf where absent; the settled set is a
+bool array that starts as the mask of the bucket's window, taken from the
+walk's scan for the next window; each bucket is an index array. One kernel,
+_push, the gather-and-reduce relax, has a bound that is also the bucket test:
 the next bucket is `_distinct(_push(t[bucket], bucket, light, t, hi))`.
 A push gathers the frontier's rows of the row-major light part, heavy part
 or whole input (see sssp._partition), forms t[i] + w per out-edge, reads

@@ -35,23 +35,12 @@ __all__ = [
     "TIMES",
     "LESS",
     "OR",
-    "greater_than",
-    "positive_at_most",
     "in_half_open",
     "filter_vector",
-    "filter_matrix",
     "ewise_add_vector",
     "ewise_mult_vector",
     "vxm_min_plus",
 ]
-
-
-def greater_than(limit: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda v: v > limit
-
-
-def positive_at_most(limit: float) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda v: (v > 0) & (v <= limit)
 
 
 def in_half_open(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
@@ -122,16 +111,6 @@ def filter_vector(vec: SparseVector, pred: Callable[[np.ndarray], np.ndarray]) -
     no false entry is ever stored."""
     idx = vec.indices[pred(vec.values)]
     return SparseVector._adopt(vec.length, idx, _ones(idx.size))
-
-
-def filter_matrix(matrix: SparseMatrix, pred: Callable[[np.ndarray], np.ndarray]) -> SparseMatrix:
-    """Keep exactly the entries whose weight satisfies the predicate,
-    preserving coordinates and values."""
-    # a row's new start counts the kept positions before its old one: no nnz-long prefix sum
-    kept = pred(matrix.val).nonzero()[0]
-    return SparseMatrix(
-        matrix.n, kept.searchsorted(matrix.indptr), matrix.col[kept], matrix.val[kept]
-    )
 
 
 def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -10,11 +10,12 @@ window; the targets it lowered there become the bucket again, and the light
 loop and one more heavy step run from them (see _lands_beyond). Unreachable
 vertices simply stay absent from the distance vector.
 
-Two interchangeable backends drive the loop: the unfused one composes the
-public kernels verbatim over sparse vectors, the fused one keeps dense state
-and pushes along the frontier's out-edges (see fused.py), its heavy step
-along whole rows where at least half the edges are heavy (see _partition).
-Their outputs are bit-identical by construction and tested as such.
+One loop, _walk, runs the buckets for both backends; each backend supplies
+its steps. The unfused ones (_Unfused) compose the public kernels verbatim
+over sparse vectors, the fused ones (_Fused) keep dense state and push along
+the frontier's out-edges (see fused.py), the heavy step along whole rows
+where at least half the edges are heavy (see _partition). Their outputs are
+bit-identical by construction and tested as such.
 """
 
 from __future__ import annotations
@@ -125,9 +126,9 @@ def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Sparse
 def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
     """Partition edges into (light, heavy) by weight against delta.
 
-    Every input entry lands in exactly one output with its value untouched:
-    the same matrices as filter_matrix with positive_at_most(delta) and
-    with greater_than(delta), from one pass over the weights.
+    Every input entry lands in exactly one output with its value untouched
+    and each row's entries in their input order, from one pass over the
+    weights.
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
@@ -185,15 +186,6 @@ def _lands_beyond(index: int, delta: float) -> bool:
     ends lie closer than that, as where delta is below the distances' spacing."""
     lo, hi = bucket_bounds(index, delta)
     return lo + math.nextafter(delta, math.inf) >= hi
-
-
-def _count_phase(phases: int, ceiling: int) -> int:
-    phases += 1
-    if phases > ceiling:
-        raise RuntimeError(
-            f"light phase count exceeded ceiling {ceiling}; relaxation is not converging"
-        )
-    return phases
 
 
 class DeltaTooSmall(ValueError):
@@ -286,93 +278,135 @@ def _next_index(index: int, delta: float, values: np.ndarray) -> tuple[int | Non
     return index, window
 
 
-def _phase_ceiling(light: SparseMatrix, delta: float) -> int:
+class _Unfused:
+    """The unfused steps: the paper's composition over sparse vectors, one
+    SsspState a bucket, stepped by relax_light_phase and relax_heavy."""
+
+    def __init__(self, matrix: SparseMatrix, source: int, delta: float) -> None:
+        self.light, self.heavy = split_edges(matrix, delta)
+        self.delta = delta
+        self.t = vector_build(matrix.n, [(source, 0.0)])
+        self.empty = SparseVector(matrix.n)  # frozen, so every bucket's state can share it
+
+    def values(self) -> np.ndarray:
+        return self.t.values
+
+    def start(self, index: int, window: np.ndarray) -> int:
+        return self._enter(compute_bucket(self.t, index, self.delta), index)
+
+    def _enter(self, bucket: SparseVector, index: int) -> int:
+        self.state = SsspState(
+            tentative=self.t,
+            requests=self.empty,
+            bucket=bucket,
+            settled=self.empty,
+            light=self.light,
+            heavy=self.heavy,
+            bucket_index=index,
+            delta=self.delta,
+        )
+        return bucket.nnz
+
+    def light_step(self) -> int:
+        self.state = relax_light_phase(self.state)
+        return self.state.bucket.nnz
+
+    def heavy_step(self, index: int) -> int:
+        before = self.state
+        after = relax_heavy(before)
+        self.t = after.tentative
+        if _lands_beyond(index, self.delta):
+            return 0
+        # the heavy requests that landed back in the window and improved:
+        # relax_light_phase's bucket chain
+        requests = after.requests
+        in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, self.delta)))
+        improving = ewise_add_vector(requests, before.tentative, LESS, mask=requests)
+        return self._enter(ewise_mult_vector(in_window, improving, TIMES), index)
+
+    def result(self) -> SparseVector:
+        return self.t
+
+
+class _Fused:
+    """The fused steps, the unfused ones step for step over dense state (see
+    fused.py): a light push from the window [lo, hi) lowers t to values
+    >= lo, so the targets it lowered below hi, made distinct, are the next
+    bucket. A heavy step's targets below hi, where _lands_beyond allows
+    any, start the bucket again; elsewhere its push returns none."""
+
+    def __init__(self, matrix: SparseMatrix, source: int, delta: float) -> None:
+        self.light, self.heavy = _partition(matrix, delta)
+        self.t = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
+        self.t[source] = 0.0
+        self.delta = delta
+
+    def values(self) -> np.ndarray:
+        return self.t
+
+    def start(self, index: int, window: np.ndarray) -> int:
+        self.hi = bucket_bounds(index, self.delta)[1]
+        self.settled = window
+        self.bucket = window.nonzero()[0]
+        return self.bucket.size
+
+    def light_step(self) -> int:
+        t, bucket = self.t, self.bucket
+        self.bucket = bucket = _distinct(_push(t[bucket], bucket, self.light, t, self.hi))
+        self.settled[bucket] = True
+        return bucket.size
+
+    def heavy_step(self, index: int) -> int:
+        t, frontier = self.t, self.settled.nonzero()[0]
+        if _lands_beyond(index, self.delta):
+            _push(t[frontier], frontier, self.heavy, t, None)
+            return 0
+        self.bucket = bucket = _distinct(_push(t[frontier], frontier, self.heavy, t, self.hi))
+        if bucket.size:
+            self.settled = np.zeros(t.size, dtype=bool)
+            self.settled[bucket] = True
+        return bucket.size
+
+    def result(self) -> SparseVector:
+        # the split and the settled set are freed before the result is built
+        del self.light, self.heavy, self.settled
+        t = self.t
+        reached = np.flatnonzero(t < math.inf)
+        return SparseVector(t.size, reached, t[reached])
+
+
+def _walk(solve: _Unfused | _Fused, delta: float) -> tuple[SparseVector, int, int, int]:
+    """The bucket walk both backends share: from the source's window on,
+    each bucket whose window holds a tentative distance takes light steps
+    until it empties, then one heavy step, which starts it again from the
+    targets a heavy sum lowered back into its window (see _lands_beyond).
+    `solve` holds the state: start takes the bucket's index and the mask of
+    its window from the walk's scan of values(), and each step returns the
+    size of the bucket it leaves. Returns the distances, the buckets
+    visited, the last one's index and the light phases."""
     # light passes past n per-bucket bounds cycle: float addition is monotone,
     # so no walk with a cycle beats a simple path, and n passes bound a bucket
-    ratio = delta / float(light.val.min()) if light.nnz else 0.0
-    return light.n * (int(math.ceil(min(ratio, light.n))) + 2)
-
-
-def _solve_unfused(
-    matrix: SparseMatrix, source: int, delta: float
-) -> tuple[SparseVector, int, int, int]:
-    light, heavy = split_edges(matrix, delta)
-    ceiling = _phase_ceiling(light, delta)
-    n = light.n
-    t = vector_build(n, [(source, 0.0)])
-    index: int | None = 0
-    buckets = last = phases = 0
-    empty = SparseVector(n)  # frozen, so every bucket's state can share it
-    while index is not None:
-        bucket = compute_bucket(t, index, delta)
-        while bucket.nnz:
-            state = SsspState(
-                tentative=t,
-                requests=empty,
-                bucket=bucket,
-                settled=empty,
-                light=light,
-                heavy=heavy,
-                bucket_index=index,
-                delta=delta,
-            )
-            while state.bucket.nnz:
-                state = relax_light_phase(state)
-                phases = _count_phase(phases, ceiling)
-            after = relax_heavy(state)
-            t, bucket = after.tentative, after.bucket
-            if not _lands_beyond(index, delta):
-                # the heavy requests that landed back in the window and
-                # improved: relax_light_phase's bucket chain
-                requests = after.requests
-                in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, delta)))
-                improving = ewise_add_vector(requests, state.tentative, LESS, mask=requests)
-                bucket = ewise_mult_vector(in_window, improving, TIMES)
-        buckets, last = buckets + 1, index
-        index = _next_index(index, delta, t.values)[0]
-    return t, buckets, last, phases
-
-
-def _solve_fused(
-    matrix: SparseMatrix, source: int, delta: float
-) -> tuple[SparseVector, int, int, int]:
-    # the unfused loop step for step over dense state (see fused.py): t is
-    # +inf where unreached; a light push from the window [lo, hi) lowers t
-    # to values >= lo over positive weights, so the targets it lowered below
-    # hi, which a push bounded by hi returns, made distinct, are the next
-    # bucket. The walk's own scan for the next window gives its mask, the
-    # first bucket, which grows into the settled set; the walk from bucket -1
-    # finds the source's window. A heavy step's targets below hi, where
-    # _lands_beyond allows any, start the bucket again; elsewhere its push
-    # returns none. The split, owned here, is freed before the result is built.
-    light, heavy = _partition(matrix, delta)
-    ceiling = _phase_ceiling(light, delta)
-    n = light.n
-    t = np.full(n, math.inf, dtype=VALUE_DTYPE)
-    t[source] = 0.0
-    index, settled = _next_index(-1, delta, t)
+    n = solve.light.n
+    ratio = delta / float(solve.light.val.min(initial=math.inf))
+    ceiling = n * (int(math.ceil(min(ratio, n))) + 2)
+    index, window = _next_index(-1, delta, solve.values())
     buckets = last = phases = 0
     while index is not None:
-        hi = bucket_bounds(index, delta)[1]
-        bucket = settled.nonzero()[0]
-        while bucket.size:
-            while bucket.size:
-                bucket = _distinct(_push(t[bucket], bucket, light, t, hi))
-                settled[bucket] = True
-                phases = _count_phase(phases, ceiling)
-            frontier = settled.nonzero()[0]
-            if _lands_beyond(index, delta):
-                _push(t[frontier], frontier, heavy, t, None)
-            else:
-                bucket = _distinct(_push(t[frontier], frontier, heavy, t, hi))
-                if bucket.size:
-                    settled = np.zeros(n, dtype=bool)
-                    settled[bucket] = True
+        size = solve.start(index, window)
+        while size:
+            while size:
+                size = solve.light_step()
+                phases += 1
+                if phases > ceiling:
+                    raise RuntimeError(
+                        f"light phase count exceeded ceiling {ceiling}; "
+                        "relaxation is not converging"
+                    )
+            size = solve.heavy_step(index)
         buckets, last = buckets + 1, index
-        index, settled = _next_index(index, delta, t)
-    del light, heavy, settled
-    reached = np.flatnonzero(t < math.inf)
-    return SparseVector(n, reached, t[reached]), buckets, last, phases
+        index, window = _next_index(index, delta, solve.values())
+    del window  # not held while the result is built
+    return solve.result(), buckets, last, phases
 
 
 def delta_stepping(
@@ -399,12 +433,12 @@ def delta_stepping(
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
 
-    # each solve splits the edges itself, so that it can free the parts
-    solve = _solve_fused if backend.kind == "fused" else _solve_unfused
+    # each backend's steps split the edges themselves, so that they can free the parts
+    steps = _Fused if backend.kind == "fused" else _Unfused
     start = time.perf_counter()
     # a sum past the float range is inf and lowers nothing (see _check_reach)
     with np.errstate(over="ignore"):
-        t, buckets, last, phases = solve(matrix, source, delta)
+        t, buckets, last, phases = _walk(steps(matrix, source, delta), delta)
     elapsed = time.perf_counter() - start
     _check_reach(matrix, t)
     return SsspResult(t, last + 1, buckets, phases, elapsed)

@@ -1,12 +1,12 @@
-"""Shared test helpers: random sparse operand builders and the acceptance
-report hook that echoes one line per acceptance criterion into the terminal
-summary."""
+"""Shared test helpers: random sparse operand builders, a matrix's entry
+set, and the acceptance report hook that echoes one line per acceptance
+criterion into the terminal summary."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from deltasparse import SparseVector, vector_build
+from deltasparse import SparseMatrix, SparseVector, vector_build
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -44,3 +44,9 @@ def grid_arcs(side: int) -> tuple[np.ndarray, np.ndarray]:
     u = np.concatenate([ids[:, :-1].ravel(), ids[:-1, :].ravel()])
     v = np.concatenate([ids[:, 1:].ravel(), ids[1:, :].ravel()])
     return np.concatenate([u, v]), np.concatenate([v, u])
+
+
+def entry_set(matrix: SparseMatrix) -> set[tuple[int, int, float]]:
+    """The matrix's stored entries as a set of (row, col, weight)."""
+    rows, cols, vals = matrix.triples()
+    return {(int(i), int(j), float(w)) for i, j, w in zip(rows, cols, vals)}

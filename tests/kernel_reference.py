@@ -1,4 +1,5 @@
-"""The earlier bodies of three public kernels, kept as test references.
+"""The earlier bodies of three public kernels, kept as test references,
+and a plain reference for the light/heavy split.
 
 pull_vxm_min_plus gathers over every edge of the matrix's transpose,
 union1d_ewise_add_vector merges through np.union1d and two position
@@ -6,7 +7,8 @@ lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
 whatever their sizes. Each is a copy of the code the work-efficient
 kernels replaced, as is _gate, the union's mask probe; the tests
 require the kernels to bit-equal them. transpose builds the coordinate
-swap the pull gathers over, afresh on every call.
+swap the pull gathers over, afresh on every call. split_rows builds
+the light and heavy parts one row at a time.
 """
 
 from __future__ import annotations
@@ -106,3 +108,26 @@ def probe_all_ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) 
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
     return SparseVector(u.length, idx, out)
+
+
+def split_rows(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
+    """The light part (weight <= delta) and the heavy part (weight > delta),
+    each row's entries kept in order, built one row at a time."""
+    parts = []
+    for heavy in (False, True):
+        indptr, col, val = [0], [], []
+        for i in range(matrix.n):
+            cols, weights = matrix.row(i)
+            keep = (weights > delta) == heavy
+            col += cols[keep].tolist()
+            val += weights[keep].tolist()
+            indptr.append(len(col))
+        parts.append(
+            SparseMatrix(
+                matrix.n,
+                np.array(indptr),
+                np.array(col, dtype=INDEX_DTYPE),
+                np.array(val, dtype=VALUE_DTYPE),
+            )
+        )
+    return parts[0], parts[1]

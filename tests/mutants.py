@@ -90,8 +90,8 @@ MUTANTS = [
     ),
     (
         "sssp.py",
-        "bucket = _distinct(_push(t[bucket], bucket, light, t, hi))\n",
-        "bucket = _push(t[bucket], bucket, light, t, hi)\n",
+        "bucket = _distinct(_push(t[bucket], bucket, self.light, t, self.hi))\n",
+        "bucket = _push(t[bucket], bucket, self.light, t, self.hi)\n",
         "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
     ),
     # the (min,+) product reads its output off the workspace's finite entries
@@ -106,7 +106,7 @@ MUTANTS = [
         "sssp.py",
         "matrix.indptr - starts",
         "matrix.indptr",
-        "tests/test_ops.py::test_split_equals_the_two_filter_reference",
+        "tests/test_ops.py::test_split_equals_the_per_row_reference",
     ),
     # the shared split frees its weight mask before the light gathers
     (
@@ -115,40 +115,62 @@ MUTANTS = [
         "    pass",
         "tests/test_sssp.py::test_shared_split_drops_its_weight_mask_before_the_light_gathers",
     ),
-    # the fused solve frees its split before it builds the result
+    # the fused steps free the split before they build the result
     (
         "sssp.py",
-        "    del light, heavy, settled\n",
+        "        del self.light, self.heavy, self.settled\n",
         "",
         "tests/test_sssp.py::test_fused_solve_frees_its_split_before_the_result",
     ),
-    # the fused bucket's settled set
+    # the fused light step marks its bucket settled
     (
         "sssp.py",
-        "                settled[bucket] = True\n                phases",
-        "                phases",
+        "\n        self.settled[bucket] = True\n",
+        "\n",
         "tests/test_fused_path.py",
     ),
     # a heavy sum that rounds back into its window starts the bucket again,
     # on either backend, wherever the scalar gate lets one through
     (
         "sssp.py",
-        "                bucket = _distinct(_push(t[frontier], frontier, heavy, t, hi))\n",
-        "                _push(t[frontier], frontier, heavy, t, None)\n",
+        "        self.bucket = bucket = _distinct(_push(t[frontier], frontier, self.heavy, t, self.hi))\n",
+        "        bucket = _push(t[frontier], frontier, self.heavy, t, None)\n",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
     # the re-entry bucket is the heavy step's targets below the window's end
     (
         "sssp.py",
-        "frontier, heavy, t, hi))",
-        "frontier, heavy, t, math.inf))",
+        "frontier, self.heavy, t, self.hi))",
+        "frontier, self.heavy, t, math.inf))",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
     (
         "sssp.py",
-        "bucket = ewise_mult_vector(in_window, improving, TIMES)\n        buckets",
-        "bucket = after.bucket\n        buckets",
+        "return self._enter(ewise_mult_vector(in_window, improving, TIMES), index)",
+        "return after.bucket.nnz",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    # the walk runs a bucket again for as long as its heavy step re-enters it
+    (
+        "sssp.py",
+        "        while size:\n            while size:\n",
+        "        if size:\n            while size:\n",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    # every light step counts as a phase, not every heavy step
+    (
+        "sssp.py",
+        "                phases += 1\n                if phases > ceiling:\n"
+        "                    raise RuntimeError(\n"
+        '                        f"light phase count exceeded ceiling {ceiling}; "\n'
+        '                        "relaxation is not converging"\n'
+        "                    )\n            size = solve.heavy_step(index)\n",
+        "                if phases > ceiling:\n"
+        "                    raise RuntimeError(\n"
+        '                        f"light phase count exceeded ceiling {ceiling}; "\n'
+        '                        "relaxation is not converging"\n'
+        "                    )\n            phases += 1\n            size = solve.heavy_step(index)\n",
+        "tests/test_sssp.py::test_every_light_step_is_a_phase",
     ),
     (
         "sssp.py",

@@ -31,20 +31,18 @@ from deltasparse import (
     delta_stepping,
     dijkstra_oracle,
     ewise_add_vector,
-    filter_matrix,
-    greater_than,
     load_edge_list,
     load_matrix_market,
     matrix_build,
-    positive_at_most,
     random_connected_unit_graph,
     random_graph,
+    split_edges,
     vector_build,
 )
 from deltasparse.core import INDEX_DTYPE
 from deltasparse.io import GraphLoadError
 
-from conftest import record_acceptance
+from conftest import entry_set, record_acceptance
 
 CORPUS_SEED = 20260816
 DELTAS = (0.5, 1.0, 3.0, 11.0)
@@ -91,14 +89,14 @@ def test_criterion_1_oracle_agreement(corpus):
 def test_criterion_2_union_passthrough_examples():
     u = vector_build(2, [(0, 3.0)])
     v = vector_build(2, [(0, 1.0), (1, 4.0)])
-    ok = ewise_add_vector(u, v, MIN).to_dict() == {0: 1.0, 1: 4.0}
+    ok = dict(ewise_add_vector(u, v, MIN).items()) == {0: 1.0, 1: 4.0}
 
     requests = vector_build(3, [(1, 2.0)])
     t = vector_build(3, [(1, 5.0), (2, 1.0)])
     hazard = ewise_add_vector(requests, t, LESS)
-    ok = ok and hazard.to_dict() == {1: 1.0, 2: 1.0}
+    ok = ok and dict(hazard.items()) == {1: 1.0, 2: 1.0}
     fixed = ewise_add_vector(requests, t, LESS, mask=requests)
-    ok = ok and fixed.to_dict() == {1: 1.0}
+    ok = ok and dict(fixed.items()) == {1: 1.0}
 
     record_acceptance(
         f"criterion 2: {'PASS' if ok else 'FAIL'} "
@@ -115,12 +113,15 @@ def test_criterion_3_partition_invariant():
         n = int(rng.integers(2, 80))
         a = random_graph(n, int(rng.integers(0, 6 * n)), rng, weights="float")
         delta = float(10.0 * rng.random() + 0.05)
-        low = filter_matrix(a, positive_at_most(delta))
-        high = filter_matrix(a, greater_than(delta))
+        low, high = split_edges(a, delta)
         exact = (
-            low.entry_set() | high.entry_set() == a.entry_set()
+            entry_set(low) | entry_set(high) == entry_set(a)
             and low.nnz + high.nnz == a.nnz
+            and bool(np.all(low.val <= delta) and np.all(high.val > delta))
         )
+        # the fused split's heavy side is the input itself or the same part
+        light, heavy = sssp._partition(a, delta)
+        exact = exact and light == low and (heavy is a or heavy == high)
         failures += 0 if exact else 1
     record_acceptance(
         f"criterion 3: {'PASS' if failures == 0 else 'FAIL'} "
@@ -339,26 +340,26 @@ def test_criterion_8_loader_round_trip(tmp_path):
         "1 3 0.25\n",
     )
     matrix, labels = load_matrix_market(mtx)
-    checks.append(matrix.entry_set() == {(0, 1, 2.5), (1, 2, 1.0), (0, 2, 0.25)})
+    checks.append(entry_set(matrix) == {(0, 1, 2.5), (1, 2, 1.0), (0, 2, 0.25)})
     checks.append(labels.externals == [1, 2, 3])
 
     sym = fixture(
         "sym.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n"
     )
     matrix, _ = load_matrix_market(sym)
-    checks.append(matrix.entry_set() == {(0, 1, 1.0), (1, 0, 1.0)})
+    checks.append(entry_set(matrix) == {(0, 1, 1.0), (1, 0, 1.0)})
 
     loops = fixture(
         "loops.mtx",
         "%%MatrixMarket matrix coordinate real general\n2 2 3\n1 1 9.0\n1 2 5.0\n1 2 2.0\n",
     )
     matrix, _ = load_matrix_market(loops)
-    checks.append(matrix.entry_set() == {(0, 1, 2.0)})
+    checks.append(entry_set(matrix) == {(0, 1, 2.0)})
 
     edges = fixture("g.edges", "# c\n% c\n0 1 3.0\n1 0 1.0\n2 2\n0 1 2.0\n")
     matrix, labels = load_edge_list(edges, directed=False)
     checks.append(
-        matrix.entry_set() == {(0, 1, 1.0), (1, 0, 1.0)} and labels.externals == [0, 1, 2]
+        entry_set(matrix) == {(0, 1, 1.0), (1, 0, 1.0)} and labels.externals == [0, 1, 2]
     )
 
     expected_errors = [
@@ -394,7 +395,7 @@ def test_criterion_9_termination_guard():
     for delta in DELTAS:
         result = delta_stepping(disconnected, 0, delta)
         longest = 4.0
-        checks.append(result.distances.to_dict() == {0: 0.0, 1: 2.0, 2: 4.0})
+        checks.append(dict(result.distances.items()) == {0: 0.0, 1: 2.0, 2: 4.0})
         checks.append(result.outer_iterations <= math.ceil(longest / delta) + 1)
 
     star = matrix_build(
@@ -402,7 +403,7 @@ def test_criterion_9_termination_guard():
     )
     for delta in DELTAS:
         result = delta_stepping(star, 0, delta)
-        checks.append(result.distances.get(6) == 100.0)
+        checks.append(dict(result.distances.items())[6] == 100.0)
         checks.append(result.outer_iterations <= math.ceil(100.0 / delta) + 1)
         # the windows between the spokes and the far vertex are all empty,
         # so only those holding 0, 1 or 100 are visited

@@ -32,6 +32,8 @@ from deltasparse import (
 )
 from deltasparse.core import _min_by_key
 
+from conftest import entry_set
+
 
 def write(tmp_path, text, name="g.txt"):
     p = tmp_path / name
@@ -54,7 +56,7 @@ def test_mtx_general_real(tmp_path):
     )
     matrix, labels = load_matrix_market(path)
     assert matrix.n == 3
-    assert matrix.entry_set() == {(0, 1, 2.5), (1, 2, 1.0), (0, 2, 0.25)}
+    assert entry_set(matrix) == {(0, 1, 2.5), (1, 2, 1.0), (0, 2, 0.25)}
     assert labels.externals == [1, 2, 3]
     assert labels.to_internal(1) == 0
     assert labels.to_external(2) == 3
@@ -67,7 +69,7 @@ def test_mtx_symmetric_pattern(tmp_path):
         "%%MatrixMarket matrix coordinate pattern symmetric\n2 2 1\n2 1\n",
     )
     matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(1, 0, 1.0), (0, 1, 1.0)}
+    assert entry_set(matrix) == {(1, 0, 1.0), (0, 1, 1.0)}
 
 
 def test_mtx_integer_field(tmp_path):
@@ -76,7 +78,7 @@ def test_mtx_integer_field(tmp_path):
         "%%MatrixMarket matrix coordinate integer general\n2 2 1\n1 2 3\n",
     )
     matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(0, 1, 3.0)}
+    assert entry_set(matrix) == {(0, 1, 3.0)}
 
 
 def test_mtx_pattern_default_weight(tmp_path):
@@ -85,7 +87,7 @@ def test_mtx_pattern_default_weight(tmp_path):
         "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 2\n",
     )
     matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(0, 1, 1.0)}
+    assert entry_set(matrix) == {(0, 1, 1.0)}
 
 
 def test_mtx_header_case_insensitive(tmp_path):
@@ -94,7 +96,7 @@ def test_mtx_header_case_insensitive(tmp_path):
         "%%matrixmarket MATRIX Coordinate REAL General\n2 2 1\n1 2 1.5\n",
     )
     matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(0, 1, 1.5)}
+    assert entry_set(matrix) == {(0, 1, 1.5)}
 
 
 def test_mtx_self_loop_dropped_with_warning(tmp_path, caplog):
@@ -104,7 +106,7 @@ def test_mtx_self_loop_dropped_with_warning(tmp_path, caplog):
     )
     with caplog.at_level(logging.WARNING, logger="deltasparse.io"):
         matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(0, 1, 1.0)}
+    assert entry_set(matrix) == {(0, 1, 1.0)}
     assert "dropped 1 self-loop" in caplog.text
 
 
@@ -114,7 +116,7 @@ def test_mtx_duplicates_take_minimum(tmp_path):
         "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 2 5.0\n1 2 2.0\n",
     )
     matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(0, 1, 2.0)}
+    assert entry_set(matrix) == {(0, 1, 2.0)}
 
 
 def test_mtx_blank_and_comment_lines_between_entries(tmp_path):
@@ -124,7 +126,7 @@ def test_mtx_blank_and_comment_lines_between_entries(tmp_path):
         "\n% note\n3 3 2\n1 2 1.0\n\n2 3 4.0\n",
     )
     matrix, _ = load_matrix_market(path)
-    assert matrix.entry_set() == {(0, 1, 1.0), (1, 2, 4.0)}
+    assert entry_set(matrix) == {(0, 1, 1.0), (1, 2, 4.0)}
 
 
 def test_mtx_comments_after_size_line_keep_the_bulk_parse(tmp_path, monkeypatch):
@@ -341,7 +343,7 @@ def test_error_line_numbers(tmp_path, monkeypatch, name, text, want):
 def test_edges_undirected_default_weight(tmp_path):
     path = write(tmp_path, "0 1\n1 2\n")
     matrix, labels = load_edge_list(path, directed=False)
-    assert matrix.entry_set() == {
+    assert entry_set(matrix) == {
         (0, 1, 1.0),
         (1, 0, 1.0),
         (1, 2, 1.0),
@@ -358,7 +360,7 @@ def test_edges_directed_with_remapping(tmp_path):
         path.write_bytes(f"{comment}\n5 9 2.5\n".encode("utf-8"))
         matrix, labels = load_edge_list(str(path), directed=True)
         assert matrix.n == 2
-        assert matrix.entry_set() == {(0, 1, 2.5)}
+        assert entry_set(matrix) == {(0, 1, 2.5)}
         assert labels.externals == [5, 9]
         assert [labels.to_internal(x) for x in (5, 9)] == [0, 1]
         assert labels.to_external(0) == 5
@@ -371,7 +373,7 @@ def test_edges_ids_are_label_ranks(tmp_path):
     path = write(tmp_path, "4 2 1.0\n2 0 1.0\n")
     matrix, labels = load_edge_list(path)
     assert labels.externals == [0, 2, 4]
-    assert matrix.entry_set() == {(2, 1, 1.0), (1, 0, 1.0)}
+    assert entry_set(matrix) == {(2, 1, 1.0), (1, 0, 1.0)}
 
 
 def test_edges_lone_self_loop_keeps_vertex(tmp_path, caplog):
@@ -387,13 +389,13 @@ def test_edges_lone_self_loop_keeps_vertex(tmp_path, caplog):
 def test_edges_percent_comment(tmp_path):
     path = write(tmp_path, "% header-ish\n0 1 2.0\n")
     matrix, _ = load_edge_list(path)
-    assert matrix.entry_set() == {(0, 1, 2.0)}
+    assert entry_set(matrix) == {(0, 1, 2.0)}
 
 
 def test_edges_duplicates_take_minimum(tmp_path):
     path = write(tmp_path, "0 1 5\n0 1 2\n")
     matrix, _ = load_edge_list(path)
-    assert matrix.entry_set() == {(0, 1, 2.0)}
+    assert entry_set(matrix) == {(0, 1, 2.0)}
 
 
 def test_edges_wrong_token_count(tmp_path):
@@ -437,13 +439,13 @@ def test_edges_empty_input(tmp_path):
 def test_edges_undirected_reverse_duplicates_min(tmp_path):
     path = write(tmp_path, "0 1 3\n1 0 1\n")
     matrix, _ = load_edge_list(path, directed=False)
-    assert matrix.entry_set() == {(0, 1, 1.0), (1, 0, 1.0)}
+    assert entry_set(matrix) == {(0, 1, 1.0), (1, 0, 1.0)}
 
 
 def test_edges_from_stdin(monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 1 2.0\n1 2 3.0\n"))
     matrix, _ = load_edge_list("-")
-    assert matrix.entry_set() == {(0, 1, 2.0), (1, 2, 3.0)}
+    assert entry_set(matrix) == {(0, 1, 2.0), (1, 2, 3.0)}
 
 
 def _ranks(u: list, v: list) -> tuple[list[int], list[int], list]:
@@ -554,14 +556,14 @@ def test_duplicates_fold_to_their_minimum(tmp_path):
         for before, after in zip(inputs, (key, wide, vals, table)):
             assert before.tobytes() == after.tobytes()
         built.check_invariants()
-        assert built.entry_set() == _min_entries(rows, cols, vals)
+        assert entry_set(built) == _min_entries(rows, cols, vals)
         triples = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
         for directed in (True, False):
             body = "".join(f"{r} {c} {w!r}\n" for r, c, w in triples)
             matrix, labels = load_edge_list(write(tmp_path, body), directed=directed)
             matrix.check_invariants()
             ext = labels.to_external
-            external = {(ext(i), ext(j), w) for i, j, w in matrix.entry_set()}
+            external = {(ext(i), ext(j), w) for i, j, w in entry_set(matrix)}
             assert external == _min_entries(rows, cols, vals, mirror=not directed)
         for symmetry in ("general", "symmetric"):
             header = f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {rows.size}\n"
@@ -569,7 +571,7 @@ def test_duplicates_fold_to_their_minimum(tmp_path):
             matrix, _ = load_matrix_market(write(tmp_path, header + body, "g.mtx"))
             matrix.check_invariants()
             mirror = symmetry == "symmetric"
-            assert matrix.entry_set() == _min_entries(rows, cols, vals, mirror=mirror)
+            assert entry_set(matrix) == _min_entries(rows, cols, vals, mirror=mirror)
 
 
 # ---------------------------------------------------------------- dispatch
@@ -582,11 +584,11 @@ def test_load_graph_dispatch(tmp_path):
         "a.mtx",
     )
     matrix, _ = load_graph(GraphFile(mtx, "mtx"))
-    assert matrix.entry_set() == {(0, 1, 1.5)}
+    assert entry_set(matrix) == {(0, 1, 1.5)}
 
     edges = write(tmp_path, "0 1\n", "b.edges")
     matrix, _ = load_graph(GraphFile(edges, "edges", directed=False))
-    assert matrix.entry_set() == {(0, 1, 1.0), (1, 0, 1.0)}
+    assert entry_set(matrix) == {(0, 1, 1.0), (1, 0, 1.0)}
 
     with pytest.raises(ValueError):
         load_graph(GraphFile(edges, "csv"))
@@ -779,7 +781,7 @@ def test_url_shaped_relative_name_is_a_local_file(tmp_path, monkeypatch):
     assert parses == [(True, "f")]
     assert loaded[3] == [0, 1]
     matrix, _ = load_edge_list("a://b/g.txt")
-    assert matrix.entry_set() == {(0, 1, 2.5)}
+    assert entry_set(matrix) == {(0, 1, 2.5)}
 
 
 def test_label_map_range_equals_list():
@@ -826,7 +828,7 @@ def test_mtx_labels_are_implicit(tmp_path):
         tracemalloc.stop()
     assert peak < 100 * 2**20
     assert matrix.n == len(labels) == n
-    assert matrix.entry_set() == {(0, 1, 1.5), (n - 1, 0, 2.0)}
+    assert entry_set(matrix) == {(0, 1, 1.5), (n - 1, 0, 2.0)}
     assert (labels.to_internal(n), labels.to_external(0)) == (n - 1, 1)
     for missing in (0, n + 1):
         with pytest.raises(KeyError):

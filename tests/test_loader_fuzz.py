@@ -22,6 +22,8 @@ import deltasparse.io as loaders
 from deltasparse import GraphLoadError, load_edge_list, load_matrix_market
 from deltasparse.cli import main
 
+from conftest import entry_set
+
 SEPARATORS = (" ", "\t", "  ", " \t ")
 BIG_LABELS = (2**63, 2**63 + 7, 2**64 + 5)
 
@@ -293,7 +295,7 @@ def test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch):
     path.write_bytes(data)
     matrix, labels = load_edge_list(str(path))
     assert labels.externals == [0, 1, 3, 4]
-    assert matrix.entry_set() == {(0, 1, 2.0), (2, 3, 5.0)}
+    assert entry_set(matrix) == {(0, 1, 2.0), (2, 3, 5.0)}
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     with pytest.raises(GraphLoadError, match=r"^-:1: expected 'u v' or 'u v w', got 6 tokens$"):
         load_edge_list("-")

@@ -38,7 +38,7 @@ from deltasparse import (
 )
 from deltasparse.sssp import DeltaTooSmall, DistanceOverflow, SsspState, _window_of
 
-from conftest import grid_arcs
+from conftest import entry_set, grid_arcs
 
 DELTAS = (0.5, 1.0, 3.0, 11.0)
 
@@ -64,14 +64,14 @@ def fresh_state(matrix, source, delta, index=0, tentative=None):
 def test_split_edges_by_weight():
     a = matrix_build(3, [(0, 1, 0.5), (1, 2, 2.0)])
     light, heavy = split_edges(a, 1.0)
-    assert light.entry_set() == {(0, 1, 0.5)}
-    assert heavy.entry_set() == {(1, 2, 2.0)}
+    assert entry_set(light) == {(0, 1, 0.5)}
+    assert entry_set(heavy) == {(1, 2, 2.0)}
 
 
 def test_split_edges_boundary_weight_is_light():
     a = matrix_build(2, [(0, 1, 1.0)])
     light, heavy = split_edges(a, 1.0)
-    assert light.entry_set() == {(0, 1, 1.0)}
+    assert entry_set(light) == {(0, 1, 1.0)}
     assert heavy.nnz == 0
 
 
@@ -89,7 +89,7 @@ def test_split_edges_partition_invariant():
         a = random_graph(n, int(rng.integers(0, 4 * n)), rng, weights="float")
         delta = float(rng.choice(DELTAS))
         light, heavy = split_edges(a, delta)
-        assert light.entry_set() | heavy.entry_set() == a.entry_set()
+        assert entry_set(light) | entry_set(heavy) == entry_set(a)
         assert light.nnz + heavy.nnz == a.nnz
         if light.nnz:
             assert light.val.max() <= delta
@@ -134,8 +134,8 @@ def test_compute_bucket_rejects_negative_index():
 def test_light_phase_unit_path_step():
     a = matrix_build(3, [(0, 1, 1.0), (1, 2, 1.0)])
     state = relax_light_phase(fresh_state(a, 0, 1.0))
-    assert state.tentative.to_dict() == {0: 0.0, 1: 1.0}
-    assert state.requests.to_dict() == {1: 1.0}
+    assert dict(state.tentative.items()) == {0: 0.0, 1: 1.0}
+    assert dict(state.requests.items()) == {1: 1.0}
     assert list(state.settled.indices) == [0]
     # the new distance 1.0 falls outside [0, 1), so the bucket drains
     assert state.bucket.nnz == 0
@@ -147,27 +147,27 @@ def test_light_phase_reintroduction_trace():
     state = fresh_state(a, 0, 1.0)
 
     state = relax_light_phase(state)
-    assert state.requests.to_dict() == {1: 0.4, 2: 0.9}
+    assert dict(state.requests.items()) == {1: 0.4, 2: 0.9}
     assert list(state.settled.indices) == [0]
     assert list(state.bucket.indices) == [1, 2]
-    assert state.tentative.to_dict() == {0: 0.0, 1: 0.4, 2: 0.9}
+    assert dict(state.tentative.items()) == {0: 0.0, 1: 0.4, 2: 0.9}
 
     state = relax_light_phase(state)
-    assert state.requests.to_dict() == {2: 0.4 + 0.4}
+    assert dict(state.requests.items()) == {2: 0.4 + 0.4}
     assert list(state.settled.indices) == [0, 1, 2]
     assert list(state.bucket.indices) == [2]
-    assert state.tentative.to_dict() == {0: 0.0, 1: 0.4, 2: 0.4 + 0.4}
+    assert dict(state.tentative.items()) == {0: 0.0, 1: 0.4, 2: 0.4 + 0.4}
 
     state = relax_light_phase(state)
     assert state.requests.nnz == 0
     assert state.bucket.nnz == 0
-    assert state.tentative.to_dict() == {0: 0.0, 1: 0.4, 2: 0.4 + 0.4}
+    assert dict(state.tentative.items()) == {0: 0.0, 1: 0.4, 2: 0.4 + 0.4}
 
 
 def test_light_phase_isolated_vertex_is_noop():
     a = matrix_build(3, [(1, 2, 1.0)])
     state = relax_light_phase(fresh_state(a, 0, 1.0))
-    assert state.tentative.to_dict() == {0: 0.0}
+    assert dict(state.tentative.items()) == {0: 0.0}
     assert state.bucket.nnz == 0
     assert list(state.settled.indices) == [0]
 
@@ -188,7 +188,7 @@ def test_relax_heavy_single_edge():
     state = fresh_state(a, 0, 1.0)
     state = relax_light_phase(state)
     after = relax_heavy(state)
-    assert after.tentative.to_dict() == {0: 0.0, 3: 5.0}
+    assert dict(after.tentative.items()) == {0: 0.0, 3: 5.0}
 
 
 def test_relax_heavy_takes_minimum_over_settled():
@@ -199,7 +199,7 @@ def test_relax_heavy_takes_minimum_over_settled():
     after = relax_heavy(state)
     # 0.4 + 4.2 beats 0.0 + 5.0; compare against the float expression, not
     # a decimal literal that may not round to the same bits
-    assert after.tentative.get(3) == 0.4 + 4.2
+    assert dict(after.tentative.items())[3] == 0.4 + 4.2
 
 
 # ---------------------------------------------------------------- invariants
@@ -247,13 +247,13 @@ def test_phase_by_phase_invariants():
                 state = relax_light_phase(state)
                 phases += 1
                 assert phases <= ceiling
-                new = state.tentative
+                new = dict(state.tentative.items())
                 # distances only ever shrink and the domain only ever grows
-                assert set(old.indices.tolist()) <= set(new.indices.tolist())
-                for i in old.indices.tolist():
-                    assert new.get(i) <= old.get(i)
+                assert set(old.indices.tolist()) <= set(new)
+                for i, v in old.items():
+                    assert new[i] <= v
                 for i, v in state.bucket.items():
-                    assert lo <= state.tentative.get(i) < hi
+                    assert lo <= new[i] < hi
                 if state.requests.nnz:
                     assert state.requests.values.min() > 0.0
             t_before = state.tentative
@@ -269,16 +269,25 @@ def test_phase_by_phase_invariants():
 def test_delta_stepping_single_vertex():
     a = matrix_build(1, [])
     result = delta_stepping(a, 0, 1.0)
-    assert result.distances.to_dict() == {0: 0.0}
+    assert dict(result.distances.items()) == {0: 0.0}
     assert result.outer_iterations == 1
 
 
 def test_delta_stepping_unit_path_counts():
     a = matrix_build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     result = delta_stepping(a, 0, 1.0)
-    assert result.distances.to_dict() == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
+    assert dict(result.distances.items()) == {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}
     assert result.outer_iterations == 4
     assert result.inner_phases == 4
+
+
+@pytest.mark.parametrize("kind", ["unfused", "fused"])
+def test_every_light_step_is_a_phase(kind):
+    # one bucket, [0, 1), settled by three light steps: from 0, from 1 at
+    # 0.5, and from 2 at 0.75, which lowers nothing
+    a = matrix_build(3, [(0, 1, 0.5), (1, 2, 0.25)])
+    result = delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
+    assert (result.outer_iterations, result.occupied_buckets, result.inner_phases) == (1, 1, 3)
 
 
 def test_delta_stepping_matches_oracle():
@@ -412,7 +421,7 @@ def test_delta_stepping_disconnected_omits_unreachable():
     a = matrix_build(5, [(0, 1, 1.0), (3, 4, 1.0)])
     for delta in DELTAS:
         result = delta_stepping(a, 0, delta)
-        assert result.distances.to_dict() == {0: 0.0, 1: 1.0}
+        assert dict(result.distances.items()) == {0: 0.0, 1: 1.0}
 
 
 def test_delta_stepping_star_with_long_spoke_terminates():
@@ -420,7 +429,7 @@ def test_delta_stepping_star_with_long_spoke_terminates():
     a = matrix_build(7, triples)
     for delta in DELTAS:
         result = delta_stepping(a, 0, delta)
-        assert result.distances.get(6) == 100.0
+        assert dict(result.distances.items())[6] == 100.0
         assert result.outer_iterations <= math.ceil(100.0 / delta) + 1
 
 
@@ -543,7 +552,7 @@ def test_one_step_visits_only_occupied_windows(monkeypatch, kind):
     a = matrix_build(3, [(0, 1, 1e4), (1, 2, 1e4)])
     sizes = heavy_step_recorder(monkeypatch)
     result = delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
-    assert result.distances.to_dict() == {0: 0.0, 1: 1e4, 2: 2e4}
+    assert dict(result.distances.items()) == {0: 0.0, 1: 1e4, 2: 2e4}
     counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
     assert counts == (20_001, 3, 3)
     assert sizes == [1, 1, 1]
@@ -679,17 +688,17 @@ def bellman_ford(matrix, source):
 
 def test_oracle_single_vertex():
     a = matrix_build(1, [])
-    assert dijkstra_oracle(a, 0).to_dict() == {0: 0.0}
+    assert dict(dijkstra_oracle(a, 0).items()) == {0: 0.0}
 
 
 def test_oracle_triangle_prefers_two_hop():
     a = matrix_build(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0)])
-    assert dijkstra_oracle(a, 0).to_dict() == {0: 0.0, 1: 1.0, 2: 2.0}
+    assert dict(dijkstra_oracle(a, 0).items()) == {0: 0.0, 1: 1.0, 2: 2.0}
 
 
 def test_oracle_omits_unreachable():
     a = matrix_build(4, [(0, 1, 2.0), (2, 3, 1.0)])
-    assert dijkstra_oracle(a, 0).to_dict() == {0: 0.0, 1: 2.0}
+    assert dict(dijkstra_oracle(a, 0).items()) == {0: 0.0, 1: 2.0}
 
 
 def test_oracle_rejects_bad_source():
@@ -706,5 +715,5 @@ def test_oracle_agrees_with_bellman_ford():
         n = int(rng.integers(1, 30))
         a = random_graph(n, int(rng.integers(0, 4 * n)), rng, weights="float")
         source = int(rng.integers(0, n))
-        got = dijkstra_oracle(a, source).to_dict()
+        got = dict(dijkstra_oracle(a, source).items())
         assert got == bellman_ford(a, source)

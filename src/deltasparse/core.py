@@ -23,7 +23,6 @@ __all__ = [
     "SparseMatrix",
     "vector_build",
     "matrix_build",
-    "mask_from_indices",
 ]
 
 
@@ -122,15 +121,6 @@ class SparseVector:
         more = "" if self.nnz <= 8 else f", ... ({self.nnz} entries)"
         return f"SparseVector(n={self.length}, {{{shown}{more}}})"
 
-    def check_invariants(self, identity: float = math.inf) -> None:
-        idx, val = self.indices, self.values
-        assert idx.size == val.size
-        if idx.size:
-            assert idx[0] >= 0 and idx[-1] < self.length, "index out of range"
-            assert np.all(np.diff(idx) > 0), "indices not strictly increasing"
-        assert not np.any(val == identity), "stored implicit identity"
-        assert not np.any(np.isnan(val)), "stored NaN"
-
 
 class SparseMatrix:
     """Square sparse matrix in row-compressed form.
@@ -161,9 +151,6 @@ class SparseMatrix:
     def row_ids(self) -> np.ndarray:
         return np.repeat(np.arange(self.n, dtype=INDEX_DTYPE), np.diff(self.indptr))
 
-    def triples(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return self.row_ids(), self.col, self.val
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseMatrix):
             return NotImplemented
@@ -178,20 +165,6 @@ class SparseMatrix:
 
     def __repr__(self) -> str:
         return f"SparseMatrix(n={self.n}, nnz={self.nnz})"
-
-    def check_invariants(self) -> None:
-        assert self.indptr.size == self.n + 1
-        assert self.indptr[0] == 0 and self.indptr[-1] == self.nnz
-        assert np.all(np.diff(self.indptr) >= 0), "indptr not monotone"
-        if self.nnz:
-            assert self.col.min() >= 0 and self.col.max() < self.n
-            assert np.all(self.val > 0), "non-positive stored weight"
-            assert np.all(np.isfinite(self.val)), "non-finite stored weight"
-            rows = self.row_ids()
-            assert not np.any(rows == self.col), "stored diagonal entry"
-            # columns sorted and unique within each row
-            same_row = rows[1:] == rows[:-1]
-            assert np.all(self.col[1:][same_row] > self.col[:-1][same_row])
 
 
 def _as_float_table(data: object, width: int) -> np.ndarray:
@@ -234,12 +207,6 @@ def vector_build(length: int, pairs: Iterable[tuple[int, float]] | np.ndarray) -
         first[1:] = idx[1:] != idx[:-1]
         idx, val = idx[first], val[first]
     return SparseVector(length, idx, val)
-
-
-def mask_from_indices(length: int, indices: np.ndarray | Iterable[int]) -> SparseVector:
-    """Structural mask: sorted indices, all values the canonical true (1.0)."""
-    idx = np.asarray(indices, dtype=INDEX_DTYPE)
-    return SparseVector(length, idx, _ones(idx.size))
 
 
 def matrix_build(

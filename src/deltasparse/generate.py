@@ -1,4 +1,4 @@
-"""Small random-graph builders for tests, the self-test, and benchmarks."""
+"""A small random-graph builder for the self-test, tests and benchmarks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .core import SparseMatrix, matrix_build
 
-__all__ = ["random_graph", "random_connected_unit_graph"]
+__all__ = ["random_graph"]
 
 
 def random_graph(
@@ -34,24 +34,3 @@ def random_graph(
     else:
         raise ValueError(f"unknown weight kind {weights!r}")
     return matrix_build(n, np.column_stack([src, dst, w]))
-
-
-def random_connected_unit_graph(
-    n: int,
-    extra_edges: int,
-    rng: np.random.Generator,
-) -> SparseMatrix:
-    """Unit-weight digraph where every vertex is reachable from vertex 0:
-    a random spanning tree oriented away from the root plus extra edges."""
-    if n == 1:
-        return matrix_build(1, np.empty((0, 3)))
-    children = np.arange(1, n)
-    parents = (rng.random(n - 1) * children).astype(np.int64)  # parent < child
-    rows = [parents]
-    cols = [children]
-    if extra_edges:
-        rows.append(rng.integers(0, n, size=extra_edges))
-        cols.append(rng.integers(0, n, size=extra_edges))
-    src = np.concatenate(rows)
-    dst = np.concatenate(cols)
-    return matrix_build(n, np.column_stack([src, dst, np.ones(src.size)]))

@@ -245,6 +245,20 @@ MUTANTS = [
         "if _window_start(middle, delta) < value:",
         "tests/test_sssp.py::test_window_of_matches_single_steps",
     ),
+    # verification is exact: a tolerance lets a distance one ulp off pass
+    (
+        "cli.py",
+        "    return dev == 0.0, dev\n",
+        "    return bool(np.allclose(got.values, want.values)), dev\n",
+        "tests/test_cli.py::test_verify_fails_a_distance_one_ulp_off",
+    ),
+    # a library function that nothing outside tests calls
+    (
+        "generate.py",
+        "\n\ndef random_graph(",
+        "\n\ndef _orphan():\n    pass\n\n\ndef random_graph(",
+        "tests/test_library_is_used.py",
+    ),
     # selftest compares the backends' bucket and phase counts
     (
         "cli.py",

@@ -34,7 +34,6 @@ from deltasparse import (
     load_edge_list,
     load_matrix_market,
     matrix_build,
-    random_connected_unit_graph,
     random_graph,
     split_edges,
     vector_build,
@@ -42,7 +41,7 @@ from deltasparse import (
 from deltasparse.core import INDEX_DTYPE
 from deltasparse.io import GraphLoadError
 
-from conftest import entry_set, record_acceptance
+from conftest import entry_set, random_connected_unit_graph, record_acceptance
 
 CORPUS_SEED = 20260816
 DELTAS = (0.5, 1.0, 3.0, 11.0)

@@ -4,6 +4,7 @@ distance output, verification, fault injection, and the selftest command."""
 from __future__ import annotations
 
 import io
+import math
 import os
 import signal
 import subprocess
@@ -13,11 +14,18 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import deltasparse.cli
 import deltasparse.io
-from deltasparse import delta_stepping, load_edge_list, load_matrix_market
+from deltasparse import (
+    SparseVector,
+    delta_stepping,
+    load_edge_list,
+    load_matrix_market,
+    vector_build,
+)
 from deltasparse.cli import main
 from deltasparse.sssp import _window_of
 
@@ -139,7 +147,7 @@ def test_run_verify_ok(edge_path, capsys):
     )
     captured = capsys.readouterr()
     assert code == 0
-    assert "verification OK" in captured.err
+    assert "verification OK: max deviation 0\n" in captured.err
 
 
 def test_run_verify_catches_injected_fault(edge_path, capsys):
@@ -157,6 +165,25 @@ def test_run_verify_catches_injected_fault(edge_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "verification FAILED" in captured.err
+
+
+def one_ulp_up(vec):
+    values = vec.values.copy()
+    values[-1] = np.nextafter(values[-1], math.inf)
+    return SparseVector(vec.length, vec.indices, values)
+
+
+def test_verify_fails_a_distance_one_ulp_off(edge_path, monkeypatch, capsys):
+    # verification is exact: no tolerance absorbs the last bit of a distance
+    want = vector_build(4, [(0, 0.0), (1, 1.0), (3, 4.0)])
+    assert deltasparse.cli._deviations(want, want) == (True, 0.0)
+    assert deltasparse.cli._deviations(one_ulp_up(want), want) == (False, math.ulp(4.0))
+    oracle = deltasparse.cli.dijkstra_oracle
+    monkeypatch.setattr(deltasparse.cli, "dijkstra_oracle", lambda *a: one_ulp_up(oracle(*a)))
+    code = run_cli("run", "--graph", edge_path, "--format", "edges", "--source", "0", "--verify")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"verification FAILED: max deviation {math.ulp(4.0):g}\n" in captured.err
 
 
 def test_run_missing_file(tmp_path, capsys):

@@ -9,13 +9,13 @@ import numpy as np
 import pytest
 
 from deltasparse import (
+    SparseMatrix,
     SparseVector,
-    mask_from_indices,
     matrix_build,
     vector_build,
 )
 
-from conftest import entry_set, random_sparse_vector
+from conftest import check_matrix, check_vector, entry_set, random_sparse_vector
 from kernel_reference import transpose
 
 
@@ -90,27 +90,20 @@ def test_vector_requires_positive_length():
 
 def test_vector_invariant_checks_catch_violations():
     good = vector_build(8, [(1, 1.0), (5, 2.0)])
-    good.check_invariants()
+    check_vector(good)
     unsorted = SparseVector(8, np.array([5, 1]), np.array([1.0, 2.0]))
     with pytest.raises(AssertionError):
-        unsorted.check_invariants()
+        check_vector(unsorted)
     stored_identity = SparseVector(8, np.array([1]), np.array([math.inf]))
     with pytest.raises(AssertionError):
-        stored_identity.check_invariants()
-
-
-def test_mask_from_indices_is_structural():
-    m = mask_from_indices(9, [2, 4, 7])
-    assert list(m.indices) == [2, 4, 7]
-    assert np.all(m.values == 1.0)
-    m.check_invariants(identity=0.0)
+        check_vector(stored_identity)
 
 
 def test_random_vectors_never_store_identity():
     rng = np.random.default_rng(3)
     for _ in range(50):
         v = random_sparse_vector(rng, int(rng.integers(1, 40)))
-        v.check_invariants()
+        check_vector(v)
 
 
 # ---------------------------------------------------------------- matrices
@@ -155,9 +148,8 @@ def test_matrix_row_access():
     assert list(cols) == [0, 3] and list(vals) == [2.0, 5.0]
     cols, vals = a.row(0)
     assert cols.size == 0
-    r, c, v = a.triples()
-    assert list(r) == [1, 1, 2] and list(c) == [0, 3, 1]
-    assert list(v) == [2.0, 5.0, 1.0]
+    assert list(a.row_ids()) == [1, 1, 2] and list(a.col) == [0, 3, 1]
+    assert list(a.val) == [2.0, 5.0, 1.0]
 
 
 def test_matrix_invariants_on_random_builds():
@@ -169,7 +161,7 @@ def test_matrix_invariants_on_random_builds():
             [rng.integers(0, n, m), rng.integers(0, n, m), 1.0 + 9.0 * rng.random(m)]
         )
         a = matrix_build(n, tri)
-        a.check_invariants()
+        check_matrix(a)
 
 
 def test_matrix_equality():
@@ -197,13 +189,11 @@ def test_transpose_matches_naive_coordinate_swap():
             [rng.integers(0, n, m), rng.integers(0, n, m), 1.0 + rng.random(m)]
         )
         a = matrix_build(n, tri)
-        r, c, v = a.triples()
-        swapped = sorted(zip(c.tolist(), r.tolist(), v.tolist()))
+        swapped = sorted(zip(a.col.tolist(), a.row_ids().tolist(), a.val.tolist()))
         view = transpose(a)
-        vr, vc, vv = view.triples()
-        got = sorted(zip(vr.tolist(), vc.tolist(), vv.tolist()))
+        got = sorted(zip(view.row_ids().tolist(), view.col.tolist(), view.val.tolist()))
         assert got == swapped
-        view.check_invariants()
+        check_matrix(view)
 
 
 # ---------------------------------------------------------------- package surface
@@ -230,11 +220,18 @@ def test_exports_resolve_and_retired_names_are_gone():
         "apply_vector",
         "EDGE_DTYPE",
         "UnaryPredicate",
+        "mask_from_indices",
+        "random_connected_unit_graph",
+        "REL_TOLERANCE",
     )
     for name in retired:
         assert not hasattr(deltasparse, name), name
+        assert not hasattr(deltasparse.cli, name), name
         assert name not in deltasparse.__all__, name
     assert not hasattr(deltasparse.cli, "RunConfig")
+    for container in (SparseVector, SparseMatrix):
+        assert not hasattr(container, "check_invariants"), container
+    assert not hasattr(SparseMatrix, "triples")
     with pytest.raises(TypeError, match="skip_empty_buckets"):
         deltasparse.delta_stepping(matrix_build(1, []), 0, 1.0, skip_empty_buckets=True)
 

@@ -18,6 +18,8 @@ from deltasparse import (
     split_edges,
 )
 
+from conftest import check_matrix
+
 FUSED = BackendChoice("fused")
 
 
@@ -47,8 +49,8 @@ def test_one_pass_partition_equals_split_edges():
         assert light == want_light, case
         assert heavy is matrix if whole_rows else heavy == want_heavy, case
         sides.add((case >= 40, whole_rows))
-        light.check_invariants()
-        heavy.check_invariants()
+        check_matrix(light)
+        check_matrix(heavy)
     assert sides == {(False, False), (False, True), (True, False), (True, True)}
 
 

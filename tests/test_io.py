@@ -32,7 +32,7 @@ from deltasparse import (
 )
 from deltasparse.core import _min_by_key
 
-from conftest import entry_set
+from conftest import check_matrix, entry_set
 
 
 def write(tmp_path, text, name="g.txt"):
@@ -60,7 +60,7 @@ def test_mtx_general_real(tmp_path):
     assert labels.externals == [1, 2, 3]
     assert labels.to_internal(1) == 0
     assert labels.to_external(2) == 3
-    matrix.check_invariants()
+    check_matrix(matrix)
 
 
 def test_mtx_symmetric_pattern(tmp_path):
@@ -350,7 +350,7 @@ def test_edges_undirected_default_weight(tmp_path):
         (2, 1, 1.0),
     }
     assert labels.externals == [0, 1, 2]
-    matrix.check_invariants()
+    check_matrix(matrix)
 
 
 def test_edges_directed_with_remapping(tmp_path):
@@ -555,13 +555,13 @@ def test_duplicates_fold_to_their_minimum(tmp_path):
         built = matrix_build(n, table)
         for before, after in zip(inputs, (key, wide, vals, table)):
             assert before.tobytes() == after.tobytes()
-        built.check_invariants()
+        check_matrix(built)
         assert entry_set(built) == _min_entries(rows, cols, vals)
         triples = list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
         for directed in (True, False):
             body = "".join(f"{r} {c} {w!r}\n" for r, c, w in triples)
             matrix, labels = load_edge_list(write(tmp_path, body), directed=directed)
-            matrix.check_invariants()
+            check_matrix(matrix)
             ext = labels.to_external
             external = {(ext(i), ext(j), w) for i, j, w in entry_set(matrix)}
             assert external == _min_entries(rows, cols, vals, mirror=not directed)
@@ -569,7 +569,7 @@ def test_duplicates_fold_to_their_minimum(tmp_path):
             header = f"%%MatrixMarket matrix coordinate real {symmetry}\n{n} {n} {rows.size}\n"
             body = "".join(f"{r + 1} {c + 1} {w!r}\n" for r, c, w in triples)
             matrix, _ = load_matrix_market(write(tmp_path, header + body, "g.mtx"))
-            matrix.check_invariants()
+            check_matrix(matrix)
             mirror = symmetry == "symmetric"
             assert entry_set(matrix) == _min_entries(rows, cols, vals, mirror=mirror)
 

@@ -27,6 +27,7 @@ from deltasparse import (
 
 from deltasparse.core import INDEX_DTYPE, VALUE_DTYPE
 
+from conftest import check_vector
 from kernel_reference import (
     probe_all_ewise_mult_vector,
     pull_vxm_min_plus,
@@ -93,7 +94,7 @@ def test_ewise_add_equals_union1d_reference(op, shape):
         mask = (None, u)[case % 2]
         got = ewise_add_vector(u, v, op, mask=mask)
         assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
-        got.check_invariants()
+        check_vector(got)
 
 
 def subset_operands(rng, n, shape):
@@ -115,7 +116,7 @@ def assert_sound(vec):
     """Frozen, contiguous arrays of the declared dtypes, and valid entries."""
     for arr, dtype in ((vec.indices, INDEX_DTYPE), (vec.values, VALUE_DTYPE)):
         assert arr.dtype == dtype and arr.flags.c_contiguous and not arr.flags.writeable
-    vec.check_invariants()
+    check_vector(vec)
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
@@ -150,7 +151,7 @@ def test_ewise_mult_equals_probe_all_reference(op, shape):
         u, v = operands(rng, n, shape)
         got = ewise_mult_vector(u, v, op)
         assert got == probe_all_ewise_mult_vector(u, v, op)
-        got.check_invariants()
+        check_vector(got)
 
 
 def straddling_operands(rng, side):
@@ -213,7 +214,7 @@ def test_ewise_mult_either_side_of_the_size_rule_equals_probe_all_reference(op, 
         for a, b in ((u, v), (v, u)):
             got = ewise_mult_vector(a, b, op)
             assert got == probe_all_ewise_mult_vector(a, b, op)
-            got.check_invariants()
+            check_vector(got)
 
 
 def random_matrix(rng, n, m):
@@ -261,6 +262,6 @@ def test_vxm_min_plus_edge_cases_equal_pull_reference(monkeypatch, entries):
         for name, v in cases.items():
             got = vxm_min_plus(v, a)
             assert got == pull_vxm_min_plus(v, a), name
-            got.check_invariants()
+            check_vector(got)
         assert vxm_min_plus(cases["overflow only"], a).nnz == 0
         assert dict(vxm_min_plus(cases["repeated targets"], a).items()) == {2: 1.0, 3: 1.5}

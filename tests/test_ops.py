@@ -21,7 +21,6 @@ from deltasparse import (
     ewise_mult_vector,
     filter_vector,
     in_half_open,
-    mask_from_indices,
     matrix_build,
     split_edges,
     vector_build,
@@ -29,7 +28,7 @@ from deltasparse import (
 )
 from deltasparse.sssp import _partition
 
-from conftest import grid_arcs, random_sparse_vector
+from conftest import check_vector, grid_arcs, random_sparse_vector
 from kernel_reference import split_rows
 
 
@@ -183,7 +182,7 @@ def test_ewise_add_empty_and_errors():
     u = vector_build(4, [(0, 2.0), (2, 1.0)])
     v = vector_build(4, [(2, 3.0), (3, 4.0)])
     copy = SparseVector(4, u.indices.copy(), u.values.copy())
-    for mask in (v, copy, mask_from_indices(4, [0, 1, 2, 3]), SparseVector(4)):
+    for mask in (v, copy, SparseVector(4, np.arange(4), np.ones(4)), SparseVector(4)):
         with pytest.raises(ValueError, match="mask=u"):
             ewise_add_vector(u, v, MIN, mask=mask)
 
@@ -220,7 +219,7 @@ def test_ewise_mult_disjoint_is_empty():
 
 def test_ewise_mult_source_selection():
     t = vector_build(3, [(0, 0.0)])
-    b0 = mask_from_indices(3, [0])
+    b0 = SparseVector(3, np.array([0]), np.ones(1))
     assert dict(ewise_mult_vector(t, b0, TIMES).items()) == {0: 0.0}
 
 
@@ -277,7 +276,7 @@ def test_user_op_output_is_adopted_only_when_fresh_float64(fn):
         for arr in (got.indices, got.values):
             assert arr.flags.c_contiguous and not arr.flags.writeable
         assert got.values.dtype == np.float64
-        got.check_invariants()
+        check_vector(got)
 
 
 def test_unfused_solve_builds_no_kernel_vector_through_the_constructor(monkeypatch):
@@ -335,8 +334,7 @@ def dense_vxm(v, mat):
     dense = np.full(mat.n, math.inf)
     dense[v.indices] = v.values
     out = np.full(mat.n, math.inf)
-    r, c, w = mat.triples()
-    for i, j, weight in zip(r.tolist(), c.tolist(), w.tolist()):
+    for i, j, weight in zip(mat.row_ids().tolist(), mat.col.tolist(), mat.val.tolist()):
         cand = dense[i] + weight
         if cand < out[j]:
             out[j] = cand

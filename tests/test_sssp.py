@@ -27,9 +27,7 @@ from deltasparse import (
     ewise_mult_vector,
     filter_vector,
     in_half_open,
-    mask_from_indices,
     matrix_build,
-    random_connected_unit_graph,
     random_graph,
     relax_heavy,
     relax_light_phase,
@@ -38,7 +36,7 @@ from deltasparse import (
 )
 from deltasparse.sssp import DeltaTooSmall, DistanceOverflow, SsspState, _window_of
 
-from conftest import entry_set, grid_arcs
+from conftest import entry_set, grid_arcs, random_connected_unit_graph
 
 DELTAS = (0.5, 1.0, 3.0, 11.0)
 
@@ -587,7 +585,7 @@ def test_huge_delta_over_tiny_light_weights(kind, delta):
     tiny = random_graph(30, 120, rng, weights="float")
     graphs = [
         matrix_build(3, [(0, 1, 1e-10), (1, 2, 1e-10)]),
-        matrix_build(30, [(i, j, w * 1e-300) for i, j, w in zip(*tiny.triples())]),
+        matrix_build(30, [(i, j, w * 1e-300) for i, j, w in zip(tiny.row_ids(), tiny.col, tiny.val)]),
     ]
     for a in graphs:
         result = delta_stepping(a, 0, delta, backend=BackendChoice(kind))
@@ -660,7 +658,8 @@ def test_huge_weights_raise_or_reach_every_vertex(kind):
 @pytest.mark.parametrize("kind", ["unfused", "fused"])
 def test_subnormal_weights_solve_equal_to_the_oracle(kind):
     rng = np.random.default_rng(43)
-    r, c, w = random_graph(40, 160, rng, weights="float").triples()
+    g = random_graph(40, 160, rng, weights="float")
+    r, c, w = g.row_ids(), g.col, g.val
     w = np.where(rng.random(w.size) < 0.5, 5e-324, w)
     a = matrix_build(40, np.column_stack([r, c, w]))
     for delta in (1e-300, 1.0, 3.0):
@@ -673,7 +672,7 @@ def test_subnormal_weights_solve_equal_to_the_oracle(kind):
 
 def bellman_ford(matrix, source):
     dist = {source: 0.0}
-    rows, cols, weights = matrix.triples()
+    rows, cols, weights = matrix.row_ids(), matrix.col, matrix.val
     edges = list(zip(rows.tolist(), cols.tolist(), weights.tolist()))
     for _ in range(max(matrix.n - 1, 1)):
         changed = False

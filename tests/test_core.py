@@ -223,12 +223,12 @@ def test_exports_resolve_and_retired_names_are_gone():
         "mask_from_indices",
         "random_connected_unit_graph",
         "REL_TOLERANCE",
+        "RunConfig",
     )
     for name in retired:
         assert not hasattr(deltasparse, name), name
         assert not hasattr(deltasparse.cli, name), name
         assert name not in deltasparse.__all__, name
-    assert not hasattr(deltasparse.cli, "RunConfig")
     for container in (SparseVector, SparseMatrix):
         assert not hasattr(container, "check_invariants"), container
     assert not hasattr(SparseMatrix, "triples")

@@ -85,8 +85,50 @@ def _perturb(distances: SparseVector) -> SparseVector:
     if distances.nnz == 0:
         return distances
     values = distances.values.copy()
-    values[-1] += 1.0
+    values[-1] = np.nextafter(values[-1], np.inf)  # adding 1.0 is lost from 2**53 up
     return SparseVector(distances.length, distances.indices.copy(), values)
+
+
+_POWERS_OF_TEN = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _format_distances(labels: np.ndarray, values: np.ndarray) -> str:
+    """One "label<TAB>distance" line per entry, byte for byte as
+    f"{label}\\t{value!r}\\n" writes it.
+
+    The distances are a solve's, so none is negative. Non-negative int64
+    labels with integral distances below 1e16, where repr turns to "1e+16",
+    are written by one numpy pass: each number's digits right-aligned in a
+    uint8 matrix whose leading pad columns a keep mask drops. Any other
+    input takes the repr line."""
+    if not (
+        values.size
+        and labels.dtype == np.int64
+        and labels.min() >= 0
+        and (values == np.floor(values)).all()
+        and values.max() < 1e16
+    ):
+        lines = zip(labels.tolist(), values.tolist())
+        return "".join([f"{label}\t{value!r}\n" for label, value in lines])
+    fields = (labels, values.astype(np.int64))
+    counts = [np.searchsorted(_POWERS_OF_TEN, f, side="right") + 1 for f in fields]
+    widths = [int(count.max()) for count in counts]
+    # a row: the label's field, a tab, the value's field, ".0\n"
+    text = np.empty((values.size, widths[0] + widths[1] + 4), np.uint8)
+    keep = np.ones(text.shape, bool)
+    start = 0
+    for field, count, width in zip(fields, counts, widths):
+        for col in range(start + width - 1, start - 1, -1):
+            rest = field // 10
+            text[:, col] = field - 10 * rest
+            field = rest
+        pad = (width - count)[:, None]
+        np.greater_equal(np.arange(width), pad, out=keep[:, start : start + width])
+        start += width + 1
+    text += ord("0")
+    text[:, widths[0]] = ord("\t")
+    text[:, -3:] = np.frombuffer(b".0\n", np.uint8)
+    return text[keep].tobytes().decode("ascii")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -134,8 +176,7 @@ def run(args: argparse.Namespace) -> int:
 
     # ids increase with labels, so the increasing indices list labels in order
     reached = labels.to_external_array(distances.indices)
-    lines = zip(reached.tolist(), distances.values.tolist())
-    text = "".join([f"{label}\t{value!r}\n" for label, value in lines])
+    text = _format_distances(reached, distances.values)
     if args.output is None:
         sys.stdout.write(text)
     else:

@@ -218,6 +218,33 @@ MUTANTS = [
         'f"occupied_buckets={result.outer_iterations}"',
         "tests/test_cli.py::test_run_tiny_delta_skipping_solves",
     ),
+    # the numpy distance writer: below 1e16 only, digit counts that step up
+    # at each power of ten, and integral values only; the rest is repr's
+    (
+        "cli.py",
+        "values.max() < 1e16",
+        "values.max() <= 1e16",
+        "tests/test_cli.py::test_format_falls_back_to_repr",
+    ),
+    (
+        "cli.py",
+        'side="right"',
+        'side="left"',
+        "tests/test_cli.py::test_format_is_repr_at_digit_count_boundaries",
+    ),
+    (
+        "cli.py",
+        "        and (values == np.floor(values)).all()\n",
+        "",
+        "tests/test_cli.py::test_format_falls_back_to_repr",
+    ),
+    # the injected fault changes a distance however large it is
+    (
+        "cli.py",
+        "np.nextafter(values[-1], np.inf)",
+        "values[-1] + 1.0",
+        "tests/test_cli.py::test_run_verify_catches_injected_fault_past_2_53",
+    ),
     # the package publishes each module's __all__
     (
         "sssp.py",

@@ -29,6 +29,8 @@ from deltasparse import (
 from deltasparse.cli import main
 from deltasparse.sssp import _window_of
 
+from conftest import grid_arcs
+
 EDGE_FILE = "0 1 1.0\n1 2 1.5\n0 3 4.0\n"
 MTX_FILE = "%%MatrixMarket matrix coordinate real general\n3 3 2\n1 2 2.0\n2 3 1.0\n"
 
@@ -165,6 +167,20 @@ def test_run_verify_catches_injected_fault(edge_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "verification FAILED" in captured.err
+
+
+def test_run_verify_catches_injected_fault_past_2_53(tmp_path, capsys):
+    # 2**53 + 1.0 rounds back to 2**53: the fault must still change the value
+    p = tmp_path / "far.edges"
+    p.write_text("0 1 9007199254740992\n")
+    code = run_cli(
+        "run", "--graph", str(p), "--format", "edges", "--directed", "--source", "0",
+        "--delta", "1e15", "--verify", "--inject-fault",
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "verification FAILED" in captured.err
+    assert captured.out == "0\t0.0\n1\t9007199254740994.0\n"
 
 
 def one_ulp_up(vec):
@@ -314,6 +330,97 @@ def test_run_output_orders_labels_in_uint64_range(tmp_path, capsys):
     assert captured.out == (
         "7\t0.5\n9223372036854775808\t0.75\n9223372036854775809\t0.0\n"
     )
+
+
+def repr_lines(labels, values):
+    """The output lines as the repr formatting writes them."""
+    lines = zip(np.asarray(labels).tolist(), np.asarray(values).tolist())
+    return "".join(f"{label}\t{value!r}\n" for label, value in lines)
+
+
+def assert_formats_as_repr(labels, values):
+    got = deltasparse.cli._format_distances(labels, np.asarray(values, dtype=np.float64))
+    assert got.encode("ascii") == repr_lines(labels, values).encode("ascii")
+
+
+def digit_boundaries(top):
+    """0, 9, 10, 99, 100, ..., 10**k - 1 and 10**k up to `top`."""
+    edges = {0, top}
+    for k in range(1, 19):
+        edges |= {10**k - 1, 10**k}
+    return sorted(e for e in edges if e <= top)
+
+
+def test_format_is_repr_at_digit_count_boundaries():
+    labels = np.array(digit_boundaries(2**63 - 1), dtype=np.int64)
+    values = [float(v) for v in digit_boundaries(10**15)] + [9999999999999998.0]
+    for value in values:
+        assert_formats_as_repr(labels, np.full(labels.size, value))
+    for label in labels:
+        assert_formats_as_repr(np.full(len(values), label), values)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [0.0, 1e16],
+        [3.0, 1e16 + 2, 1e17, 1.7976931348623157e308],
+        [0.0, 2.0, 2.5, 10.0],
+        [0.0, 7.0, 0.30000000000000004],
+    ],
+)
+def test_format_falls_back_to_repr(values):
+    assert_formats_as_repr(np.arange(len(values), dtype=np.int64), values)
+
+
+def test_format_prints_1e16_in_exponent_form():
+    values = np.array([9999999999999998.0, 1e16])
+    got = deltasparse.cli._format_distances(np.array([0, 1]), values)
+    assert got == "0\t9999999999999998.0\n1\t1e+16\n"
+
+
+def test_format_is_repr_on_labels_beyond_int64_and_empty_input():
+    labels = np.array([7, 2**63, 2**64 + 3], dtype=object)
+    assert_formats_as_repr(labels, [3.0, 10.0, 0.0])
+    assert_formats_as_repr(np.array([-5, 0, 12], dtype=np.int64), [1.0, 0.0, 10.0])
+    assert deltasparse.cli._format_distances(np.array([], np.int64), np.array([])) == ""
+
+
+def test_format_is_repr_on_matrix_market_range_labels():
+    indices = np.array([0, 8, 9, 98, 99, 999, 1234], dtype=np.int64)
+    labels = deltasparse.io.LabelMap(range(1, 1236)).to_external_array(indices)
+    assert labels.dtype == np.int64
+    assert_formats_as_repr(labels, [0.0, 9.0, 10.0, 99.0, 100.0, 1e6, 123456789.0])
+
+
+def test_format_is_repr_on_random_draws():
+    rng = np.random.default_rng(20190520)
+    for draw in range(200):
+        n = int(rng.integers(1, 60))
+        labels = np.sort(rng.integers(0, 10 ** rng.integers(1, 19, size=n), dtype=np.int64))
+        values = np.floor(rng.random(n) * 10.0 ** rng.integers(0, 17, size=n))
+        if draw % 4 == 3:  # a fraction on one vertex sends the whole output to repr
+            values[int(rng.integers(0, n))] += 0.25
+        assert_formats_as_repr(labels, values)
+
+
+@pytest.mark.parametrize("backend", ["unfused", "fused"])
+def test_run_prints_integral_grid_distances_as_repr(tmp_path, capsys, backend):
+    tails, heads = grid_arcs(40)
+    weights = np.random.default_rng(3).integers(1, 1000, tails.size)
+    p = tmp_path / "grid.edges"
+    p.write_text("".join(f"{u} {v} {w}\n" for u, v, w in zip(tails, heads, weights)))
+    code = run_cli(
+        "run", "--graph", str(p), "--format", "edges", "--directed", "--source", "0",
+        "--delta", "50", "--backend", backend,
+    )
+    captured = capsys.readouterr()
+    assert code == 0
+    matrix, labels = load_edge_list(str(p), directed=True)
+    want = delta_stepping(matrix, labels.to_internal(0), 50.0).distances
+    assert want.nnz == 1600 and want.values.max() >= 1000
+    reached = labels.to_external_array(want.indices)
+    assert captured.out == repr_lines(reached, want.values)
 
 
 def test_run_unknown_source_label(edge_path, capsys):

@@ -37,21 +37,6 @@ def _ones(size: int) -> np.ndarray:
     return ones
 
 
-def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per query: insertion position in sorted_idx plus a membership flag.
-
-    Positions are clipped so they are always safe to gather with; gathered
-    values are only meaningful where the flag is set.
-    """
-    if sorted_idx.size == 0:
-        return np.zeros(queries.size, dtype=INDEX_DTYPE), np.zeros(queries.size, dtype=bool)
-    pos = sorted_idx.searchsorted(queries)
-    safe = np.minimum(pos, sorted_idx.size - 1)
-    # a query past the end meets the last, smaller index: unequal
-    found = sorted_idx[safe] == queries
-    return safe, found
-
-
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     # bit-level comparison sidesteps float == pitfalls (-0.0, NaN)
     if a.size != b.size:

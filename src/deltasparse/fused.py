@@ -115,7 +115,10 @@ def _push(
     row_ends = matrix.indptr[1:]
     counts = row_ends[frontier]
     counts -= matrix.indptr[frontier]
-    ends = counts.cumsum()
+    # np.add.accumulate, not ndarray.cumsum: the method makes numpy build a
+    # fresh "accumulate" name string a call, which CPython's type attribute
+    # cache may keep alive after the push
+    ends = np.add.accumulate(counts)
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return _NO_TARGETS
@@ -130,7 +133,7 @@ def _push(
     lowered, lo = [], 0
     for a, b in zip(cuts[:-1], cuts[1:]):
         if a < b:
-            ends = counts[a:b].cumsum()
+            ends = np.add.accumulate(counts[a:b])
             ends += lo
             base = row_ends[frontier[a:b]]
             base -= ends

@@ -25,7 +25,6 @@ from .core import (
     SparseMatrix,
     SparseVector,
     _ones,
-    _positions,
 )
 from .fused import _push
 
@@ -71,10 +70,20 @@ def _require_length(actual: int, expected: int, what: str) -> None:
         raise ValueError(f"{what}: length {actual} does not match {expected}")
 
 
+# Unions over at most this many indices take the dense accumulator whatever
+# the operand sizes. Replaying the unions an unfused solve of a road-pattern
+# grid sends to the linear merge through both paths, the accumulator took
+# 0.52x the merge's time at n = 576, 0.87x at 3,600 and 0.90x at 4,096, but
+# 1.01x at 4,900, 1.07x at 6,400 and 1.25x at 8,100 (README, Performance
+# notes).
+_SMALL_UNION = 4096
+
+
 def _dense_pays(probes: int, searched: int, n: int) -> bool:
     """Whether a few passes over an n-long workspace cost less than probing
     `probes` sorted indices into `searched` ones by binary search, at about
-    log2(searched) steps a probe. The one size rule of the merge kernels."""
+    log2(searched) steps a probe. The size rule of the intersection, and of
+    the union over more than _SMALL_UNION indices."""
     return probes * searched.bit_length() > n
 
 
@@ -84,24 +93,30 @@ def _common(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     probed into the larger one, at O(min log max); when that costs more than
     O(n), the smaller one's positions are written into an n-long workspace
     and the larger one reads them back."""
-    if a.size > b.size:
-        pb, pa = _common(b, a, n)
-        return pa, pb
-    if not _dense_pays(a.size, b.size, n):
-        pb, found = _positions(b, a)
-        return found.nonzero()[0], pb[found]
-    mark = np.zeros(n, dtype=bool)
-    mark[a] = True
-    slot = np.empty(n, dtype=INDEX_DTYPE)
-    slot[a] = np.arange(a.size)
-    pb = mark[b].nonzero()[0]
-    return slot[b[pb]], pb
+    swap = a.size > b.size
+    if swap:
+        a, b = b, a
+    if _dense_pays(a.size, b.size, n):
+        mark = np.zeros(n, dtype=bool)
+        mark[a] = True
+        slot = np.empty(n, dtype=INDEX_DTYPE)
+        slot[a] = np.arange(a.size)
+        pb = mark[b].nonzero()[0]
+        pa = slot[b[pb]]
+    else:
+        # b is empty only when a is too; a probe past b's end is clipped
+        # onto b's last index, which is smaller: unequal
+        pos = b.searchsorted(a)
+        pa = (b.take(pos, mode="clip") == a).nonzero()[0]
+        pb = pos[pa]
+    return (pb, pa) if swap else (pa, pb)
 
 
 def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
-    # adopt an op's output only when it is a fresh float64 array; any other
-    # dtype, a view or a strided array takes the converting constructor
-    if out.dtype == VALUE_DTYPE and out.flags.c_contiguous and out.flags.owndata:
+    # adopt an op's output only when it is a fresh float64 array, one that
+    # is no view; any other dtype, a view or a strided array takes the
+    # converting constructor
+    if out.dtype == VALUE_DTYPE and out.base is None and out.flags.c_contiguous:
         return SparseVector._adopt(length, idx, out)
     return SparseVector(length, idx, out)
 
@@ -126,18 +141,18 @@ def _merge(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, 
     # them, u's entries fill the remaining slots in order, and op combines
     # the shared entries in their u slots
     pos = u.indices.searchsorted(v.indices)
-    if u.nnz:
+    if u.indices.size:
         both = u.indices.take(pos, mode="clip") == v.indices
     else:
-        both = np.zeros(v.nnz, dtype=bool)
+        both = np.zeros(v.indices.size, dtype=bool)
     own = ~both
     pos_own = pos[own]
     if not pos_own.size:
         out = u.values.copy()
-        out[pos] = op(out[pos], v.values)
+        out[pos] = op.fn(out[pos], v.values)
         return u.indices, out
     slots = pos_own + np.arange(pos_own.size)
-    from_u = np.empty(u.nnz + pos_own.size, dtype=bool)
+    from_u = np.empty(u.indices.size + pos_own.size, dtype=bool)
     from_u.fill(True)
     from_u[slots] = False
     idx = np.empty(from_u.size, dtype=INDEX_DTYPE)
@@ -147,7 +162,7 @@ def _merge(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, 
     out[from_u] = u.values
     out[slots] = v.values[own]
     shared = pos[both]
-    out[shared + pos_own.searchsorted(shared, "right")] = op(u.values[shared], v.values[both])
+    out[shared + pos_own.searchsorted(shared, "right")] = op.fn(u.values[shared], v.values[both])
     return idx, out
 
 
@@ -162,7 +177,7 @@ def _accumulate(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndar
     acc[v.indices] = v.values
     acc[u.indices] = u.values
     shared = v.indices[both]
-    acc[shared] = op(acc[shared], v.values[both])
+    acc[shared] = op.fn(acc[shared], v.values[both])
     mark[v.indices] = True
     idx = mark.nonzero()[0]
     return idx, acc[idx]
@@ -185,23 +200,26 @@ def ewise_add_vector(
     both hold, found as ewise_mult_vector finds them. Boolean ops normalize
     surviving entries to 1.0 and drop entries evaluating to 0.0.
 
-    The merge takes one of two paths by the operand sizes, with equal
-    results. While |v| log2 |u| is at most n, a linear merge places v's
-    entries by one binary search each into u. Past that, a dense
-    accumulator over all n indices takes both operands in O(n + |u| + |v|).
-    When every index of v lies in u, the linear merge shares u's indices
-    in the result and updates a copy of u's values at v's positions.
+    The merge takes one of two paths, with equal results. A dense
+    accumulator over all n indices takes both operands in O(n + |u| + |v|)
+    when n is at most _SMALL_UNION (4,096), where those passes cost less
+    than the merge's per-call work, or when |v| log2 |u| exceeds n. Else a
+    linear merge places v's entries by one binary search each into u; when
+    every index of v lies in u, it shares u's indices in the result and
+    updates a copy of u's values at v's positions.
     """
-    _require_length(v.length, u.length, "ewise_add operand")
+    if v.length != u.length:
+        _require_length(v.length, u.length, "ewise_add operand")
     if mask is u:
         pu, pv = _common(u.indices, v.indices, u.length)
         idx, out = u.indices, u.values.copy()
-        out[pu] = op(u.values[pu], v.values[pv])
+        out[pu] = op.fn(u.values[pu], v.values[pv])
     elif mask is not None:
         raise ValueError("ewise_add_vector takes only mask=None or mask=u, its left operand")
+    elif u.length <= _SMALL_UNION or _dense_pays(v.indices.size, u.indices.size, u.length):
+        idx, out = _accumulate(u, v, op)
     else:
-        union = _accumulate if _dense_pays(v.nnz, u.nnz, u.length) else _merge
-        idx, out = union(u, v, op)
+        idx, out = _merge(u, v, op)
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
     return SparseVector._adopt(u.length, idx, out)
@@ -216,12 +234,13 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
     so selecting a few entries out of a long vector costs the few, not the
     long one. Past that, an n-long workspace maps the smaller operand's
     positions in O(n + |u| + |v|)."""
-    _require_length(v.length, u.length, "ewise_mult operand")
-    if u.nnz == 0 or v.nnz == 0:
+    if v.length != u.length:
+        _require_length(v.length, u.length, "ewise_mult operand")
+    if not (u.indices.size and v.indices.size):
         return SparseVector._adopt(u.length, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     pu, pv = _common(u.indices, v.indices, u.length)
     idx = u.indices[pu]
-    out = op(u.values[pu], v.values[pv])
+    out = op.fn(u.values[pu], v.values[pv])
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
     return _result(u.length, idx, out)
@@ -245,8 +264,9 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     depend on the order it is taken in (a sum with a weight > 0 is never
     -0.0, so no signed-zero tie can tell two orders apart).
     """
-    _require_length(v.length, matrix.n, "vxm operand")
-    if v.nnz == 0 or matrix.nnz == 0:
+    if v.length != matrix.n:
+        _require_length(v.length, matrix.n, "vxm operand")
+    if not (v.indices.size and matrix.col.size):
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, math.inf, dtype=VALUE_DTYPE)
     _push(v.values, v.indices, matrix, dense, None)

@@ -5,8 +5,9 @@ pull_vxm_min_plus gathers over every edge of the matrix's transpose,
 union1d_ewise_add_vector merges through np.union1d and two position
 lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
 whatever their sizes. Each is a copy of the code the work-efficient
-kernels replaced, as is _gate, the union's mask probe; the tests
-require the kernels to bit-equal them. transpose builds the coordinate
+kernels replaced, as are _gate, the union's mask probe, and
+_positions, the clipped binary search they probe with, which no kernel
+shares; the tests require the kernels to bit-equal them. transpose builds the coordinate
 swap the pull gathers over, afresh on every call. split_rows builds
 the light and heavy parts one row at a time.
 """
@@ -18,8 +19,23 @@ import math
 import numpy as np
 
 from deltasparse import SparseMatrix, SparseVector
-from deltasparse.core import INDEX_DTYPE, VALUE_DTYPE, _positions
+from deltasparse.core import INDEX_DTYPE, VALUE_DTYPE
 from deltasparse.ops import BinaryOp, _finalize_boolean, _require_length
+
+
+def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per query: insertion position in sorted_idx plus a membership flag.
+
+    Positions are clipped so they are always safe to gather with; gathered
+    values are only meaningful where the flag is set.
+    """
+    if sorted_idx.size == 0:
+        return np.zeros(queries.size, dtype=INDEX_DTYPE), np.zeros(queries.size, dtype=bool)
+    pos = sorted_idx.searchsorted(queries)
+    safe = np.minimum(pos, sorted_idx.size - 1)
+    # a query past the end meets the last, smaller index: unequal
+    found = sorted_idx[safe] == queries
+    return safe, found
 
 
 def _gate(indices: np.ndarray, mask: SparseVector) -> np.ndarray:

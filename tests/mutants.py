@@ -200,15 +200,49 @@ MUTANTS = [
         "    acc[u.indices] = u.values\n    acc[v.indices] = v.values\n",
         "tests/test_kernel_reference.py",
     ),
+    # the accumulator combines u's value with v's, in that order (LESS is
+    # not commutative)
+    (
+        "ops.py",
+        "acc[shared] = op.fn(acc[shared], v.values[both])",
+        "acc[shared] = op.fn(v.values[both], acc[shared])",
+        "tests/test_kernel_reference.py",
+    ),
+    # unions over a small index space take the accumulator at any sizes
+    (
+        "ops.py",
+        "elif u.length <= _SMALL_UNION or _dense_pays(",
+        "elif _dense_pays(",
+        "tests/test_kernel_reference.py",
+    ),
     # the union masked by its left operand pairs each side's own positions
     (
         "ops.py",
-        "out[pu] = op(u.values[pu], v.values[pv])",
-        "out[pv] = op(u.values[pv], v.values[pu])",
+        "out[pu] = op.fn(u.values[pu], v.values[pv])",
+        "out[pv] = op.fn(u.values[pv], v.values[pu])",
         "tests/test_kernel_reference.py",
     ),
     # the workspace intersection returns a's positions first
-    ("ops.py", "return slot[b[pb]], pb", "return pb, slot[b[pb]]", "tests/test_kernel_reference.py"),
+    (
+        "ops.py",
+        "        pa = slot[b[pb]]\n",
+        "        pa, pb = pb, slot[b[pb]]\n",
+        "tests/test_kernel_reference.py",
+    ),
+    # the intersection swaps its positions back when it probed b into a
+    (
+        "ops.py",
+        "return (pb, pa) if swap else (pa, pb)",
+        "return (pa, pb) if swap else (pa, pb)",
+        "tests/test_kernel_reference.py",
+    ),
+    # a probe counts as found only where it meets an equal index
+    (
+        "ops.py",
+        'pa = (b.take(pos, mode="clip") == a).nonzero()[0]',
+        'pa = (b.take(pos, mode="clip") >= a).nonzero()[0]',
+        "tests/test_kernel_reference.py",
+    ),
     # the next window starts at the current window's end
     ("sssp.py", "window = values >= hi\n", "window = values > hi\n", "tests/test_fused_path.py"),
     # the run summary's two bucket counts

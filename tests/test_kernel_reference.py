@@ -1,7 +1,9 @@
 """The push vxm_min_plus, the ewise_add_vector merges and the
 smaller-side ewise_mult_vector must bit-equal the pull, union1d and
 probe-all bodies they replaced (tests/kernel_reference.py), on both sides
-of the size rule that picks between binary search and an n-long workspace."""
+of the size rule that picks between binary search and an n-long workspace,
+and of the band of small index spaces whose unions always take the
+workspace."""
 
 from __future__ import annotations
 
@@ -154,13 +156,14 @@ def test_ewise_mult_equals_probe_all_reference(op, shape):
         check_vector(got)
 
 
-def straddling_operands(rng, side):
+def straddling_operands(rng, side, n=None):
     """u on at least half of 0..n-1 and v on k indices, k the largest size
     that stays with binary search ("below") or the smallest that takes the
     n-long workspace ("above") for a searched side of |u|. Since k <= |u|,
-    the union's rule and the intersection's read the same sizes. v lies
-    within u (adding no new index) or anywhere in 0..n-1."""
-    n = int(rng.integers(8, 400))
+    the union's rule and the intersection's read the same sizes. v lies within
+    u (adding no new index) or anywhere in 0..n-1. n is drawn from 8 to 400
+    unless given."""
+    n = int(rng.integers(8, 400)) if n is None else n
     held = int(rng.integers(n // 2, n + 1))
     first = n // held.bit_length() + 1
     assert ops_mod._dense_pays(first, held, n) and not ops_mod._dense_pays(first - 1, held, n)
@@ -170,7 +173,8 @@ def straddling_operands(rng, side):
     return n, vector_on(rng, n, u_idx), vector_on(rng, n, np.sort(rng.choice(pool, k, replace=False)))
 
 
-# n=1 and empty operands: the rule never picks the workspace for them
+# n=1 and empty operands: the size rule never picks the workspace for them,
+# and they lie within the union's band
 EDGE_INDICES = (
     (1, [], []), (1, [0], []), (1, [], [0]), (1, [0], [0]),
     (64, [], list(range(64))), (64, list(range(64)), []), (64, [], []),
@@ -182,22 +186,46 @@ def edge_operands(rng):
         u, v = vector_on(rng, n, np.array(u_idx)), vector_on(rng, n, np.array(v_idx))
         assert not ops_mod._dense_pays(v.nnz, u.nnz, n)
         assert not ops_mod._dense_pays(min(u.nnz, v.nnz), max(u.nnz, v.nnz), n)
+        assert n <= ops_mod._SMALL_UNION
         yield n, u, v
 
 
+def union_cases(rng, side):
+    """Operands for each side of the union's two rules, and the path the
+    unmasked union must take: within the band ("band"), at both sides of
+    the size rule and at the band's bound; above the band and below the
+    size rule ("merge"); above both ("dense")."""
+    band = ops_mod._SMALL_UNION
+    if side == "band":
+        cases = [straddling_operands(rng, ("below", "above")[i % 2]) for i in range(36)]
+        cases += [straddling_operands(rng, ("below", "above")[i], band) for i in range(2)]
+        return cases + list(edge_operands(rng)), "_accumulate"
+    sizes = [band + 1] + [int(rng.integers(band + 2, band + 400)) for _ in range(9)]
+    rule, path = {"merge": ("below", "_merge"), "dense": ("above", "_accumulate")}[side]
+    return [straddling_operands(rng, rule, n) for n in sizes], path
+
+
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
-@pytest.mark.parametrize("side", ("below", "above"))
-def test_ewise_add_either_side_of_the_size_rule_equals_union1d_reference(op, side):
-    rng = np.random.default_rng([107, OPS.index(op), side == "above"])
-    cases = [straddling_operands(rng, side) for _ in range(40)]
-    if side == "below":
-        cases += list(edge_operands(rng))
+@pytest.mark.parametrize("side", ("band", "merge", "dense"))
+def test_ewise_add_each_side_of_the_band_and_size_rule_equals_union1d_reference(
+    monkeypatch, op, side
+):
+    rng = np.random.default_rng([107, OPS.index(op), ("band", "merge", "dense").index(side)])
+    cases, path = union_cases(rng, side)
+    taken = []
+    for name in ("_merge", "_accumulate"):
+        real = getattr(ops_mod, name)
+        monkeypatch.setattr(
+            ops_mod, name, lambda u, v, op, name=name, real=real: taken.append(name) or real(u, v, op)
+        )
     for n, u, v in cases:
         before = bits(u), bits(v)
         for mask in (None, u):
+            taken.clear()
             got = ewise_add_vector(u, v, op, mask=mask)
             assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
             assert_sound(got)
+            assert taken == ([] if mask is u else [path]), (n, u.nnz, v.nnz)
         for vec, (idx, val) in zip((u, v), before):
             assert np.array_equal(vec.indices, idx)
             assert np.array_equal(vec.values.view(np.uint64), val)
@@ -206,8 +234,11 @@ def test_ewise_add_either_side_of_the_size_rule_equals_union1d_reference(op, sid
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
 @pytest.mark.parametrize("side", ("below", "above"))
 def test_ewise_mult_either_side_of_the_size_rule_equals_probe_all_reference(op, side):
+    # the intersection keeps its size rule within the union's band too;
+    # where |u| > |v|, (u, v) takes _common's swapped branch
     rng = np.random.default_rng([109, OPS.index(op), side == "above"])
     cases = [straddling_operands(rng, side) for _ in range(40)]
+    assert sum(u.nnz > v.nnz for _, u, v in cases) >= 35
     if side == "below":
         cases += list(edge_operands(rng))
     for n, u, v in cases:

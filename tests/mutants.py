@@ -94,12 +94,14 @@ MUTANTS = [
         "bucket = _push(t[bucket], bucket, self.light, t, self.hi)\n",
         "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
     ),
-    # the (min,+) product reads its output off the workspace's finite entries
+    # the (min,+) product and MIN's unions read their output off the
+    # workspace's entries that differ from the identity
     (
         "ops.py",
-        "(dense < math.inf).nonzero()",
-        "(dense <= math.inf).nonzero()",
-        "tests/test_kernel_reference.py::test_vxm_min_plus_edge_cases_equal_pull_reference",
+        "(acc != identity).nonzero()",
+        "(acc <= identity).nonzero()",
+        "tests/test_kernel_reference.py::test_vxm_min_plus_edge_cases_equal_pull_reference"
+        " tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
     # the heavy part's row starts are the input's less the light part's
     (
@@ -207,6 +209,32 @@ MUTANTS = [
         "acc[shared] = op.fn(acc[shared], v.values[both])",
         "acc[shared] = op.fn(v.values[both], acc[shared])",
         "tests/test_kernel_reference.py",
+    ),
+    # MIN's workspace starts at +inf, takes u's values and combines v's into
+    # them with minimum.at, u's value first
+    (
+        "ops.py",
+        'MIN = BinaryOp(np.minimum, "min", identity=math.inf)',
+        'MIN = BinaryOp(np.minimum, "min", identity=0.0)',
+        "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "op.fn.at(acc, v.indices, v.values)",
+        "np.maximum.at(acc, v.indices, v.values)",
+        "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "        acc[u.indices] = u.values\n        op.fn.at(",
+        "        op.fn.at(",
+        "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "acc[u.indices] = u.values\n        op.fn.at(acc, v.indices, v.values)",
+        "acc[v.indices] = v.values\n        op.fn.at(acc, u.indices, u.values)",
+        "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
     # unions over a small index space take the accumulator at any sizes
     (

@@ -3,9 +3,11 @@ smaller-side ewise_mult_vector must bit-equal the pull, union1d and
 probe-all bodies they replaced (tests/kernel_reference.py), on both sides
 of the size rule that picks between binary search and an n-long workspace,
 and of the band of small index spaces whose unions always take the
-workspace."""
+workspace. MIN, a monoid, takes that workspace through its identity."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -205,19 +207,28 @@ def union_cases(rng, side):
     return [straddling_operands(rng, rule, n) for n in sizes], path
 
 
+def spy_union_paths(monkeypatch):
+    """Record, in call order, each of the union's paths that runs."""
+    taken = []
+    for name in ("_merge", "_accumulate", "_off_identity"):
+        real = getattr(ops_mod, name)
+        monkeypatch.setattr(
+            ops_mod, name, lambda *args, name=name, real=real: taken.append(name) or real(*args)
+        )
+    return taken
+
+
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)
 @pytest.mark.parametrize("side", ("band", "merge", "dense"))
 def test_ewise_add_each_side_of_the_band_and_size_rule_equals_union1d_reference(
     monkeypatch, op, side
 ):
+    # a monoid's accumulator reads its union off the identity; OR, LESS and
+    # TIMES keep the marks
     rng = np.random.default_rng([107, OPS.index(op), ("band", "merge", "dense").index(side)])
     cases, path = union_cases(rng, side)
-    taken = []
-    for name in ("_merge", "_accumulate"):
-        real = getattr(ops_mod, name)
-        monkeypatch.setattr(
-            ops_mod, name, lambda u, v, op, name=name, real=real: taken.append(name) or real(u, v, op)
-        )
+    taken = spy_union_paths(monkeypatch)
+    path = [path, "_off_identity"] if path == "_accumulate" and op is MIN else [path]
     for n, u, v in cases:
         before = bits(u), bits(v)
         for mask in (None, u):
@@ -225,10 +236,69 @@ def test_ewise_add_each_side_of_the_band_and_size_rule_equals_union1d_reference(
             got = ewise_add_vector(u, v, op, mask=mask)
             assert got == union1d_ewise_add_vector(u, v, op, mask=mask)
             assert_sound(got)
-            assert taken == ([] if mask is u else [path]), (n, u.nnz, v.nnz)
+            assert taken == ([] if mask is u else path), (n, u.nnz, v.nnz)
         for vec, (idx, val) in zip((u, v), before):
             assert np.array_equal(vec.indices, idx)
             assert np.array_equal(vec.values.view(np.uint64), val)
+
+
+MIN_KINDS = ("subset", "disjoint", "empty_u", "empty_v", "signed_zeros")
+
+
+def min_workspace_operands(rng, n, kind):
+    """u and v over 0..n-1 related as `kind` says, each either empty or on
+    at least n // 3 indices; "signed_zeros" puts 0.0 against -0.0 at every
+    shared index, and -0.0 on some indices only one side holds."""
+    perm = rng.permutation(n)
+    half = n // 2
+    if kind == "subset":
+        held = perm[: 3 * n // 4]
+        return vector_on(rng, n, np.sort(held)), vector_on(rng, n, np.sort(held[: n // 3]))
+    if kind == "disjoint":
+        return vector_on(rng, n, np.sort(perm[:half])), vector_on(rng, n, np.sort(perm[half:]))
+    if kind == "empty_u":
+        return SparseVector(n), vector_on(rng, n, np.sort(perm[:half]))
+    if kind == "empty_v":
+        return vector_on(rng, n, np.sort(perm[:half])), SparseVector(n)
+    u_idx, v_idx = np.sort(perm[: 2 * n // 3]), np.sort(perm[n // 3 :])
+    zeros = [np.where(rng.random(idx.size) < 0.5, 0.0, -0.0) for idx in (u_idx, v_idx)]
+    zeros[1][np.isin(v_idx, u_idx)] = np.copysign(0.0, -zeros[0][np.isin(u_idx, v_idx)])
+    return tuple(SparseVector(n, idx, val) for idx, val in zip((u_idx, v_idx), zeros))
+
+
+@pytest.mark.parametrize("kind", MIN_KINDS)
+def test_min_union_workspace_equals_union1d_reference(monkeypatch, kind):
+    # MIN combines v into u's scatter with minimum.at in the order the
+    # reference calls np.minimum(u value, v value); a slot only v holds keeps
+    # v's value, -0.0 included. Inside the band, and above it where the size
+    # rule picks the workspace: an empty operand above the band merges
+    rng = np.random.default_rng([113, MIN_KINDS.index(kind)])
+    taken = spy_union_paths(monkeypatch)
+    band = ops_mod._SMALL_UNION
+    for n in (1, 64, band, 2 * band):
+        u, v = min_workspace_operands(rng, n, kind)
+        dense = n <= band or ops_mod._dense_pays(v.nnz, u.nnz, n)
+        assert dense == (n <= band or kind not in ("empty_u", "empty_v"))
+        taken.clear()
+        got = ewise_add_vector(u, v, MIN)
+        assert taken == (["_accumulate", "_off_identity"] if dense else ["_merge"]), (n, u.nnz, v.nnz)
+        assert got == union1d_ewise_add_vector(u, v, MIN)
+        assert_sound(got)
+        assert got.nnz == np.union1d(u.indices, v.indices).size
+
+
+def test_monoid_ops_name_an_identity_and_a_ufunc():
+    # the union's workspace combines through fn.at and starts at the identity
+    assert MIN.identity == math.inf and isinstance(MIN.fn, np.ufunc)
+    assert all(op.identity is None for op in (OR, LESS, TIMES))
+    with pytest.raises(TypeError, match="ufunc"):
+        ops_mod.BinaryOp(lambda a, b: np.minimum(a, b), "min", identity=math.inf)
+    # any ufunc with an identity its operands never store takes the workspace
+    top = ops_mod.BinaryOp(np.maximum, "max", identity=-math.inf)
+    u, v = vector_build(9, [(1, 2.0), (4, -0.0), (6, 5.0)]), vector_build(9, [(4, 0.0), (6, 3.0), (8, 1.0)])
+    got = ewise_add_vector(u, v, top)
+    assert got == union1d_ewise_add_vector(u, v, top)
+    assert dict(got.items()) == {1: 2.0, 4: 0.0, 6: 5.0, 8: 1.0}
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)

@@ -48,10 +48,12 @@ class SparseVector:
     """Length-n vector holding sorted, duplicate-free (index, value) entries.
 
     The public constructor converts its arrays to contiguous INDEX_DTYPE and
-    VALUE_DTYPE and freezes them, trusting their order; use
+    VALUE_DTYPE and freezes them, trusting their order and their values; use
     :func:`vector_build` for the validating path (range checks, duplicate
     collapse, identity dropping). Kernels adopt the arrays they allocated
-    through :meth:`_adopt`, which converts and checks nothing.
+    through :meth:`_adopt`, which converts and checks nothing. No vector may
+    store +inf, the implicit entry of a distance vector: MIN's unions read
+    a +inf slot of their workspace as absent (ops.ewise_add_vector).
     """
 
     __slots__ = ("length", "indices", "values")

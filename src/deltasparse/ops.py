@@ -10,10 +10,9 @@ care about (see ewise_add_vector). Comparison results are normalized to
 1.0, and entries that evaluate to 0.0 are dropped, so the output can be
 consumed structurally as a mask.
 
-An op that names an identity is a monoid (MIN, with +inf): its unions
-scatter both operands into one identity-filled workspace, the way
-vxm_min_plus reduces into its +inf scratch, and read the result back as the
-entries that moved off the identity.
+MIN's unions that take the dense accumulator scatter both operands into
+one +inf workspace, the way vxm_min_plus reduces into its +inf scratch, and
+read the result back as the slots that moved off +inf.
 """
 
 from __future__ import annotations
@@ -54,29 +53,24 @@ def in_half_open(lo: float, hi: float) -> Callable[[np.ndarray], np.ndarray]:
 @dataclass(frozen=True)
 class BinaryOp:
     """Elementwise combine. `boolean` ops yield structural 1.0/0.0 results;
-    the 0.0 entries are dropped when a kernel finalizes its output.
-
-    An `identity` makes the op a monoid: `fn` must then be a numpy ufunc,
-    whose `at` method the union's workspace combines with, and no vector it
-    combines may store the identity (see ewise_add_vector)."""
+    the 0.0 entries are dropped when a kernel finalizes its output."""
 
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     description: str
     boolean: bool = False
-    identity: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.identity is not None and not isinstance(self.fn, np.ufunc):
-            raise TypeError(f"monoid {self.description!r} needs a numpy ufunc, got {self.fn!r}")
 
     def __call__(self, a, b):
         return self.fn(a, b)
 
 
-MIN = BinaryOp(np.minimum, "min", identity=math.inf)
+MIN = BinaryOp(np.minimum, "min")
 TIMES = BinaryOp(np.multiply, "*")
 LESS = BinaryOp(lambda a, b: np.less(a, b).astype(VALUE_DTYPE), "a < b", boolean=True)
 OR = BinaryOp(lambda a, b: np.logical_or(a, b).astype(VALUE_DTYPE), "or", boolean=True)
+
+# the implicit entry of a distance vector: MIN's identity, the fill of the
+# union's and the (min,+) product's workspaces
+_INF = math.inf
 
 
 def _require_length(actual: int, expected: int, what: str) -> None:
@@ -181,22 +175,22 @@ def _merge(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, 
     return idx, out
 
 
-def _off_identity(acc: np.ndarray, identity: float) -> tuple[np.ndarray, np.ndarray]:
-    # a workspace's entries that moved off the identity, in index order
-    idx = (acc != identity).nonzero()[0]
+def _min_workspace(u: SparseVector, v: SparseVector) -> tuple[np.ndarray, np.ndarray]:
+    # MIN's accumulator: a +inf workspace takes u's values, and minimum.at
+    # combines each of v's entries with its slot as minimum(u value, v
+    # value), or with +inf, which leaves v's value as it is, -0.0 included.
+    # The union is the slots off +inf, in index order
+    acc = np.full(u.length, _INF, dtype=VALUE_DTYPE)
+    acc[u.indices] = u.values
+    np.minimum.at(acc, v.indices, v.values)
+    idx = (acc != _INF).nonzero()[0]
     return idx, acc[idx]
 
 
 def _accumulate(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, np.ndarray]:
-    # dense accumulator over the index space. A monoid's workspace starts at
-    # its identity and takes u's values; op.fn.at then combines each of v's
-    # entries with its slot as op.fn(u value, v value), or with the identity,
-    # which leaves v's value as it is, -0.0 included
-    if op.identity is not None:
-        acc = np.full(u.length, op.identity, dtype=VALUE_DTYPE)
-        acc[u.indices] = u.values
-        op.fn.at(acc, v.indices, v.values)
-        return _off_identity(acc, op.identity)
+    # dense accumulator over the index space; MIN takes its +inf workspace
+    if op is MIN:
+        return _min_workspace(u, v)
     # any other op: scatter v's values, then u's over them, op combines the
     # shared entries in place, and the union's indices come back in order
     # from one scan of the marks
@@ -238,12 +232,13 @@ def ewise_add_vector(
     every index of v lies in u, it shares u's indices in the result and
     updates a copy of u's values at v's positions.
 
-    For a monoid (MIN) the accumulator is one identity-filled workspace:
-    u's values are scattered into it, op.fn.at combines v's into it, and
-    the union is every slot that differs from the identity. That reads the
-    union's indices off its values, which is exact because no vector stores
-    the identity: +inf is the implicit entry of a distance vector, so
-    vector_build and vxm_min_plus drop it, and no kernel stores NaN either.
+    For MIN the accumulator is one +inf workspace: u's values are scattered
+    into it, np.minimum.at combines v's into it, and the union is every
+    slot that differs from +inf. That reads the union's indices off its
+    values, which is exact because no vector stores +inf, the implicit
+    entry of a distance vector: vector_build and vxm_min_plus drop it, and
+    the SparseVector constructor's values must not hold it. Any other op,
+    a BinaryOp built on np.minimum included, takes the marks path.
     """
     if v.length != u.length:
         _require_length(v.length, u.length, "ewise_add operand")
@@ -289,10 +284,9 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
 
     Pushes along the rows of `matrix` with the fused backend's own push, so
     the work is v's out-edges rather than every edge, into a fresh n-long
-    +inf workspace with no pre-filter. The output is the workspace's
-    entries below +inf, read by the scan that MIN's unions read their
-    workspace with: sorted and distinct by construction, so nothing is
-    sorted (Gustavson's dense accumulator, ACM TOMS 1978).
+    +inf workspace with no pre-filter. The output is the workspace's finite
+    entries, read by one scan: sorted and distinct by construction, so
+    nothing is sorted (Gustavson's dense accumulator, ACM TOMS 1978).
     Outputs whose reduction stays at the identity (+inf), a sum that
     overflows included, are absent.
 
@@ -306,6 +300,7 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
         _require_length(v.length, matrix.n, "vxm operand")
     if not (v.indices.size and matrix.col.size):
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
-    dense = np.full(matrix.n, MIN.identity, dtype=VALUE_DTYPE)
+    dense = np.full(matrix.n, _INF, dtype=VALUE_DTYPE)
     _push(v.values, v.indices, matrix, dense, None)
-    return SparseVector._adopt(matrix.n, *_off_identity(dense, MIN.identity))
+    out_idx = (dense < _INF).nonzero()[0]
+    return SparseVector._adopt(matrix.n, out_idx, dense[out_idx])

@@ -94,14 +94,12 @@ MUTANTS = [
         "bucket = _push(t[bucket], bucket, self.light, t, self.hi)\n",
         "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
     ),
-    # the (min,+) product and MIN's unions read their output off the
-    # workspace's entries that differ from the identity
+    # the (min,+) product reads its output off the workspace's finite entries
     (
         "ops.py",
-        "(acc != identity).nonzero()",
-        "(acc <= identity).nonzero()",
-        "tests/test_kernel_reference.py::test_vxm_min_plus_edge_cases_equal_pull_reference"
-        " tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
+        "(dense < _INF).nonzero()",
+        "(dense <= _INF).nonzero()",
+        "tests/test_kernel_reference.py::test_vxm_min_plus_edge_cases_equal_pull_reference",
     ),
     # the heavy part's row starts are the input's less the light part's
     (
@@ -210,30 +208,36 @@ MUTANTS = [
         "acc[shared] = op.fn(v.values[both], acc[shared])",
         "tests/test_kernel_reference.py",
     ),
-    # MIN's workspace starts at +inf, takes u's values and combines v's into
-    # them with minimum.at, u's value first
+    # MIN's workspace starts at +inf, takes u's values, combines v's into
+    # them with minimum.at, u's value first, and reads back the slots off +inf
     (
         "ops.py",
-        'MIN = BinaryOp(np.minimum, "min", identity=math.inf)',
-        'MIN = BinaryOp(np.minimum, "min", identity=0.0)',
+        "_INF = math.inf",
+        "_INF = 0.0",
         "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
     (
         "ops.py",
-        "op.fn.at(acc, v.indices, v.values)",
+        "np.minimum.at(acc, v.indices, v.values)",
         "np.maximum.at(acc, v.indices, v.values)",
         "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
     (
         "ops.py",
-        "        acc[u.indices] = u.values\n        op.fn.at(",
-        "        op.fn.at(",
+        "    acc[u.indices] = u.values\n    np.minimum.at(",
+        "    np.minimum.at(",
         "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
     (
         "ops.py",
-        "acc[u.indices] = u.values\n        op.fn.at(acc, v.indices, v.values)",
-        "acc[v.indices] = v.values\n        op.fn.at(acc, u.indices, u.values)",
+        "acc[u.indices] = u.values\n    np.minimum.at(acc, v.indices, v.values)",
+        "acc[v.indices] = v.values\n    np.minimum.at(acc, u.indices, u.values)",
+        "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "(acc != _INF).nonzero()",
+        "(acc <= _INF).nonzero()",
         "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
     # unions over a small index space take the accumulator at any sizes

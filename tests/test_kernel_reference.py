@@ -3,11 +3,9 @@ smaller-side ewise_mult_vector must bit-equal the pull, union1d and
 probe-all bodies they replaced (tests/kernel_reference.py), on both sides
 of the size rule that picks between binary search and an n-long workspace,
 and of the band of small index spaces whose unions always take the
-workspace. MIN, a monoid, takes that workspace through its identity."""
+workspace. MIN's accumulator is a +inf workspace of its own."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -210,7 +208,7 @@ def union_cases(rng, side):
 def spy_union_paths(monkeypatch):
     """Record, in call order, each of the union's paths that runs."""
     taken = []
-    for name in ("_merge", "_accumulate", "_off_identity"):
+    for name in ("_merge", "_accumulate", "_min_workspace"):
         real = getattr(ops_mod, name)
         monkeypatch.setattr(
             ops_mod, name, lambda *args, name=name, real=real: taken.append(name) or real(*args)
@@ -223,12 +221,12 @@ def spy_union_paths(monkeypatch):
 def test_ewise_add_each_side_of_the_band_and_size_rule_equals_union1d_reference(
     monkeypatch, op, side
 ):
-    # a monoid's accumulator reads its union off the identity; OR, LESS and
-    # TIMES keep the marks
+    # MIN's accumulator takes its +inf workspace; OR, LESS and TIMES keep
+    # the marks
     rng = np.random.default_rng([107, OPS.index(op), ("band", "merge", "dense").index(side)])
     cases, path = union_cases(rng, side)
     taken = spy_union_paths(monkeypatch)
-    path = [path, "_off_identity"] if path == "_accumulate" and op is MIN else [path]
+    path = [path, "_min_workspace"] if path == "_accumulate" and op is MIN else [path]
     for n, u, v in cases:
         before = bits(u), bits(v)
         for mask in (None, u):
@@ -281,24 +279,10 @@ def test_min_union_workspace_equals_union1d_reference(monkeypatch, kind):
         assert dense == (n <= band or kind not in ("empty_u", "empty_v"))
         taken.clear()
         got = ewise_add_vector(u, v, MIN)
-        assert taken == (["_accumulate", "_off_identity"] if dense else ["_merge"]), (n, u.nnz, v.nnz)
+        assert taken == (["_accumulate", "_min_workspace"] if dense else ["_merge"]), (n, u.nnz, v.nnz)
         assert got == union1d_ewise_add_vector(u, v, MIN)
         assert_sound(got)
         assert got.nnz == np.union1d(u.indices, v.indices).size
-
-
-def test_monoid_ops_name_an_identity_and_a_ufunc():
-    # the union's workspace combines through fn.at and starts at the identity
-    assert MIN.identity == math.inf and isinstance(MIN.fn, np.ufunc)
-    assert all(op.identity is None for op in (OR, LESS, TIMES))
-    with pytest.raises(TypeError, match="ufunc"):
-        ops_mod.BinaryOp(lambda a, b: np.minimum(a, b), "min", identity=math.inf)
-    # any ufunc with an identity its operands never store takes the workspace
-    top = ops_mod.BinaryOp(np.maximum, "max", identity=-math.inf)
-    u, v = vector_build(9, [(1, 2.0), (4, -0.0), (6, 5.0)]), vector_build(9, [(4, 0.0), (6, 3.0), (8, 1.0)])
-    got = ewise_add_vector(u, v, top)
-    assert got == union1d_ewise_add_vector(u, v, top)
-    assert dict(got.items()) == {1: 2.0, 4: 0.0, 6: 5.0, 8: 1.0}
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)

@@ -15,10 +15,10 @@ and the weights are converted to float64 once, to the bits a float parse
 gives. If numpy rejects that layout (a later fractional weight, a weight
 beyond int64), a second call parses the lines with float weights. When an
 edge list's labels fill 0..n-1, each label is its own id and the parsed
-labels are the ids. A regular file of at least `_CHUNKED_BYTES` is parsed
-from its path, so numpy's C reader reads it in chunks and the text is never
-held; standard input, pipes and smaller files are read once into memory and
-parsed from there. If numpy rejects a line or a check fails, the format's
+labels are the ids. A regular file is parsed from its path, so numpy's C
+reader reads it in chunks and the text is never held; standard input, pipes
+and files named `.gz`, `.bz2`, `.xz` or `.lzma` are read once into memory
+and parsed from there. If numpy rejects a line or a check fails, the format's
 walker rereads the input into memory through `_read` and walks it with
 `_data_lines`, `_labels` and `_weight`. It raises the exact `path:line:`
 error, or loads the rare valid file numpy cannot hold (labels beyond int64,
@@ -136,31 +136,20 @@ _Entries = list[np.ndarray]  # rows, cols, weights: each stage replaces or empti
 _Header = tuple[int, int, int, bool, int]  # n, declared entries, width, symmetric, size line
 
 
-# Files below this size are read into memory. Parsing from the path, numpy's
-# reader keeps buffers of its own: a fresh load of the road workload's 108 KB
-# file peaked 0.12 MiB higher (directed, resident). On the urand and kron
-# files (7 and 15 MB) `np.loadtxt` from the path took 0.07 and 0.17-0.18 s
-# against 0.10-0.18 and 0.23-0.30 s over the lines, and never held the text.
-_CHUNKED_BYTES = 1 << 20
 # names numpy's opener decompresses instead of reading as text
 _COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _open(path: str) -> tuple[TextIO, str | None]:
     """The input as text, and the absolute path `np.loadtxt` parses its data
-    lines from, or None to parse them from the text. Only a regular file of at
-    least `_CHUNKED_BYTES` whose name numpy's opener takes for plain text is
-    parsed from its path; the text then holds the file for its header only.
-    Anything else, a pipe too, is read once into memory by `_read`."""
+    lines from, or None to parse them from the text. A regular file whose
+    name numpy's opener takes for plain text is parsed from its path; the
+    text then holds the file for its header only. Anything else, a pipe too,
+    is read once into memory by `_read`."""
     if path == "-":
         return _read(path), None
     fh = open(path, "rb")
-    info = os.fstat(fh.fileno())
-    if (
-        stat.S_ISREG(info.st_mode)
-        and info.st_size >= _CHUNKED_BYTES
-        and not path.lower().endswith(_COMPRESSED)
-    ):
+    if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not path.lower().endswith(_COMPRESSED):
         return io.TextIOWrapper(fh, encoding="utf-8"), os.path.abspath(path)
     return _read(path, fh), None
 
@@ -168,9 +157,9 @@ def _open(path: str) -> tuple[TextIO, str | None]:
 def _read(path: str, fh: BinaryIO | None = None) -> TextIO:
     """The whole input in memory: read once as bytes from `fh` or `path` and,
     unless ASCII, decoded once to check it is UTF-8, as a rewindable text
-    stream. Standard input, pipes, small files and every walker's reread come
-    this way. A file reads with universal newlines, as `open` gives, and
-    standard input with "\n" only, as on POSIX."""
+    stream. Standard input, pipes, files with a compressed name and every
+    walker's reread come this way. A file reads with universal newlines, as
+    `open` gives, and standard input with "\n" only, as on POSIX."""
     if path == "-":
         buffer = getattr(sys.stdin, "buffer", None)
         data = sys.stdin.read().encode("utf-8") if buffer is None else buffer.read()

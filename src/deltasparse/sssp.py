@@ -152,17 +152,24 @@ def relax_light_phase(state: SsspState) -> SsspState:
     under the requests' domain as output mask; without that gate, distances
     present only in t would pass through the union combine looking true.
     """
-    lo, hi = bucket_bounds(state.bucket_index, state.delta)
     frontier = ewise_mult_vector(state.tentative, state.bucket, TIMES)
     requests = vxm_min_plus(frontier, state.light)
     settled = ewise_add_vector(state.settled, state.bucket, OR)
-    in_window = filter_vector(requests, in_half_open(lo, hi))
-    improving = ewise_add_vector(requests, state.tentative, LESS, mask=requests)
-    bucket = ewise_mult_vector(in_window, improving, TIMES)
+    bucket = _improving_in_window(requests, state.tentative, state.bucket_index, state.delta)
     tentative = ewise_add_vector(state.tentative, requests, MIN)
     return replace(
         state, tentative=tentative, requests=requests, bucket=bucket, settled=settled
     )
+
+
+def _improving_in_window(
+    requests: SparseVector, t: SparseVector, index: int, delta: float
+) -> SparseVector:
+    """The requests that landed inside bucket `index`'s window and strictly
+    improve on `t`: the bucket a light or heavy step leaves."""
+    in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, delta)))
+    improving = ewise_add_vector(requests, t, LESS, mask=requests)
+    return ewise_mult_vector(in_window, improving, TIMES)
 
 
 def relax_heavy(state: SsspState) -> SsspState:
@@ -317,12 +324,8 @@ class _Unfused:
         self.t = after.tentative
         if _lands_beyond(index, self.delta):
             return 0
-        # the heavy requests that landed back in the window and improved:
-        # relax_light_phase's bucket chain
-        requests = after.requests
-        in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, self.delta)))
-        improving = ewise_add_vector(requests, before.tentative, LESS, mask=requests)
-        return self._enter(ewise_mult_vector(in_window, improving, TIMES), index)
+        bucket = _improving_in_window(after.requests, before.tentative, index, self.delta)
+        return self._enter(bucket, index)
 
     def result(self) -> SparseVector:
         return self.t

@@ -146,8 +146,15 @@ MUTANTS = [
     ),
     (
         "sssp.py",
-        "return self._enter(ewise_mult_vector(in_window, improving, TIMES), index)",
+        "return self._enter(bucket, index)",
         "return after.bucket.nnz",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    # a step's bucket is its requests inside the window that strictly improve
+    (
+        "sssp.py",
+        "in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, delta)))",
+        "in_window = filter_vector(requests, in_half_open(*bucket_bounds(index + 1, delta)))",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
     # the walk runs a bucket again for as long as its heavy step re-enters it
@@ -392,6 +399,28 @@ MUTANTS = [
         "layouts = (_INT_TRIPLE, _TRIPLE)",
         "layouts = (_INT_TRIPLE,)",
         "tests/test_io.py::test_integer_and_float_weight_layouts_load_alike",
+    ),
+    # only a regular file is parsed from its path: numpy would reopen a pipe
+    # and wait for a writer that never comes
+    (
+        "io.py",
+        "if stat.S_ISREG(os.fstat(fh.fileno()).st_mode) and not",
+        "if not",
+        "tests/test_cli.py::test_graph_through_a_named_pipe_loads_like_the_file",
+    ),
+    # names numpy's opener would decompress are read as the bytes they hold
+    (
+        "io.py",
+        " and not path.lower().endswith(_COMPRESSED):",
+        ":",
+        "tests/test_io.py::test_compressed_names_are_read_as_plain_text",
+    ),
+    # numpy is handed an absolute path, never one it could take for a URL
+    (
+        "io.py",
+        "os.path.abspath(path)",
+        "path",
+        "tests/test_io.py::test_url_shaped_relative_name_is_a_local_file",
     ),
     # a first line with no weight token is not read past its end
     (

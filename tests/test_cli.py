@@ -620,9 +620,17 @@ def test_run_graph_from_stdin(monkeypatch, capsys):
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 def test_graph_through_a_named_pipe_loads_like_the_file(tmp_path, monkeypatch):
-    # A pipe is read once into memory, whatever the size rule says: handed its
-    # path, numpy would reopen it and wait for a writer that never comes.
-    monkeypatch.setattr(deltasparse.io, "_CHUNKED_BYTES", 0)
+    # A pipe is read once into memory while a regular file is parsed from its
+    # path: handed the pipe's path, numpy would reopen it and wait for a
+    # writer that never comes.
+    by_path = []
+    real = deltasparse.io._loadtxt
+
+    def spy(source, *args):
+        by_path.append(isinstance(source, str))
+        return real(source, *args)
+
+    monkeypatch.setattr(deltasparse.io, "_loadtxt", spy)
     mtx = "%%MatrixMarket matrix coordinate real symmetric\n% c\n3 3 2\n1 2 2.5\n3 2 1.0\n"
     for name, load, text in (
         ("g.edges", load_edge_list, "# c\n\n7 3 2.5\n3 9 1.0\n"),
@@ -638,6 +646,8 @@ def test_graph_through_a_named_pipe_loads_like_the_file(tmp_path, monkeypatch):
             matrix, labels = load(str(pipe))
         writer.join(10)
         want, want_labels = load(str(regular))
+        assert by_path == [False, True]
+        by_path.clear()
         assert matrix == want and matrix.val.tobytes() == want.val.tobytes()
         assert labels.externals == want_labels.externals
 

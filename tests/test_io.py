@@ -623,14 +623,26 @@ def _load_seeing_parses(monkeypatch, load, path: str, **patches):
     return (*loaded, labels.externals), parses
 
 
-def test_file_at_the_size_rule_loads_like_one_below_it(tmp_path, monkeypatch):
-    # The same bytes parsed from the path (the file is exactly the size from
-    # which the loaders do so) and from memory (the size moved one byte past
-    # it): the leading comment and blank lines, ended by every newline style,
-    # must be skipped alike. Integer and float weights take one parse each.
-    size = loaders._CHUNKED_BYTES
+def both_routes(tmp_path, data: bytes, name: str) -> list[tuple[str, bool]]:
+    """The same bytes as a regular file `name`, which numpy parses from its
+    path, and under a `.txt.gz` name, which numpy's opener would decompress,
+    so it is read into memory with a file's universal newlines: (path,
+    whether numpy parses it from the path) for each."""
+    routes = []
+    for file, by_path in ((name, True), (name.rsplit(".", 1)[0] + ".txt.gz", False)):
+        path = tmp_path / file
+        path.write_bytes(data)
+        routes.append((str(path), by_path))
+    return routes
+
+
+def test_file_loads_like_its_bytes_through_the_memory_route(tmp_path, monkeypatch):
+    # The same bytes parsed from the path and read into memory: the leading
+    # comment and blank lines, ended by every newline style, and a comment
+    # line longer than any read buffer must be skipped alike. Integer and
+    # float weights take one parse each.
     rng = np.random.default_rng(31)
-    u, v = rng.integers(1, 3_000, (2, size // 40)).tolist()
+    u, v = rng.integers(1, 3_000, (2, 26_000)).tolist()
     weights = {
         "f": [repr(x) for x in (10.0 * (1.0 - rng.random(len(u)))).tolist()],
         "i": [str(x) for x in rng.integers(1, 1_000, len(u)).tolist()],
@@ -642,17 +654,13 @@ def test_file_at_the_size_rule_loads_like_one_below_it(tmp_path, monkeypatch):
             ("g.edges", load_edge_list, "# a\r% b\r\n\n \t\n#c\n"),
             ("g.mtx", load_matrix_market, f"{banner}3000 3000 {len(u)}\n\n% b\r\n%c\r\r\n"),
         ):
-            pad = "%" + "x" * (size - len(head) - len(body) - 2) + "\n"
-            path = tmp_path / name
-            path.write_text(head + pad + body, newline="")
-            assert path.stat().st_size == size
-            from_path, parses = _load_seeing_parses(monkeypatch, load, str(path))
-            assert parses == [(True, kind)]
-            from_memory, parses = _load_seeing_parses(
-                monkeypatch, load, str(path), _CHUNKED_BYTES=size + 1
-            )
-            assert parses == [(False, kind)]
-            assert from_path == from_memory
+            pad = "%" + "x" * 100_000 + "\n"
+            loaded = []
+            for path, by_path in both_routes(tmp_path, (head + pad + body).encode(), name):
+                got, parses = _load_seeing_parses(monkeypatch, load, path)
+                assert parses == [(by_path, kind)]
+                loaded.append(got)
+            assert loaded[0] == loaded[1]
 
 
 _NO_TOKEN = re.compile(r"(?!)")  # in place of `_INTEGER`: every weight takes the float layout
@@ -675,7 +683,8 @@ def test_integer_and_float_weight_layouts_load_alike(tmp_path, monkeypatch, toke
     # Each file loads three ways: as shipped (int64 weights when the first
     # weight is an integer literal), with every weight parsed as a float, and
     # by the line walker alone. All three give the same matrix and labels bit
-    # for bit, or the same `path:line:` error, on both routes to numpy.
+    # for bit, or the same `path:line:` error, on both routes to numpy: from
+    # the file's path and from memory.
     k = len(tokens)
     field = "integer" if kinds == "i" and bad is None else "real"
     for fmt, mirror in (("edges", False), ("edges", True), ("mtx", False), ("mtx", True)):
@@ -689,14 +698,11 @@ def test_integer_and_float_weight_layouts_load_alike(tmp_path, monkeypatch, toke
             text += "".join(f"{i + 1} {i + 2} {w}\n" for i, w in enumerate(tokens))
             load = load_matrix_market
             head = 2
-        path = write(tmp_path, text, f"g.{fmt}")
-        for size in (0, loaders._CHUNKED_BYTES):
-            shipped, parses = _load_seeing_parses(monkeypatch, load, path, _CHUNKED_BYTES=size)
-            assert parses == [(size == 0, kind) for kind in kinds]
-            floats, parses = _load_seeing_parses(
-                monkeypatch, load, path, _CHUNKED_BYTES=size, _INTEGER=_NO_TOKEN
-            )
-            assert parses == [(size == 0, "f")]
+        for path, by_path in both_routes(tmp_path, text.encode(), f"g.{fmt}"):
+            shipped, parses = _load_seeing_parses(monkeypatch, load, path)
+            assert parses == [(by_path, kind) for kind in kinds]
+            floats, parses = _load_seeing_parses(monkeypatch, load, path, _INTEGER=_NO_TOKEN)
+            assert parses == [(by_path, "f")]
             walked, _ = _load_seeing_parses(
                 monkeypatch, load, path, _loadtxt=lambda *args: None
             )
@@ -710,18 +716,19 @@ def test_integer_and_float_weight_layouts_load_alike(tmp_path, monkeypatch, toke
 
 
 @pytest.mark.parametrize(
-    "text, parses, want",
+    "text, kinds, want",
     [
-        (MM + "2 2 2\n1 2\n2 1 3\n", [(False, "f")], "3: expected 3 tokens, got 2"),
-        (MM + "2 2 2\n1 2 3 4\n2 1 3\n", [(False, "f")], "3: expected 3 tokens, got 4"),
-        (MM + "2 2 2\n1 2 3\n2 1\n", [(False, "i"), (False, "f")], "4: expected 3 tokens, got 2"),
+        (MM + "2 2 2\n1 2\n2 1 3\n", "f", "3: expected 3 tokens, got 2"),
+        (MM + "2 2 2\n1 2 3 4\n2 1 3\n", "f", "3: expected 3 tokens, got 4"),
+        (MM + "2 2 2\n1 2 3\n2 1\n", "if", "4: expected 3 tokens, got 2"),
     ],
 )
-def test_malformed_first_line_reaches_the_walker(tmp_path, monkeypatch, text, parses, want):
+def test_malformed_first_line_reaches_the_walker(tmp_path, monkeypatch, text, kinds, want):
     # the first data line's weight token picks the layout; a line without
     # one, or with a token too many, fails numpy and the walker names it
-    path = write(tmp_path, text, "g.mtx")
-    assert _load_seeing_parses(monkeypatch, load_matrix_market, path) == (f"{path}:{want}", parses)
+    for path, by_path in both_routes(tmp_path, text.encode(), "g.mtx"):
+        got, parses = _load_seeing_parses(monkeypatch, load_matrix_market, path)
+        assert (got, parses) == (f"{path}:{want}", [(by_path, kind) for kind in kinds])
 
 
 MM_ARRAY = b"%%MatrixMarket matrix array real general\n"
@@ -737,22 +744,17 @@ MM_ARRAY = b"%%MatrixMarket matrix array real general\n"
         ("banner.mtx", MM_ARRAY + b"% c\n" * 3000 + b"\xff\n", 3002),  # a header error first
     ],
 )
-def test_invalid_utf8_fails_alike_from_path_and_memory(tmp_path, monkeypatch, name, data, lineno):
-    path = tmp_path / name
-    path.write_bytes(data)
+def test_invalid_utf8_fails_alike_from_path_and_memory(tmp_path, name, data, lineno):
     load = load_matrix_market if name.endswith(".mtx") else load_edge_list
-    for size in (0, loaders._CHUNKED_BYTES):
-        with monkeypatch.context() as patch:
-            patch.setattr(loaders, "_CHUNKED_BYTES", size)
-            with pytest.raises(ParseError) as info:
-                load(str(path))
+    for path, _ in both_routes(tmp_path, data, name):
+        with pytest.raises(ParseError) as info:
+            load(path)
         assert str(info.value) == f"{path}:{lineno}: not valid UTF-8"
 
 
 def test_compressed_names_are_read_as_plain_text(tmp_path, monkeypatch):
     # numpy's path opener would decompress these names, so they are read into
     # memory as the bytes they hold, as `open` reads them
-    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
     text = "# c\n0 1 2.5\n1 2 3.0\n"
     want, parses = _load_seeing_parses(monkeypatch, load_edge_list, write(tmp_path, text))
     assert parses == [(True, "f")]
@@ -773,7 +775,6 @@ def test_compressed_names_are_read_as_plain_text(tmp_path, monkeypatch):
 
 def test_url_shaped_relative_name_is_a_local_file(tmp_path, monkeypatch):
     # numpy's path opener would take 'a://b/g.txt' for a URL to download
-    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
     (tmp_path / "a:" / "b").mkdir(parents=True)
     (tmp_path / "a:" / "b" / "g.txt").write_text("0 1 2.5\n")
     monkeypatch.chdir(tmp_path)
@@ -876,27 +877,27 @@ def test_load_peak_memory_per_edge(tmp_path):
         assert peak < bound * m, (bound, peak / m)
 
 
-def test_file_parsed_from_its_path_is_never_held_as_text(tmp_path, monkeypatch):
+def test_file_parsed_from_its_path_is_never_held_as_text(tmp_path):
     # repr weights make a line (about 29 bytes) longer than its table row (24
     # bytes), as on the kron workload. Parsed from its path, the text is never
     # held: 41.6 bytes an edge traced at 120,000 edges, against 56.2 when the
-    # whole file was read into memory first.
-    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
+    # same bytes, under a `.txt.gz` name, are read into memory first.
     rng = np.random.default_rng(13)
     m, n = 120_000, 20_000
     u, v = rng.integers(1, n + 1, (2, m)).tolist()
     w = (10.0 * (1.0 - rng.random(m))).tolist()
     body = "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w))
-    path = write(tmp_path, f"%%MatrixMarket matrix coordinate real general\n{n} {n} {m}\n" + body)
-    assert os.path.getsize(path) > 28 * m
-    tracemalloc.start()
-    try:
-        matrix, _ = load_matrix_market(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert matrix.nnz > 0.99 * m
-    assert peak < 47 * m, peak / m
+    data = f"%%MatrixMarket matrix coordinate real general\n{n} {n} {m}\n{body}".encode()
+    assert len(data) > 28 * m
+    for path, by_path in both_routes(tmp_path, data, "g.mtx"):
+        tracemalloc.start()
+        try:
+            matrix, _ = load_matrix_market(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert matrix.nnz > 0.99 * m
+        assert (peak < 47 * m) == by_path, peak / m
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")

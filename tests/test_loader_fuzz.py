@@ -5,9 +5,10 @@ first) and once with the bulk parse switched off, so that only the line
 walker reads it. Both must give the same matrix bit for bit and the same
 label map, or raise the same error at the same line. Mutated copies (cut
 short, an extra token on a line, a 4-token size line) must fail the same
-way and exit 1 from the CLI with just the `path:line:` message. Every file
-here is below the size from which the loaders parse a file from its path, so
-the `_from_path` twins rerun the tests with that size at 0.
+way and exit 1 from the CLI with just the `path:line:` message. Every
+regular file is parsed from its path, so the `_in_memory` twins rerun the
+tests with each file under a `.txt.gz` name, which the loaders read into
+memory with a file's universal newlines.
 """
 
 from __future__ import annotations
@@ -210,22 +211,24 @@ def bulk_and_walker(monkeypatch, case: dict, path: str):
     return bulk, walker, walked
 
 
-@pytest.fixture
-def from_path(monkeypatch):
-    """Every regular file is parsed from its path, whatever its size; yields
-    the paths numpy was handed."""
-    monkeypatch.setattr(loaders, "_CHUNKED_BYTES", 0)
-    paths = []
+# a name numpy's opener would decompress: the loaders read such a file into memory
+IN_MEMORY = ".txt.gz"
+
+
+def spy_sources(monkeypatch) -> list[str | None]:
+    """Records what numpy parses: the absolute path it is handed, or None
+    for text in memory."""
+    sources = []
     real = loaders._loadtxt
 
     def spy(source, *args):
         if isinstance(source, str):
             assert os.path.isabs(source), source
-            paths.append(source)
+        sources.append(source if isinstance(source, str) else None)
         return real(source, *args)
 
     monkeypatch.setattr(loaders, "_loadtxt", spy)
-    return paths
+    return sources
 
 
 def assert_same(bulk, walker, data: bytes) -> None:
@@ -234,13 +237,14 @@ def assert_same(bulk, walker, data: bytes) -> None:
 
 
 @pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
-def test_bulk_parse_equals_line_walker(tmp_path, monkeypatch, make):
+def test_bulk_parse_equals_line_walker(tmp_path, monkeypatch, make, suffix=""):
+    sources = spy_sources(monkeypatch)
     rng = np.random.default_rng(20_261_018)
     plain_seen = 0
     for i in range(400):
         case = make(rng)
         data = render(case, rng)
-        path = tmp_path / f"g{i}"
+        path = tmp_path / f"g{i}{suffix}"
         path.write_bytes(data)
         bulk, walker, walked = bulk_and_walker(monkeypatch, case, str(path))
         assert_same(bulk, walker, data)
@@ -249,17 +253,19 @@ def test_bulk_parse_equals_line_walker(tmp_path, monkeypatch, make):
             assert not walked, data
             assert not isinstance(bulk[0], type), data
     assert plain_seen > 150
+    assert len(sources) > 150 and all((src is None) == bool(suffix) for src in sources)
 
 
 @pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
-def test_mutated_files_fail_like_the_walker(tmp_path, monkeypatch, capsys, make):
+def test_mutated_files_fail_like_the_walker(tmp_path, monkeypatch, capsys, make, suffix=""):
+    sources = spy_sources(monkeypatch)
     rng = np.random.default_rng(4_242)
     errors = 0
     for i in range(300):
         case = make(rng)
         for kind, mutant in mutants(case, rng):
             data = render(mutant, rng)
-            path = tmp_path / f"m{i}"
+            path = tmp_path / f"m{i}{suffix}"
             path.write_bytes(data)
             bulk, walker, _ = bulk_and_walker(monkeypatch, mutant, str(path))
             assert_same(bulk, walker, data)
@@ -271,6 +277,7 @@ def test_mutated_files_fail_like_the_walker(tmp_path, monkeypatch, capsys, make)
             assert code == 1, (kind, data)
             assert err == f"deltasparse: {walker[1]}\n", (kind, data)
     assert errors > 600
+    assert len(sources) > 600 and all((src is None) == bool(suffix) for src in sources)
 
 
 def test_stdin_matches_file(tmp_path, monkeypatch):
@@ -289,11 +296,13 @@ def test_stdin_matches_file(tmp_path, monkeypatch):
             assert_same(from_stdin, from_file, data)
 
 
-def test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch):
+def test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch, suffix=""):
     data = b"0 1 2\r3 4 5\n"
-    path = tmp_path / "cr.edges"
+    path = tmp_path / f"cr.edges{suffix}"
     path.write_bytes(data)
+    sources = spy_sources(monkeypatch)
     matrix, labels = load_edge_list(str(path))
+    assert sources == [None if suffix else str(path)]
     assert labels.externals == [0, 1, 3, 4]
     assert entry_set(matrix) == {(0, 1, 2.0), (2, 3, 5.0)}
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
@@ -301,15 +310,16 @@ def test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch):
         load_edge_list("-")
 
 
-def test_bulk_equals_walker_at_scale(tmp_path, monkeypatch):
+def test_bulk_equals_walker_at_scale(tmp_path, monkeypatch, suffix=""):
+    sources = spy_sources(monkeypatch)
     rng = np.random.default_rng(5)
     m = 20_000
     u = rng.integers(0, 3_000, m).tolist()
     v = rng.integers(0, 3_000, m).tolist()
     w = (10.0 * (1.0 - rng.random(m))).tolist()
-    edges = tmp_path / "big.edges"
+    edges = tmp_path / f"big.edges{suffix}"
     edges.write_text("# header\n" + "".join(f"{a} {b} {c!r}\n" for a, b, c in zip(u, v, w)))
-    mtx = tmp_path / "big.mtx"
+    mtx = tmp_path / f"big.mtx{suffix}"
     mtx.write_text(
         "%%MatrixMarket matrix coordinate real symmetric\n% c\n3000 3000 20000\n"
         + "".join(f"{a + 1} {b + 1} {c!r}\n" for a, b, c in zip(u, v, w))
@@ -322,33 +332,26 @@ def test_bulk_equals_walker_at_scale(tmp_path, monkeypatch):
         assert not walked
         assert_same(bulk, walker, case)
         assert bulk[0].nnz > 30_000
+    assert sources == ([None] * 2 if suffix else [str(edges), str(mtx)])
 
 
-# The twins below rerun the tests above with every regular file parsed from
-# its path, as large files are.
-
-
-@pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
-def test_bulk_parse_equals_line_walker_from_path(tmp_path, monkeypatch, from_path, make):
-    test_bulk_parse_equals_line_walker(tmp_path, monkeypatch, make)
-    assert len(from_path) > 150
+# The twins below rerun the tests above with every file read into memory, as
+# standard input and pipes are.
 
 
 @pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
-def test_mutated_files_fail_like_the_walker_from_path(
-    tmp_path, monkeypatch, capsys, from_path, make
-):
-    test_mutated_files_fail_like_the_walker(tmp_path, monkeypatch, capsys, make)
-    assert len(from_path) > 600
+def test_bulk_parse_equals_line_walker_in_memory(tmp_path, monkeypatch, make):
+    test_bulk_parse_equals_line_walker(tmp_path, monkeypatch, make, IN_MEMORY)
 
 
-def test_lone_carriage_return_ends_a_line_in_files_only_from_path(
-    tmp_path, monkeypatch, from_path
-):
-    test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch)
-    assert from_path == [str(tmp_path / "cr.edges")]
+@pytest.mark.parametrize("make", [edge_list_case, matrix_market_case])
+def test_mutated_files_fail_like_the_walker_in_memory(tmp_path, monkeypatch, capsys, make):
+    test_mutated_files_fail_like_the_walker(tmp_path, monkeypatch, capsys, make, IN_MEMORY)
 
 
-def test_bulk_equals_walker_at_scale_from_path(tmp_path, monkeypatch, from_path):
-    test_bulk_equals_walker_at_scale(tmp_path, monkeypatch)
-    assert from_path == [str(tmp_path / "big.edges"), str(tmp_path / "big.mtx")]
+def test_lone_carriage_return_ends_a_line_in_files_only_in_memory(tmp_path, monkeypatch):
+    test_lone_carriage_return_ends_a_line_in_files_only(tmp_path, monkeypatch, IN_MEMORY)
+
+
+def test_bulk_equals_walker_at_scale_in_memory(tmp_path, monkeypatch):
+    test_bulk_equals_walker_at_scale(tmp_path, monkeypatch, IN_MEMORY)

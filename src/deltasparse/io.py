@@ -90,7 +90,7 @@ class LabelMap:
     The labels increase with the id. A range, like Matrix Market's 1..n, is
     mapped by its own arithmetic, with no array of n labels; an edge list's
     labels are one increasing array (int64, or Python ints beyond int64)
-    that a lookup searches, with no label -> id dict."""
+    that to_internal compares a label against, with no label -> id dict."""
 
     __slots__ = ("_labels",)
 

@@ -286,31 +286,25 @@ def _next_index(index: int, delta: float, values: np.ndarray) -> tuple[int | Non
 
 
 class _Unfused:
-    """The unfused steps: the paper's composition over sparse vectors, one
-    SsspState a bucket, stepped by relax_light_phase and relax_heavy."""
+    """The unfused steps: the paper's composition over sparse vectors,
+    stepped by relax_light_phase and relax_heavy over one SsspState, which
+    holds the only copy of the tentative distances."""
 
     def __init__(self, matrix: SparseMatrix, source: int, delta: float) -> None:
-        self.light, self.heavy = split_edges(matrix, delta)
-        self.delta = delta
-        self.t = vector_build(matrix.n, [(source, 0.0)])
+        self.light, heavy = split_edges(matrix, delta)
+        t = vector_build(matrix.n, [(source, 0.0)])
         self.empty = SparseVector(matrix.n)  # frozen, so every bucket's state can share it
+        self.state = SsspState(t, self.empty, self.empty, self.empty, self.light, heavy, 0, delta)
 
     def values(self) -> np.ndarray:
-        return self.t.values
+        return self.state.tentative.values
 
     def start(self, index: int, window: np.ndarray) -> int:
-        return self._enter(compute_bucket(self.t, index, self.delta), index)
+        return self._enter(compute_bucket(self.state.tentative, index, self.state.delta), index)
 
     def _enter(self, bucket: SparseVector, index: int) -> int:
-        self.state = SsspState(
-            tentative=self.t,
-            requests=self.empty,
-            bucket=bucket,
-            settled=self.empty,
-            light=self.light,
-            heavy=self.heavy,
-            bucket_index=index,
-            delta=self.delta,
+        self.state = replace(
+            self.state, requests=self.empty, bucket=bucket, settled=self.empty, bucket_index=index
         )
         return bucket.nnz
 
@@ -320,15 +314,14 @@ class _Unfused:
 
     def heavy_step(self, index: int) -> int:
         before = self.state
-        after = relax_heavy(before)
-        self.t = after.tentative
-        if _lands_beyond(index, self.delta):
+        self.state = after = relax_heavy(before)
+        if _lands_beyond(index, after.delta):
             return 0
-        bucket = _improving_in_window(after.requests, before.tentative, index, self.delta)
+        bucket = _improving_in_window(after.requests, before.tentative, index, after.delta)
         return self._enter(bucket, index)
 
     def result(self) -> SparseVector:
-        return self.t
+        return self.state.tentative
 
 
 class _Fused:

@@ -1,7 +1,7 @@
 """Shared test helpers: random sparse operand and graph builders, the
-container invariant checks, a matrix's entry set, and the acceptance report
-hook that echoes one line per acceptance criterion into the terminal
-summary."""
+container invariant checks, a matrix's entry set, a step-by-step log of one
+solve's bucket walk, and the acceptance report hook that echoes one line per
+acceptance criterion into the terminal summary."""
 
 from __future__ import annotations
 
@@ -9,7 +9,9 @@ import math
 
 import numpy as np
 
+import deltasparse.sssp as sssp
 from deltasparse import SparseMatrix, SparseVector, matrix_build, vector_build
+from deltasparse.core import INDEX_DTYPE
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -104,3 +106,52 @@ def check_matrix(m: SparseMatrix) -> None:
         # columns sorted and unique within each row
         same_row = rows[1:] == rows[:-1]
         assert np.all(m.col[1:][same_row] > m.col[:-1][same_row])
+
+
+def _step_view(solve) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A step object's bucket, settled set, finite tentative indices and
+    their values, the indices as INDEX_DTYPE."""
+    if isinstance(solve, sssp._Unfused):
+        state = solve.state
+        parts = state.bucket.indices, state.settled.indices, state.tentative.indices
+        return *parts, state.tentative.values
+    reached = np.flatnonzero(solve.t < math.inf)
+    parts = solve.bucket, solve.settled.nonzero()[0], reached
+    return *(part.astype(INDEX_DTYPE) for part in parts), solve.t[reached]
+
+
+def walk_log(kind: str, matrix: SparseMatrix, source: int, delta: float):
+    """Run one solve's bucket walk (sssp._walk) on the "unfused" or "fused"
+    step objects and log every step, as delta_stepping runs it. Only this
+    instance's start, light_step and heavy_step are wrapped; no module
+    attribute changes. After each step the log gets (step kind, the bucket
+    it leaves, empty where the step returns 0, the finite tentative indices,
+    their values), and before a heavy step ("frontier", its settled set),
+    all as raw bytes. Returns the log, the distances and the counts
+    (outer_iterations, occupied_buckets, inner_phases)."""
+    solve = (sssp._Fused if kind == "fused" else sssp._Unfused)(matrix, source, delta)
+    log = []
+
+    def logged(name, step):
+        def run(*args):
+            if name == "heavy":
+                log.append(("frontier", _step_view(solve)[1].tobytes()))
+            size = step(*args)
+            bucket, _, indices, values = _step_view(solve)
+            left = bucket if size else bucket[:0]
+            log.append((name, left.tobytes(), indices.tobytes(), values.tobytes()))
+            return size
+
+        return run
+
+    solve.start = logged("start", solve.start)
+    solve.light_step = logged("light", solve.light_step)
+    solve.heavy_step = logged("heavy", solve.heavy_step)
+    with np.errstate(over="ignore"):
+        distances, buckets, last, phases = sssp._walk(solve, delta)
+    return log, distances, (last + 1, buckets, phases)
+
+
+def heavy_frontiers(log) -> list[np.ndarray]:
+    """The frontier of every heavy step in a walk_log log."""
+    return [np.frombuffer(step[1], INDEX_DTYPE) for step in log if step[0] == "frontier"]

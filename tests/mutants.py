@@ -150,6 +150,27 @@ MUTANTS = [
         "return after.bucket.nnz",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
+    # the unfused steps keep one state: a heavy step stores its relax's
+    # distances, each bucket starts from the state's tentative distances
+    # and with an empty settled set
+    (
+        "sssp.py",
+        "self.state = after = relax_heavy(before)",
+        "after = relax_heavy(before)",
+        "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
+    ),
+    (
+        "sssp.py",
+        "compute_bucket(self.state.tentative, index, self.state.delta)",
+        "compute_bucket(self.state.requests, index, self.state.delta)",
+        "tests/test_acceptance.py::test_criterion_4_fusion_transparency",
+    ),
+    (
+        "sssp.py",
+        "settled=self.empty",
+        "settled=self.state.settled",
+        "tests/test_sssp.py::test_one_step_visits_only_occupied_windows",
+    ),
     # a step's bucket is its requests inside the window that strictly improve
     (
         "sssp.py",

@@ -38,10 +38,9 @@ from deltasparse import (
     split_edges,
     vector_build,
 )
-from deltasparse.core import INDEX_DTYPE
 from deltasparse.io import GraphLoadError
 
-from conftest import entry_set, random_connected_unit_graph, record_acceptance
+from conftest import entry_set, random_connected_unit_graph, record_acceptance, walk_log
 
 CORPUS_SEED = 20260816
 DELTAS = (0.5, 1.0, 3.0, 11.0)
@@ -130,73 +129,29 @@ def test_criterion_3_partition_invariant():
     assert failures == 0
 
 
-def step_recorder(monkeypatch):
-    """Log every relaxation step both backends take, as (kind, frontier,
-    finite tentative indices, their values), all as raw bytes. The fused
-    solve's pushes are told apart by the light matrix its split returned."""
-    log = []
-    partition, push = sssp._partition, sssp._push
-    light_phase, heavy = sssp.relax_light_phase, sssp.relax_heavy
-    split = []
-
-    def record(kind, frontier, indices, values):
-        frontier, indices = frontier.astype(INDEX_DTYPE), indices.astype(INDEX_DTYPE)
-        log.append((kind, frontier.tobytes(), indices.tobytes(), values.tobytes()))
-
-    def fused_partition(matrix, delta):
-        split[:] = partition(matrix, delta)
-        return tuple(split)
-
-    def fused_push(values, frontier, matrix, dense, below):
-        lowered = push(values, frontier, matrix, dense, below)
-        reached = np.flatnonzero(dense < math.inf)
-        record("light" if matrix is split[0] else "heavy", frontier, reached, dense[reached])
-        return lowered
-
-    def unfused_light(state):
-        out = light_phase(state)
-        record("light", state.bucket.indices, out.tentative.indices, out.tentative.values)
-        return out
-
-    def unfused_heavy(state):
-        out = heavy(state)
-        record("heavy", state.settled.indices, out.tentative.indices, out.tentative.values)
-        return out
-
-    monkeypatch.setattr(sssp, "_partition", fused_partition)
-    monkeypatch.setattr(sssp, "_push", fused_push)
-    monkeypatch.setattr(sssp, "relax_light_phase", unfused_light)
-    monkeypatch.setattr(sssp, "relax_heavy", unfused_heavy)
-    return log
-
-
-def test_criterion_4_fusion_transparency(corpus, monkeypatch):
-    # Equal step logs mean the same light/heavy sequence and bit-equal
-    # tentative distances after every step. A light step's next bucket is
-    # the frontier of the step after it, or empty when that step is heavy,
-    # so they also mean bit-equal buckets after every light step. Each
-    # occupied bucket takes one heavy step, and the outer loop counts every
-    # window up to the one holding the largest distance.
-    log = step_recorder(monkeypatch)
+def test_criterion_4_fusion_transparency(corpus):
+    # Equal step logs mean the same light/heavy sequence, bit-equal
+    # tentative distances and buckets after every step and the same
+    # frontier for every heavy step. Each occupied bucket takes one heavy
+    # step, and the outer loop counts every window up to the one holding
+    # the largest distance.
     mismatches = []
     steps = 0
     for case, (matrix, source, _) in enumerate(corpus):
         for delta in DELTAS:
             runs = []
             for kind in ("unfused", "fused"):
-                log.clear()
-                result = delta_stepping(matrix, source, delta, backend=BackendChoice(kind))
+                log, distances, counts = walk_log(kind, matrix, source, delta)
                 heavy_steps = sum(step[0] == "heavy" for step in log)
-                top = float(result.distances.values.max())
-                counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
-                runs.append((result.distances, list(log), counts))
-                if result.occupied_buckets != heavy_steps:
+                top = float(distances.values.max())
+                runs.append((distances, log, counts))
+                if counts[1] != heavy_steps:
                     mismatches.append((case, delta, kind, "occupied_buckets"))
-                if result.outer_iterations != sssp._window_of(top, delta) + 1:
+                if counts[0] != sssp._window_of(top, delta) + 1:
                     mismatches.append((case, delta, kind, "outer_iterations"))
-            (want, want_steps, want_counts), (got, got_steps, got_counts) = runs
-            steps += len(want_steps)
-            if got != want or got_steps != want_steps or got_counts != want_counts:
+            (want, want_log, want_counts), (got, got_log, got_counts) = runs
+            steps += sum(step[0] in ("light", "heavy") for step in want_log)
+            if got != want or got_log != want_log or got_counts != want_counts:
                 mismatches.append((case, delta))
 
     ok = not mismatches and steps > 0
@@ -210,13 +165,12 @@ def test_criterion_4_fusion_transparency(corpus, monkeypatch):
     assert ok, mismatches[:5]
 
 
-def test_criterion_4_heavy_sums_rounding_into_their_window(monkeypatch):
+def test_criterion_4_heavy_sums_rounding_into_their_window():
     # weights 10^U(-12, 12) at delta 1e-6: once a distance's float spacing
     # exceeds delta, a heavy sum t[u] + w can round back into u's own window
     # after that window's light phases have ended. Both backends must equal
     # the oracle, step by step alike, and the set must take that path: some
     # bucket takes a second heavy step.
-    log = step_recorder(monkeypatch)
     rng = np.random.default_rng(26)
     reentered = 0
     for case in range(300):
@@ -228,19 +182,17 @@ def test_criterion_4_heavy_sums_rounding_into_their_window(monkeypatch):
         want = dijkstra_oracle(matrix, source)
         runs = []
         for kind in ("unfused", "fused"):
-            log.clear()
-            result = delta_stepping(matrix, source, 1e-6, backend=BackendChoice(kind))
-            assert result.distances == want, (case, kind)
-            counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
-            runs.append((list(log), counts))
+            log, distances, counts = walk_log(kind, matrix, source, 1e-6)
+            assert distances == want, (case, kind)
+            runs.append((log, counts))
         assert runs[0] == runs[1], case
         heavy_steps = sum(step[0] == "heavy" for step in log)
-        assert heavy_steps >= result.occupied_buckets
-        reentered += heavy_steps > result.occupied_buckets
+        assert heavy_steps >= counts[1]
+        reentered += heavy_steps > counts[1]
     assert reentered > 0
 
 
-def test_criterion_5_parallel_determinism(corpus, monkeypatch):
+def test_criterion_5_range_decomposition(corpus, monkeypatch):
     # a 1-entry range size cuts every fused call into one range per index,
     # so agreement here is not the one-range path agreeing with itself
     delta = 1.0

@@ -15,9 +15,10 @@ csgraph = pytest.importorskip("scipy.sparse.csgraph")
 sparse = pytest.importorskip("scipy.sparse")
 
 import deltasparse.fused as fused_mod  # noqa: E402
+import deltasparse.sssp as sssp  # noqa: E402
 from deltasparse import BackendChoice, delta_stepping, matrix_build, random_graph  # noqa: E402
 
-from conftest import grid_arcs  # noqa: E402
+from conftest import grid_arcs, heavy_frontiers, walk_log  # noqa: E402
 
 
 def scipy_distances(matrix, source):
@@ -95,24 +96,19 @@ def rmat_graph(scale, edge_factor, rng):
     return matrix_build(n, np.column_stack([tails, heads, weights]))
 
 
-def test_rmat_hub_sources_float_weights_match_exactly(monkeypatch):
+def test_rmat_hub_sources_float_weights_match_exactly():
     matrix = rmat_graph(15, 16, np.random.default_rng(8))
-    starts = []
-    relax = fused_mod._relax
-
-    def spy(values, base, counts, lo, hi, matrix, dense, below):
-        starts.append(lo)
-        return relax(values, base, counts, lo, hi, matrix, dense, below)
-
-    monkeypatch.setattr(fused_mod, "_relax", spy)
+    heavy_degrees = np.diff(sssp._partition(matrix, 1.0)[1].indptr)
     hubs = np.argsort(-np.diff(matrix.indptr), kind="stable")[:4]
     for source in hubs.tolist():
         reach, want = scipy_distances(matrix, source)
         assert reach.size > matrix.n // 2
-        unfused, fused = solve_both(matrix, source, 1.0)
+        unfused = delta_stepping(matrix, source, 1.0).distances
+        log, fused, _ = walk_log("fused", matrix, source, 1.0)
         assert fused == unfused
         assert np.array_equal(unfused.indices, reach)
         assert np.array_equal(unfused.values, want)
-    # hub frontiers exceed one push slice: a slice past the first ran, so
-    # the slices' targets were concatenated
-    assert max(starts) > 0
+        # a hub's heavy frontier has more out-edges than one push slice: its
+        # push ran in slices, whose targets were concatenated
+        out_edges = max(int(heavy_degrees[f].sum()) for f in heavy_frontiers(log))
+        assert out_edges > fused_mod.RANGE_ENTRIES

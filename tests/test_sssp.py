@@ -36,7 +36,13 @@ from deltasparse import (
 )
 from deltasparse.sssp import DeltaTooSmall, DistanceOverflow, SsspState, _window_of
 
-from conftest import entry_set, grid_arcs, random_connected_unit_graph
+from conftest import (
+    entry_set,
+    grid_arcs,
+    heavy_frontiers,
+    random_connected_unit_graph,
+    walk_log,
+)
 
 DELTAS = (0.5, 1.0, 3.0, 11.0)
 
@@ -522,46 +528,17 @@ def test_connected_unit_graph_bucket_counts():
 # ---------------------------------------------------------- one bucket walk
 
 
-def heavy_step_recorder(monkeypatch):
-    """Record the frontier size of every heavy step in either backend: the
-    unfused relax_heavy calls and the fused pushes through the heavy part."""
-    sizes = []
-    partition, push, heavy = sssp_mod._partition, sssp_mod._push, sssp_mod.relax_heavy
-    split = []
-
-    def fused_partition(matrix, delta):
-        split[:] = partition(matrix, delta)
-        return tuple(split)
-
-    def fused_push(values, frontier, matrix, dense, below):
-        if matrix is split[1]:
-            sizes.append(frontier.size)
-        return push(values, frontier, matrix, dense, below)
-
-    def unfused_heavy(state):
-        sizes.append(state.settled.nnz)
-        return heavy(state)
-
-    monkeypatch.setattr(sssp_mod, "_partition", fused_partition)
-    monkeypatch.setattr(sssp_mod, "_push", fused_push)
-    monkeypatch.setattr(sssp_mod, "relax_heavy", unfused_heavy)
-    return sizes
-
-
 @pytest.mark.parametrize("kind", ["unfused", "fused"])
-def test_one_step_visits_only_occupied_windows(monkeypatch, kind):
+def test_one_step_visits_only_occupied_windows(kind):
     # 20,001 windows up to distance 2e4, of which three hold a vertex
     a = matrix_build(3, [(0, 1, 1e4), (1, 2, 1e4)])
-    sizes = heavy_step_recorder(monkeypatch)
-    result = delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
-    assert dict(result.distances.items()) == {0: 0.0, 1: 1e4, 2: 2e4}
-    counts = (result.outer_iterations, result.occupied_buckets, result.inner_phases)
+    log, distances, counts = walk_log(kind, a, 0, 1.0)
+    assert dict(distances.items()) == {0: 0.0, 1: 1e4, 2: 2e4}
     assert counts == (20_001, 3, 3)
-    assert sizes == [1, 1, 1]
+    assert [f.size for f in heavy_frontiers(log)] == [1, 1, 1]
 
 
-def test_one_step_work_equals_skip_mode_buckets(monkeypatch):
-    sizes = heavy_step_recorder(monkeypatch)
+def test_one_step_work_equals_skip_mode_buckets():
     rng = np.random.default_rng(109)
     for case in range(40):
         n = int(rng.integers(1, 60))
@@ -570,15 +547,13 @@ def test_one_step_work_equals_skip_mode_buckets(monkeypatch):
         source = int(rng.integers(0, n))
         for delta in DELTAS + (0.1,):
             for backend in ("unfused", "fused"):
-                sizes.clear()
-                result = delta_stepping(a, source, delta, backend=BackendChoice(backend))
-                reached = result.distances
+                log, reached, (outer, occupied, _) = walk_log(backend, a, source, delta)
+                sizes = [f.size for f in heavy_frontiers(log)]
                 # one heavy step per occupied window, none for an empty one
-                assert len(sizes) == result.occupied_buckets <= reached.nnz
-                assert result.occupied_buckets <= result.outer_iterations
+                assert len(sizes) == occupied <= reached.nnz
+                assert occupied <= outer
                 assert min(sizes) > 0
-                last = _window_of(float(reached.values.max()), delta)
-                assert result.outer_iterations == last + 1
+                assert outer == _window_of(float(reached.values.max()), delta) + 1
 
 
 @pytest.mark.parametrize("kind", ["unfused", "fused"])
@@ -596,17 +571,16 @@ def test_huge_delta_over_tiny_light_weights(kind, delta):
         assert result.distances == dijkstra_oracle(a, 0)
 
 
-@pytest.mark.parametrize("kind", ["unfused", "fused"])
-def test_phase_ceiling_stops_a_bucket_that_never_empties(monkeypatch, kind):
-    # light passes that neither lower t nor drain the bucket would cycle
-    # forever; the solve must stop at n * (ceil(delta / lightest) + 2)
-    monkeypatch.setattr(sssp_mod, "relax_light_phase", lambda state: state)
-    monkeypatch.setattr(
-        sssp_mod, "_push", lambda values, frontier, matrix, dense, below: frontier
-    )
-    a = matrix_build(3, [(0, 1, 1.0), (1, 2, 1.0)])
+@pytest.mark.parametrize(
+    "steps", [sssp_mod._Unfused, sssp_mod._Fused], ids=["unfused", "fused"]
+)
+def test_phase_ceiling_stops_a_bucket_that_never_empties(steps):
+    # light passes that never drain the bucket would cycle forever; the
+    # walk must stop at n * (ceil(delta / lightest) + 2)
+    solve = steps(matrix_build(3, [(0, 1, 1.0), (1, 2, 1.0)]), 0, 1.0)
+    solve.light_step = lambda: 1
     with pytest.raises(RuntimeError, match="light phase count exceeded ceiling 9;"):
-        delta_stepping(a, 0, 1.0, backend=BackendChoice(kind))
+        sssp_mod._walk(solve, 1.0)
 
 
 @pytest.mark.parametrize("kind", ["unfused", "fused"])

@@ -10,9 +10,10 @@ care about (see ewise_add_vector). Comparison results are normalized to
 1.0, and entries that evaluate to 0.0 are dropped, so the output can be
 consumed structurally as a mask.
 
-MIN's unions that take the dense accumulator scatter both operands into
-one +inf workspace, the way vxm_min_plus reduces into its +inf scratch, and
-read the result back as the slots that moved off +inf.
+The union's dense accumulator serves the two monoids a solve unions over,
+each in a workspace of its identity: MIN's is +inf, as vxm_min_plus's
+scratch, and the union is the slots that moved off it; OR's is false, and
+the union is the slots a nonzero value marked. Other ops' unions merge.
 """
 
 from __future__ import annotations
@@ -78,13 +79,11 @@ def _require_length(actual: int, expected: int, what: str) -> None:
         raise ValueError(f"{what}: length {actual} does not match {expected}")
 
 
-# Unions over at most this many indices take the dense accumulator whatever
-# the operand sizes. Replaying the unions an unfused solve of a road-pattern
-# grid sends to the linear merge through both paths, the accumulator took
-# 0.52x the merge's time at n = 576, 0.87x at 3,600 and 0.90x at 4,096, but
-# 1.01x at 4,900, 1.07x at 6,400 and 1.25x at 8,100. With MIN's +inf
-# workspace, warm solves of that 4,096-vertex grid still ran 1.03x slower
-# with MIN kept out of the band (README, Performance notes).
+# MIN and OR unions over at most this many indices take their monoid's
+# workspace whatever the operand sizes. Warm unfused solves of a
+# 4,096-vertex road-pattern grid ran 1.03x slower with MIN kept out of the
+# band, and replaying that grid's OR unions, the false workspace took 0.55x
+# the merge's time, 0.45x at n = 576 (README, Performance notes).
 _SMALL_UNION = 4096
 
 
@@ -92,7 +91,7 @@ def _dense_pays(probes: int, searched: int, n: int) -> bool:
     """Whether a few passes over an n-long workspace cost less than probing
     `probes` sorted indices into `searched` ones by binary search, at about
     log2(searched) steps a probe. The size rule of the intersection, and of
-    the union over more than _SMALL_UNION indices."""
+    the MIN and OR unions over more than _SMALL_UNION indices."""
     return probes * searched.bit_length() > n
 
 
@@ -187,24 +186,15 @@ def _min_workspace(u: SparseVector, v: SparseVector) -> tuple[np.ndarray, np.nda
     return idx, acc[idx]
 
 
-def _accumulate(u: SparseVector, v: SparseVector, op: BinaryOp) -> tuple[np.ndarray, np.ndarray]:
-    # dense accumulator over the index space; MIN takes its +inf workspace
-    if op is MIN:
-        return _min_workspace(u, v)
-    # any other op: scatter v's values, then u's over them, op combines the
-    # shared entries in place, and the union's indices come back in order
-    # from one scan of the marks
+def _or_workspace(u: SparseVector, v: SparseVector) -> SparseVector:
+    # OR's accumulator: a false workspace marks each slot where u's or v's
+    # value is nonzero, NaN included, just where logical_or is true or a
+    # pass-through entry survives the finalize; the marked slots are 1.0
     mark = np.zeros(u.length, dtype=bool)
-    mark[u.indices] = True
-    both = mark[v.indices]
-    acc = np.empty(u.length, dtype=VALUE_DTYPE)
-    acc[v.indices] = v.values
-    acc[u.indices] = u.values
-    shared = v.indices[both]
-    acc[shared] = op.fn(acc[shared], v.values[both])
-    mark[v.indices] = True
+    mark[u.indices] = u.values != 0.0
+    mark[v.indices] |= v.values != 0.0
     idx = mark.nonzero()[0]
-    return idx, acc[idx]
+    return SparseVector._adopt(u.length, idx, _ones(idx.size))
 
 
 def ewise_add_vector(
@@ -224,21 +214,23 @@ def ewise_add_vector(
     both hold, found as ewise_mult_vector finds them. Boolean ops normalize
     surviving entries to 1.0 and drop entries evaluating to 0.0.
 
-    The merge takes one of two paths, with equal results. A dense
-    accumulator over all n indices takes both operands in O(n + |u| + |v|)
-    when n is at most _SMALL_UNION (4,096), where those passes cost less
-    than the merge's per-call work, or when |v| log2 |u| exceeds n. Else a
-    linear merge places v's entries by one binary search each into u; when
-    every index of v lies in u, it shares u's indices in the result and
-    updates a copy of u's values at v's positions.
+    An unmasked MIN or OR union takes one of two paths, with equal
+    results. Its monoid's workspace over all n indices takes both operands
+    in O(n + |u| + |v|) when n is at most _SMALL_UNION (4,096), where those
+    passes cost less than the merge's per-call work, or when |v| log2 |u|
+    exceeds n. Else, and for every other op at any size, a linear merge
+    places v's entries by one binary search each into u; when every index
+    of v lies in u, it shares u's indices in the result and updates a copy
+    of u's values at v's positions.
 
-    For MIN the accumulator is one +inf workspace: u's values are scattered
-    into it, np.minimum.at combines v's into it, and the union is every
-    slot that differs from +inf. That reads the union's indices off its
-    values, which is exact because no vector stores +inf, the implicit
-    entry of a distance vector: vector_build and vxm_min_plus drop it, and
-    the SparseVector constructor's values must not hold it. Any other op,
-    a BinaryOp built on np.minimum included, takes the marks path.
+    MIN's workspace is filled with +inf: u's values are scattered into it,
+    np.minimum.at combines v's into it, and the union is every slot that
+    differs from +inf. That reads the union's indices off its values, which
+    is exact because no vector stores +inf, the implicit entry of a
+    distance vector: vector_build and vxm_min_plus drop it, and the
+    SparseVector constructor's values must not hold it. OR's is a false
+    bool array that u's and v's nonzero values mark, read back as 1.0
+    entries. Ops are matched by identity: a BinaryOp on np.minimum merges.
     """
     if v.length != u.length:
         _require_length(v.length, u.length, "ewise_add operand")
@@ -248,8 +240,12 @@ def ewise_add_vector(
         out[pu] = op.fn(u.values[pu], v.values[pv])
     elif mask is not None:
         raise ValueError("ewise_add_vector takes only mask=None or mask=u, its left operand")
-    elif u.length <= _SMALL_UNION or _dense_pays(v.indices.size, u.indices.size, u.length):
-        idx, out = _accumulate(u, v, op)
+    elif (op is MIN or op is OR) and (
+        u.length <= _SMALL_UNION or _dense_pays(v.indices.size, u.indices.size, u.length)
+    ):
+        if op is OR:
+            return _or_workspace(u, v)
+        idx, out = _min_workspace(u, v)
     else:
         idx, out = _merge(u, v, op)
     if op.boolean:

@@ -167,7 +167,7 @@ def _improving_in_window(
 ) -> SparseVector:
     """The requests that landed inside bucket `index`'s window and strictly
     improve on `t`: the bucket a light or heavy step leaves."""
-    in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, delta)))
+    in_window = compute_bucket(requests, index, delta)
     improving = ewise_add_vector(requests, t, LESS, mask=requests)
     return ewise_mult_vector(in_window, improving, TIMES)
 

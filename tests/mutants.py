@@ -174,8 +174,8 @@ MUTANTS = [
     # a step's bucket is its requests inside the window that strictly improve
     (
         "sssp.py",
-        "in_window = filter_vector(requests, in_half_open(*bucket_bounds(index, delta)))",
-        "in_window = filter_vector(requests, in_half_open(*bucket_bounds(index + 1, delta)))",
+        "in_window = compute_bucket(requests, index, delta)",
+        "in_window = compute_bucket(requests, index + 1, delta)",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
     # the walk runs a bucket again for as long as its heavy step re-enters it
@@ -221,19 +221,12 @@ MUTANTS = [
         "    elif False:\n",
         "tests/test_ops.py::test_ewise_add_empty_and_errors",
     ),
-    # the dense accumulator: u's values overwrite v's at the shared indices
+    # the merge combines u's value with v's, in that order (LESS is not
+    # commutative)
     (
         "ops.py",
-        "    acc[v.indices] = v.values\n    acc[u.indices] = u.values\n",
-        "    acc[u.indices] = u.values\n    acc[v.indices] = v.values\n",
-        "tests/test_kernel_reference.py",
-    ),
-    # the accumulator combines u's value with v's, in that order (LESS is
-    # not commutative)
-    (
-        "ops.py",
-        "acc[shared] = op.fn(acc[shared], v.values[both])",
-        "acc[shared] = op.fn(v.values[both], acc[shared])",
+        "op.fn(u.values[shared], v.values[both])",
+        "op.fn(v.values[both], u.values[shared])",
         "tests/test_kernel_reference.py",
     ),
     # MIN's workspace starts at +inf, takes u's values, combines v's into
@@ -268,11 +261,38 @@ MUTANTS = [
         "(acc <= _INF).nonzero()",
         "tests/test_kernel_reference.py::test_min_union_workspace_equals_union1d_reference",
     ),
-    # unions over a small index space take the accumulator at any sizes
+    # OR's workspace marks u's nonzero values and then adds v's, whatever
+    # their sign, and OR unions take it
     (
         "ops.py",
-        "elif u.length <= _SMALL_UNION or _dense_pays(",
-        "elif _dense_pays(",
+        "mark[v.indices] |= v.values != 0.0",
+        "mark[v.indices] = v.values != 0.0",
+        "tests/test_kernel_reference.py::test_or_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "mark[u.indices] = u.values != 0.0",
+        "mark[u.indices] = u.values > 0.0",
+        "tests/test_kernel_reference.py::test_or_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "mark[v.indices] |= v.values != 0.0",
+        "mark[v.indices] |= v.values > 0.0",
+        "tests/test_kernel_reference.py::test_or_union_workspace_equals_union1d_reference",
+    ),
+    (
+        "ops.py",
+        "(op is MIN or op is OR) and (",
+        "(op is MIN) and (",
+        "tests/test_kernel_reference.py::test_or_union_workspace_equals_union1d_reference",
+    ),
+    # MIN and OR unions over a small index space take their workspace at
+    # any sizes
+    (
+        "ops.py",
+        "        u.length <= _SMALL_UNION or _dense_pays(",
+        "        _dense_pays(",
         "tests/test_kernel_reference.py",
     ),
     # the union masked by its left operand pairs each side's own positions

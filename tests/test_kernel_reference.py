@@ -2,8 +2,9 @@
 smaller-side ewise_mult_vector must bit-equal the pull, union1d and
 probe-all bodies they replaced (tests/kernel_reference.py), on both sides
 of the size rule that picks between binary search and an n-long workspace,
-and of the band of small index spaces whose unions always take the
-workspace. MIN's accumulator is a +inf workspace of its own."""
+and of the band of small index spaces whose MIN and OR unions always take
+the workspace. MIN's workspace is +inf and OR's is false, their monoids'
+identities; the unions of every other op merge."""
 
 from __future__ import annotations
 
@@ -45,10 +46,13 @@ SHAPES = (
 
 
 def random_values(rng, k):
-    # small integers tie often and include 0.0, which boolean ops drop
+    # small integers tie often and include 0.0, which boolean ops drop; a
+    # random sign on each value adds -0.0 and negative values
     if rng.random() < 0.5:
-        return rng.integers(0, 4, k).astype(float)
-    return 10.0 * rng.random(k)
+        values = rng.integers(0, 4, k).astype(float)
+    else:
+        values = 10.0 * rng.random(k)
+    return np.where(rng.random(k) < 0.5, values, -values)
 
 
 def vector_on(rng, n, idx):
@@ -191,24 +195,27 @@ def edge_operands(rng):
 
 
 def union_cases(rng, side):
-    """Operands for each side of the union's two rules, and the path the
-    unmasked union must take: within the band ("band"), at both sides of
-    the size rule and at the band's bound; above the band and below the
-    size rule ("merge"); above both ("dense")."""
+    """Operands for each side of the union's two rules: within the band
+    ("band"), at both sides of the size rule and at the band's bound; above
+    the band and below the size rule ("merge"); above both ("dense"). The
+    unmasked MIN and OR unions take their workspace in the band and past
+    the rule, and the merge between."""
     band = ops_mod._SMALL_UNION
     if side == "band":
         cases = [straddling_operands(rng, ("below", "above")[i % 2]) for i in range(36)]
         cases += [straddling_operands(rng, ("below", "above")[i], band) for i in range(2)]
-        return cases + list(edge_operands(rng)), "_accumulate"
+        return cases + list(edge_operands(rng))
     sizes = [band + 1] + [int(rng.integers(band + 2, band + 400)) for _ in range(9)]
-    rule, path = {"merge": ("below", "_merge"), "dense": ("above", "_accumulate")}[side]
-    return [straddling_operands(rng, rule, n) for n in sizes], path
+    return [straddling_operands(rng, {"merge": "below", "dense": "above"}[side], n) for n in sizes]
+
+
+WORKSPACES = {MIN: "_min_workspace", OR: "_or_workspace"}
 
 
 def spy_union_paths(monkeypatch):
     """Record, in call order, each of the union's paths that runs."""
     taken = []
-    for name in ("_merge", "_accumulate", "_min_workspace"):
+    for name in ("_merge", *WORKSPACES.values()):
         real = getattr(ops_mod, name)
         monkeypatch.setattr(
             ops_mod, name, lambda *args, name=name, real=real: taken.append(name) or real(*args)
@@ -221,12 +228,12 @@ def spy_union_paths(monkeypatch):
 def test_ewise_add_each_side_of_the_band_and_size_rule_equals_union1d_reference(
     monkeypatch, op, side
 ):
-    # MIN's accumulator takes its +inf workspace; OR, LESS and TIMES keep
-    # the marks
+    # MIN and OR take their monoid's workspace where the band or the size
+    # rule picks it; LESS and TIMES merge on every side
     rng = np.random.default_rng([107, OPS.index(op), ("band", "merge", "dense").index(side)])
-    cases, path = union_cases(rng, side)
+    cases = union_cases(rng, side)
     taken = spy_union_paths(monkeypatch)
-    path = [path, "_min_workspace"] if path == "_accumulate" and op is MIN else [path]
+    path = ["_merge" if side == "merge" else WORKSPACES.get(op, "_merge")]
     for n, u, v in cases:
         before = bits(u), bits(v)
         for mask in (None, u):
@@ -279,10 +286,47 @@ def test_min_union_workspace_equals_union1d_reference(monkeypatch, kind):
         assert dense == (n <= band or kind not in ("empty_u", "empty_v"))
         taken.clear()
         got = ewise_add_vector(u, v, MIN)
-        assert taken == (["_accumulate", "_min_workspace"] if dense else ["_merge"]), (n, u.nnz, v.nnz)
+        assert taken == (["_min_workspace"] if dense else ["_merge"]), (n, u.nnz, v.nnz)
         assert got == union1d_ewise_add_vector(u, v, MIN)
         assert_sound(got)
         assert got.nnz == np.union1d(u.indices, v.indices).size
+
+
+OR_KINDS = ("subset", "disjoint", "empty_u", "empty_v", "zeros")
+
+
+def or_workspace_operands(rng, n, kind):
+    """As min_workspace_operands, save "zeros": u and v overlap by a third
+    of 0..n-1, and each value is 0.0, -0.0, a negative or a positive one."""
+    if kind != "zeros":
+        return min_workspace_operands(rng, n, kind)
+    perm = rng.permutation(n)
+    u_idx, v_idx = np.sort(perm[: 2 * n // 3]), np.sort(perm[n // 3 :])
+    draw = np.array([0.0, -0.0, -2.5, 1.0])
+    return tuple(SparseVector(n, idx, rng.choice(draw, idx.size)) for idx in (u_idx, v_idx))
+
+
+@pytest.mark.parametrize("kind", OR_KINDS)
+def test_or_union_workspace_equals_union1d_reference(monkeypatch, kind):
+    # OR marks a false workspace where u's or v's value is nonzero: just
+    # where logical_or is true or a pass-through entry survives the
+    # reference's finalize. Either zero, on a shared index or on one side's
+    # own, leaves its slot unmarked unless the other side's value is nonzero
+    rng = np.random.default_rng([127, OR_KINDS.index(kind)])
+    taken = spy_union_paths(monkeypatch)
+    band = ops_mod._SMALL_UNION
+    for n in (1, 64, band, 2 * band):
+        u, v = or_workspace_operands(rng, n, kind)
+        dense = n <= band or ops_mod._dense_pays(v.nnz, u.nnz, n)
+        assert dense == (n <= band or kind not in ("empty_u", "empty_v"))
+        taken.clear()
+        got = ewise_add_vector(u, v, OR)
+        assert taken == (["_or_workspace"] if dense else ["_merge"]), (n, u.nnz, v.nnz)
+        assert got == union1d_ewise_add_vector(u, v, OR)
+        assert_sound(got)
+        if kind == "zeros" and n > 1:
+            # some union entries are zero on every side that holds them
+            assert 0 < got.nnz < np.union1d(u.indices, v.indices).size
 
 
 @pytest.mark.parametrize("op", OPS, ids=lambda op: op.description)

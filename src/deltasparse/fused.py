@@ -52,7 +52,7 @@ import numpy as np
 
 from .core import INDEX_DTYPE, SparseMatrix
 
-__all__ = ["BackendChoice", "bucket_bounds"]
+__all__ = ["BackendChoice"]
 
 # Frontier out-edges per push slice. Slices bound the push's temporaries
 # rather than buy speed. The largest push of the acceptance criterion-7
@@ -78,12 +78,6 @@ class BackendChoice:
     def __post_init__(self) -> None:
         if self.kind not in ("unfused", "fused"):
             raise ValueError(f"backend kind must be 'unfused' or 'fused', got {self.kind!r}")
-
-
-def bucket_bounds(index: int, delta: float) -> tuple[float, float]:
-    """Half-open value window of bucket `index`. Every consumer of the
-    window goes through here so float endpoints agree everywhere."""
-    return index * delta, (index + 1) * delta
 
 
 def _push(

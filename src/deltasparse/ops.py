@@ -120,15 +120,6 @@ def _common(a: np.ndarray, b: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarra
     return (pb, pa) if swap else (pa, pb)
 
 
-def _result(length: int, idx: np.ndarray, out: np.ndarray) -> SparseVector:
-    # adopt an op's output only when it is a fresh float64 array, one that
-    # is no view; any other dtype, a view or a strided array takes the
-    # converting constructor
-    if out.dtype == VALUE_DTYPE and out.base is None and out.flags.c_contiguous:
-        return SparseVector._adopt(length, idx, out)
-    return SparseVector(length, idx, out)
-
-
 def filter_vector(vec: SparseVector, pred: Callable[[np.ndarray], np.ndarray]) -> SparseVector:
     """Structural mask over the entries whose value satisfies the predicate;
     no false entry is ever stored."""
@@ -271,7 +262,8 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
     out = op.fn(u.values[pu], v.values[pv])
     if op.boolean:
         idx, out = _finalize_boolean(idx, out)
-    return _result(u.length, idx, out)
+    # an op's contiguous float64 output is adopted as is; any other is converted
+    return SparseVector._adopt(u.length, idx, np.ascontiguousarray(out, dtype=VALUE_DTYPE))
 
 
 def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:

@@ -35,7 +35,7 @@ from .core import (
     SparseVector,
     vector_build,
 )
-from .fused import BackendChoice, _distinct, _push, bucket_bounds
+from .fused import BackendChoice, _distinct, _push
 from .ops import (
     LESS,
     MIN,
@@ -53,6 +53,7 @@ __all__ = [
     "DistanceOverflow",
     "SsspState",
     "SsspResult",
+    "bucket_bounds",
     "split_edges",
     "compute_bucket",
     "relax_light_phase",
@@ -133,6 +134,13 @@ def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Spars
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
     return _split(matrix, delta, False)
+
+
+def bucket_bounds(index: int, delta: float) -> tuple[float, float]:
+    """Half-open value window [index*delta, (index+1)*delta) of bucket
+    `index`. Every window end the solve reads comes from here, so float
+    endpoints agree everywhere."""
+    return index * delta, (index + 1) * delta
 
 
 def compute_bucket(t: SparseVector, index: int, delta: float) -> SparseVector:
@@ -222,42 +230,28 @@ def _check_reach(matrix: SparseMatrix, distances: SparseVector) -> None:
         raise DistanceOverflow(int(lost.min()))
 
 
-def _window_start(index: int, delta: float) -> float:
-    try:
-        return index * delta
-    except OverflowError:  # the index itself has no float
-        return math.inf
-
-
 def _window_of(value: float, delta: float) -> int:
     """Index of the bucket whose float window [i*delta, (i+1)*delta) holds
     value: the largest i with i*delta <= value, as i*delta never decreases
-    with i. The float quotient can be off by many windows where it exceeds
-    2**53, since a run of neighbouring indices then rounds to one float, so
-    the search gallops from the quotient and bisects: its steps grow with
-    the log of that run's length, not with the length. Raises DeltaTooSmall
+    with i. The floor of the float quotient is that index unless it exceeds
+    2**53, where a run of neighbouring indices rounds to one float and the
+    quotient can be off by many windows. Then a bisection over the integers
+    [0, min(2*floor + 2, max float)) finds it: (2*floor + 2)*delta exceeds
+    value, and so does max float * delta, by the guard. Raises DeltaTooSmall
     when value >= max float * delta, where i would pass the float range."""
     if value >= sys.float_info.max * delta:
         raise DeltaTooSmall(
             f"delta {delta!r} is too small to place distance {value!r} in a "
             "bucket window [i*delta, (i+1)*delta) with i in the float range"
         )
-    quotient = value // delta
-    low = int(min(quotient, sys.float_info.max))
-    if _window_start(low, delta) <= value:
-        step, high = 1, low + 1
-        while _window_start(high, delta) <= value:
-            low, step = high, step * 2
-            high = low + step
-    else:
-        step, high = 1, low
-        low = high - 1
-        while _window_start(low, delta) > value:
-            high, step = low, step * 2
-            low = max(high - step, 0)
+    low = int(value // delta)
+    lo, hi = bucket_bounds(low, delta)
+    if lo <= value < hi:
+        return low
+    low, high = 0, min(2 * low + 2, int(sys.float_info.max))
     while high - low > 1:
         middle = (low + high) // 2
-        if _window_start(middle, delta) <= value:
+        if middle * delta <= value:
             low = middle
         else:
             high = middle
@@ -270,12 +264,12 @@ def _next_index(index: int, delta: float, values: np.ndarray) -> tuple[int | Non
     common case, a value in window index + 1; past an empty window,
     _window_of places the smallest value beyond and a second scan masks its
     window."""
-    hi = bucket_bounds(index, delta)[1]
-    window = values >= hi
-    window &= values < _window_start(index + 2, delta)
+    lo, hi = bucket_bounds(index + 1, delta)
+    window = values >= lo
+    window &= values < hi
     if np.count_nonzero(window):
         return index + 1, window
-    smallest = float(values.min(initial=math.inf, where=values >= hi))
+    smallest = float(values.min(initial=math.inf, where=values >= lo))
     if smallest == math.inf:
         return None, window
     index = _window_of(smallest, delta)
@@ -312,11 +306,13 @@ class _Unfused:
         self.state = relax_light_phase(self.state)
         return self.state.bucket.nnz
 
-    def heavy_step(self, index: int) -> int:
+    def heavy_step(self, reenter: bool) -> int:
+        # `reenter`, the walk's once-per-bucket gate: off, the bucket ends
         before = self.state
         self.state = after = relax_heavy(before)
-        if _lands_beyond(index, after.delta):
+        if not reenter:
             return 0
+        index = after.bucket_index
         bucket = _improving_in_window(after.requests, before.tentative, index, after.delta)
         return self._enter(bucket, index)
 
@@ -328,8 +324,8 @@ class _Fused:
     """The fused steps, the unfused ones step for step over dense state (see
     fused.py): a light push from the window [lo, hi) lowers t to values
     >= lo, so the targets it lowered below hi, made distinct, are the next
-    bucket. A heavy step's targets below hi, where _lands_beyond allows
-    any, start the bucket again; elsewhere its push returns none."""
+    bucket. A heavy step's targets below hi start the bucket again where
+    the walk lets a heavy sum re-enter it; elsewhere its push returns none."""
 
     def __init__(self, matrix: SparseMatrix, source: int, delta: float) -> None:
         self.light, self.heavy = _partition(matrix, delta)
@@ -352,12 +348,11 @@ class _Fused:
         self.settled[bucket] = True
         return bucket.size
 
-    def heavy_step(self, index: int) -> int:
+    def heavy_step(self, reenter: bool) -> int:
+        # `reenter`, the walk's once-per-bucket gate: off, the push returns none
         t, frontier = self.t, self.settled.nonzero()[0]
-        if _lands_beyond(index, self.delta):
-            _push(t[frontier], frontier, self.heavy, t, None)
-            return 0
-        self.bucket = bucket = _distinct(_push(t[frontier], frontier, self.heavy, t, self.hi))
+        below = self.hi if reenter else None
+        self.bucket = bucket = _distinct(_push(t[frontier], frontier, self.heavy, t, below))
         if bucket.size:
             self.settled = np.zeros(t.size, dtype=bool)
             self.settled[bucket] = True
@@ -375,7 +370,8 @@ def _walk(solve: _Unfused | _Fused, delta: float) -> tuple[SparseVector, int, in
     """The bucket walk both backends share: from the source's window on,
     each bucket whose window holds a tentative distance takes light steps
     until it empties, then one heavy step, which starts it again from the
-    targets a heavy sum lowered back into its window (see _lands_beyond).
+    targets a heavy sum lowered back into its window; the walk gates that
+    re-entry once per bucket, as _lands_beyond's answer is fixed for it.
     `solve` holds the state: start takes the bucket's index and the mask of
     its window from the walk's scan of values(), and each step returns the
     size of the bucket it leaves. Returns the distances, the buckets
@@ -389,6 +385,7 @@ def _walk(solve: _Unfused | _Fused, delta: float) -> tuple[SparseVector, int, in
     buckets = last = phases = 0
     while index is not None:
         size = solve.start(index, window)
+        reenter = not _lands_beyond(index, delta)
         while size:
             while size:
                 size = solve.light_step()
@@ -398,7 +395,7 @@ def _walk(solve: _Unfused | _Fused, delta: float) -> tuple[SparseVector, int, in
                         f"light phase count exceeded ceiling {ceiling}; "
                         "relaxation is not converging"
                     )
-            size = solve.heavy_step(index)
+            size = solve.heavy_step(reenter)
         buckets, last = buckets + 1, index
         index, window = _next_index(index, delta, solve.values())
     del window  # not held while the result is built

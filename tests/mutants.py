@@ -130,18 +130,32 @@ MUTANTS = [
         "tests/test_fused_path.py",
     ),
     # a heavy sum that rounds back into its window starts the bucket again,
-    # on either backend, wherever the scalar gate lets one through
+    # on either backend, wherever the walk's once-per-bucket gate lets one
+    # through
     (
         "sssp.py",
-        "        self.bucket = bucket = _distinct(_push(t[frontier], frontier, self.heavy, t, self.hi))\n",
-        "        bucket = _push(t[frontier], frontier, self.heavy, t, None)\n",
+        "reenter = not _lands_beyond(index, delta)",
+        "reenter = False",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    (
+        "sssp.py",
+        "below = self.hi if reenter else None",
+        "below = None",
+        "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
+    ),
+    # the fused re-entry bucket is sorted and distinct, as the unfused one is
+    (
+        "sssp.py",
+        "        self.bucket = bucket = _distinct(_push(t[frontier], frontier, self.heavy, t, below))\n",
+        "        self.bucket = bucket = _push(t[frontier], frontier, self.heavy, t, below)\n",
+        "tests/test_sssp.py::test_heavy_reentry_bucket_is_sorted_and_distinct",
     ),
     # the re-entry bucket is the heavy step's targets below the window's end
     (
         "sssp.py",
-        "frontier, self.heavy, t, self.hi))",
-        "frontier, self.heavy, t, math.inf))",
+        "below = self.hi if reenter",
+        "below = math.inf if reenter",
         "tests/test_acceptance.py::test_criterion_4_heavy_sums_rounding_into_their_window",
     ),
     (
@@ -192,12 +206,12 @@ MUTANTS = [
         "                    raise RuntimeError(\n"
         '                        f"light phase count exceeded ceiling {ceiling}; "\n'
         '                        "relaxation is not converging"\n'
-        "                    )\n            size = solve.heavy_step(index)\n",
+        "                    )\n            size = solve.heavy_step(reenter)\n",
         "                if phases > ceiling:\n"
         "                    raise RuntimeError(\n"
         '                        f"light phase count exceeded ceiling {ceiling}; "\n'
         '                        "relaxation is not converging"\n'
-        "                    )\n            phases += 1\n            size = solve.heavy_step(index)\n",
+        "                    )\n            phases += 1\n            size = solve.heavy_step(reenter)\n",
         "tests/test_sssp.py::test_every_light_step_is_a_phase",
     ),
     (
@@ -210,9 +224,22 @@ MUTANTS = [
     (
         "ops.py",
         "    if op.boolean:\n        idx, out = _finalize_boolean(idx, out)\n"
-        "    return SparseVector._adopt(",
-        "    return SparseVector._adopt(",
+        "    return SparseVector._adopt(u.length, idx, out)\n",
+        "    return SparseVector._adopt(u.length, idx, out)\n",
         "tests/test_ops.py",
+    ),
+    # the intersection adopts an op's output as contiguous float64
+    (
+        "ops.py",
+        "np.ascontiguousarray(out, dtype=VALUE_DTYPE)",
+        "np.ascontiguousarray(out)",
+        "tests/test_ops.py::test_user_op_output_is_adopted_only_when_fresh_float64",
+    ),
+    (
+        "ops.py",
+        "np.ascontiguousarray(out, dtype=VALUE_DTYPE)",
+        "out",
+        "tests/test_ops.py::test_user_op_output_is_adopted_only_when_fresh_float64",
     ),
     # the union takes no mask but its left operand
     (
@@ -324,7 +351,7 @@ MUTANTS = [
         "tests/test_kernel_reference.py",
     ),
     # the next window starts at the current window's end
-    ("sssp.py", "window = values >= hi\n", "window = values > hi\n", "tests/test_fused_path.py"),
+    ("sssp.py", "window = values >= lo\n", "window = values > lo\n", "tests/test_fused_path.py"),
     # the run summary's two bucket counts
     (
         "cli.py",
@@ -379,12 +406,33 @@ MUTANTS = [
         "or not math.isfinite(",
         "tests/test_sssp.py::test_huge_weights_raise_or_reach_every_vertex",
     ),
-    # the bisection keeps the largest window start at or below the value
+    # the window search: the floor of the quotient where its half-open
+    # window holds the value, else a bisection that keeps the largest window
+    # start at or below the value, over a bracket whose end lies past it and
+    # is clamped to the float range
     (
         "sssp.py",
-        "if _window_start(middle, delta) <= value:",
-        "if _window_start(middle, delta) < value:",
+        "lo <= value < hi",
+        "lo <= value <= hi",
         "tests/test_sssp.py::test_window_of_matches_single_steps",
+    ),
+    (
+        "sssp.py",
+        "if middle * delta <= value:",
+        "if middle * delta < value:",
+        "tests/test_sssp.py::test_window_of_matches_single_steps",
+    ),
+    (
+        "sssp.py",
+        "min(2 * low + 2,",
+        "min(low + 1,",
+        "tests/test_sssp.py::test_window_of_matches_single_steps",
+    ),
+    (
+        "sssp.py",
+        "min(2 * low + 2, int(sys.float_info.max))",
+        "2 * low + 2",
+        "tests/test_sssp.py::test_huge_weights_raise_or_reach_every_vertex",
     ),
     # verification is exact: a tolerance lets a distance one ulp off pass
     (

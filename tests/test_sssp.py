@@ -556,6 +556,22 @@ def test_one_step_work_equals_skip_mode_buckets():
                 assert outer == _window_of(float(reached.values.max()), delta) + 1
 
 
+def test_heavy_reentry_bucket_is_sorted_and_distinct():
+    # delta below the float spacing of 1e11: the heavy sums from vertices 1
+    # and 2 round back into their own window, and the fused push returns
+    # their targets in frontier order, 3, 4, 3; the bucket they start again
+    # is [3, 4] on both backends
+    a = matrix_build(
+        5, [(0, 1, 1e11), (0, 2, 1e11), (1, 3, 1.5e-6), (1, 4, 1.5e-6), (2, 3, 1.5e-6)]
+    )
+    logs = [walk_log(kind, a, 0, 1e-6) for kind in ("unfused", "fused")]
+    assert logs[0] == logs[1]
+    log, distances, _ = logs[1]
+    assert distances == dijkstra_oracle(a, 0)
+    reentries = [step[1] for step in log if step[0] == "heavy" and step[1]]
+    assert reentries == [np.array([3, 4], dtype=np.int64).tobytes()]
+
+
 @pytest.mark.parametrize("kind", ["unfused", "fused"])
 @pytest.mark.parametrize("delta", [1e300, 1e308])
 def test_huge_delta_over_tiny_light_weights(kind, delta):

@@ -98,12 +98,18 @@ class SsspResult:
     elapsed: float
 
 
-def _split(matrix: SparseMatrix, delta: float, share: bool) -> tuple[SparseMatrix, SparseMatrix]:
+def _partition(
+    matrix: SparseMatrix, delta: float, share: bool = True
+) -> tuple[SparseMatrix, SparseMatrix]:
     """The light part (weight <= delta) and the heavy part from one predicate
     pass: weights are > 0 by invariant, so `val <= delta` picks the light
     entries and its complement the heavy ones, whose row starts are the
-    input's less the light part's. With `share`, the input itself stands for
-    the heavy part where heavy edges are at least half of it (_partition)."""
+    input's less the light part's. With `share`, the input itself, not
+    copied, stands for the heavy part where heavy edges are at least half of
+    it: the matrix the fused heavy step pushes along. Its light candidates
+    never improve: when a bucket's light phases end, each settled u has
+    pushed every light edge (u, j, w) with its current t[u], so
+    t[j] <= t[u] + w fails the push's strict < test."""
     is_light = matrix.val <= delta
     kept = is_light.nonzero()[0]
     rest = None if share and 2 * kept.size <= matrix.nnz else (~is_light).nonzero()[0]
@@ -115,15 +121,6 @@ def _split(matrix: SparseMatrix, delta: float, share: bool) -> tuple[SparseMatri
     return light, SparseMatrix(matrix.n, matrix.indptr - starts, matrix.col[rest], matrix.val[rest])
 
 
-def _partition(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
-    """split_edges' light part, and the matrix the fused heavy step pushes
-    along: the input itself, not copied, where heavy edges are at least half
-    of it. Its light candidates never improve: when a bucket's light phases
-    end, each settled u has pushed every light edge (u, j, w) with its
-    current t[u], so t[j] <= t[u] + w fails the push's strict < test."""
-    return _split(matrix, delta, True)
-
-
 def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, SparseMatrix]:
     """Partition edges into (light, heavy) by weight against delta.
 
@@ -133,7 +130,7 @@ def split_edges(matrix: SparseMatrix, delta: float) -> tuple[SparseMatrix, Spars
     """
     if not (delta > 0) or not math.isfinite(delta):
         raise ValueError(f"delta must be a positive finite number, got {delta}")
-    return _split(matrix, delta, False)
+    return _partition(matrix, delta, share=False)
 
 
 def bucket_bounds(index: int, delta: float) -> tuple[float, float]:

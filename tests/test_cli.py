@@ -679,8 +679,16 @@ def test_selftest_negative_cases(capsys):
     assert captured.out == ""
 
 
-def test_selftest_detects_injected_fault(capsys):
-    code = run_cli("selftest", "--cases", "3", "--seed", "1", "--inject-fault")
+def test_selftest_detects_injected_fault(monkeypatch, capsys):
+    # an unfused distance one ulp off the reference must fail the first case
+    def perturbed(*args, **kwargs):
+        result = delta_stepping(*args, **kwargs)
+        if kwargs.get("backend") is None:
+            return replace(result, distances=deltasparse.cli._perturb(result.distances))
+        return result
+
+    monkeypatch.setattr(deltasparse.cli, "delta_stepping", perturbed)
+    code = run_cli("selftest", "--cases", "3", "--seed", "1")
     captured = capsys.readouterr()
     assert code == 2
     assert "selftest case 0 FAILED" in captured.out

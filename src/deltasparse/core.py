@@ -39,8 +39,6 @@ def _ones(size: int) -> np.ndarray:
 
 def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
     # bit-level comparison sidesteps float == pitfalls (-0.0, NaN)
-    if a.size != b.size:
-        return False
     return bool(np.array_equal(a.view(np.uint64), b.view(np.uint64)))
 
 

@@ -9,8 +9,8 @@ embedded randomized oracle suite.
 Exit codes: 0 success, 1 load or parse failure, 2 verification mismatch,
 3 bad flags (including a source label the graph does not have, a delta so
 small that a distance needs a bucket index past the float range, or an
---output path that cannot be written) or a reachable vertex whose distance
-exceeds the float range.
+--output path that cannot be written, or standard output closed by its
+reader) or a reachable vertex whose distance exceeds the float range.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import logging
 import math
+import os
 import statistics
 import sys
 
@@ -174,6 +175,7 @@ def run(args: argparse.Namespace) -> int:
     text = _format_distances(reached, distances.values)
     if args.output is None:
         sys.stdout.write(text)
+        sys.stdout.flush()  # before the summary, which reports a written run
     else:
         try:
             with open(args.output, "w", encoding="utf-8") as fh:
@@ -259,7 +261,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout; the exit flush writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("deltasparse: error: cannot write standard output: Broken pipe", file=sys.stderr)
+        code = 3
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -109,6 +109,31 @@ def test_module_form_runs_the_console_entry_point(edge_path, capsys):
     assert done.stdout == want != ""
 
 
+@pytest.mark.parametrize("vertices", [3, 10_000, None])
+def test_closed_stdout_ends_the_command_without_a_traceback(tmp_path, vertices):
+    # the pipe's read end is closed before the child starts, so the first
+    # write fails: a small output's at its flush, one over 64 KiB at once;
+    # the child's stdout is block-buffered, as a console script's is
+    argv = ["selftest", "--cases", "1"]
+    if vertices is not None:
+        path = tmp_path / "path.edges"
+        path.write_text("".join(f"{i} {i + 1} 1\n" for i in range(vertices - 1)))
+        argv = ["run", "--graph", str(path), "--format", "edges", "--source", "0"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "deltasparse.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 3
+    assert done.stderr == "deltasparse: error: cannot write standard output: Broken pipe\n"
+
+
 def test_run_default_is_undirected(edge_path, capsys):
     code = run_cli("run", "--graph", edge_path, "--format", "edges", "--source", "2")
     captured = capsys.readouterr()

@@ -82,6 +82,13 @@ def test_vector_equality_is_exact():
     assert a != vector_build(5, [(0, 1.0), (2, 3.0)])
     assert a != vector_build(4, [(0, 1.0), (2, 3.0 + 1e-12)])
 
+    # equal bits, not equal values: -0.0 differs from 0.0, a NaN equals itself
+    def one_entry(value):
+        return SparseVector(4, np.array([1]), np.array([value]))
+
+    assert one_entry(-0.0) != one_entry(0.0)
+    assert one_entry(math.nan) == one_entry(math.nan)
+
 
 def test_vector_requires_positive_length():
     with pytest.raises(ValueError):
@@ -169,6 +176,13 @@ def test_matrix_equality():
     b = matrix_build(3, [(1, 2, 4.0), (0, 1, 2.0)])
     assert a == b
     assert a != matrix_build(3, [(0, 1, 2.0)])
+
+    # the trusting constructor keeps -0.0 and NaN weights: bits are compared
+    def one_edge(weight):
+        return SparseMatrix(3, np.array([0, 1, 1, 1]), np.array([1]), np.array([weight]))
+
+    assert one_edge(-0.0) != one_edge(0.0)
+    assert one_edge(math.nan) == one_edge(math.nan)
 
 
 # ---------------------------------------------------------------- transpose

@@ -108,6 +108,20 @@ MUTANTS = [
         "matrix.indptr",
         "tests/test_ops.py::test_split_equals_the_per_row_reference",
     ),
+    # the fused steps share the input as their heavy part; split_edges
+    # copies it
+    (
+        "sssp.py",
+        "share: bool = True",
+        "share: bool = False",
+        "tests/test_fused_path.py::test_one_pass_partition_equals_split_edges",
+    ),
+    (
+        "sssp.py",
+        "_partition(matrix, delta, share=False)",
+        "_partition(matrix, delta, share=True)",
+        "tests/test_acceptance.py::test_criterion_3_partition_invariant",
+    ),
     # the shared split frees its weight mask before the light gathers
     (
         "sssp.py",
@@ -385,6 +399,40 @@ MUTANTS = [
         "np.nextafter(values[-1], np.inf)",
         "values[-1] + 1.0",
         "tests/test_cli.py::test_run_verify_catches_injected_fault_past_2_53",
+    ),
+    # a reader that closes standard output ends the command with exit 3 and
+    # one error line: the run's output and any other are flushed inside the
+    # handler, which points stdout at devnull for the interpreter's exit flush
+    (
+        "cli.py",
+        "except BrokenPipeError:",
+        "except ZeroDivisionError:",
+        "tests/test_cli.py::test_closed_stdout_ends_the_command_without_a_traceback",
+    ),
+    (
+        "cli.py",
+        "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n",
+        "",
+        "tests/test_cli.py::test_closed_stdout_ends_the_command_without_a_traceback",
+    ),
+    (
+        "cli.py",
+        "        code = main()\n        sys.stdout.flush()\n",
+        "        code = main()\n",
+        "tests/test_cli.py::test_closed_stdout_ends_the_command_without_a_traceback",
+    ),
+    (
+        "cli.py",
+        "        sys.stdout.flush()  # before the summary",
+        "        pass  # before the summary",
+        "tests/test_cli.py::test_closed_stdout_ends_the_command_without_a_traceback",
+    ),
+    # equality compares bits: -0.0 is not 0.0, and a NaN equals itself
+    (
+        "core.py",
+        "np.array_equal(a.view(np.uint64), b.view(np.uint64))",
+        "np.array_equal(a, b)",
+        "tests/test_core.py::test_vector_equality_is_exact",
     ),
     # the package publishes each module's __all__
     (

@@ -87,15 +87,13 @@ class GraphFile:
 class LabelMap:
     """Bijection between external vertex labels and dense internal ids.
 
-    The labels increase with the id. A range, like Matrix Market's 1..n, is
-    mapped by its own arithmetic, with no array of n labels; an edge list's
-    labels are one increasing array (int64, or Python ints beyond int64)
-    that to_internal compares a label against, with no label -> id dict."""
+    The labels are one increasing array (int64, or Python ints beyond
+    int64) that to_internal compares a label against, with no label -> id dict."""
 
     __slots__ = ("_labels",)
 
-    def __init__(self, externals: range | np.ndarray) -> None:
-        self._labels = externals
+    def __init__(self, externals: np.ndarray) -> None:
+        self._labels = np.asarray(externals)
 
     def __len__(self) -> int:
         return len(self._labels)
@@ -103,11 +101,8 @@ class LabelMap:
     def to_internal(self, label: int) -> int:
         """The dense id of `label`; KeyError if the map lacks it."""
         labels = self._labels
-        if isinstance(labels, range):
-            if label in labels:
-                return labels.index(label)
         # absent outside int64, which numpy 1.x would compare as float64
-        elif labels.dtype == object or -(2**63) <= label < 2**63:
+        if labels.dtype == object or -(2**63) <= label < 2**63:
             hits = (labels == label).nonzero()[0]
             if hits.size:
                 return int(hits[0])
@@ -118,13 +113,11 @@ class LabelMap:
 
     def to_external_array(self, internal: np.ndarray) -> np.ndarray:
         """The labels of the dense ids `internal`, as one array."""
-        if isinstance(self._labels, range):
-            return self._labels.start + self._labels.step * internal
         return self._labels[internal]
 
     @property
     def externals(self) -> list[int]:
-        return list(self._labels) if isinstance(self._labels, range) else self._labels.tolist()
+        return self._labels.tolist()
 
 
 # loadtxt record layouts: 'u v' lines, and 'u v w' lines with float or integer weights
@@ -327,7 +320,8 @@ def load_matrix_market(path: str) -> tuple[SparseMatrix, LabelMap]:
     del lines
     n, _, _, symmetric, size_line = header
     try:
-        return _build(path, n, entries, mirror=symmetric), LabelMap(range(1, n + 1))
+        matrix = _build(path, n, entries, mirror=symmetric)
+        return matrix, LabelMap(np.arange(1, n + 1, dtype=INDEX_DTYPE))
     except MemoryError:
         message = f"matrix dimension {n} is too large to allocate"
         raise ValidationError(path, size_line, message) from None

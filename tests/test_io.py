@@ -786,7 +786,7 @@ def test_url_shaped_relative_name_is_a_local_file(tmp_path, monkeypatch):
 
 
 def test_label_map_range_equals_list():
-    # a range answers every query as the array of its labels does
+    # a range is held as the array of its labels, and answers as that array does
     for labels in (LabelMap(range(1, 4)), LabelMap(np.array([1, 2, 3]))):
         assert len(labels) == 3
         assert labels.externals == [1, 2, 3]
@@ -814,8 +814,9 @@ def test_label_map_searches_its_label_array(tmp_path):
 
 
 def test_mtx_labels_are_implicit(tmp_path):
-    # 2*10^6 declared vertices and 2 entries: the identity labels must not
-    # become a list and a dict of n Python ints (about 250 MiB traced)
+    # 2*10^6 declared vertices and 2 entries: the identity labels are one
+    # int64 array, as long as the row pointers, not a list and a dict of n
+    # Python ints (about 250 MiB traced)
     n = 2_000_000
     path = write(
         tmp_path,
@@ -830,7 +831,9 @@ def test_mtx_labels_are_implicit(tmp_path):
     assert peak < 100 * 2**20
     assert matrix.n == len(labels) == n
     assert entry_set(matrix) == {(0, 1, 1.5), (n - 1, 0, 2.0)}
-    assert (labels.to_internal(n), labels.to_external(0)) == (n - 1, 1)
+    assert (labels.to_internal(1), labels.to_internal(n), labels.to_external(0)) == (0, n - 1, 1)
+    last = labels.to_external_array(np.array([n - 1, 0]))
+    assert last.dtype == np.int64 and last.tolist() == [n, 1]
     for missing in (0, n + 1):
         with pytest.raises(KeyError):
             labels.to_internal(missing)

@@ -74,11 +74,6 @@ OR = BinaryOp(lambda a, b: np.logical_or(a, b).astype(VALUE_DTYPE), "or", boolea
 _INF = math.inf
 
 
-def _require_length(actual: int, expected: int, what: str) -> None:
-    if actual != expected:
-        raise ValueError(f"{what}: length {actual} does not match {expected}")
-
-
 # MIN and OR unions over at most this many indices take their monoid's
 # workspace whatever the operand sizes. Warm unfused solves of a
 # 4,096-vertex road-pattern grid ran 1.03x slower with MIN kept out of the
@@ -224,7 +219,7 @@ def ewise_add_vector(
     entries. Ops are matched by identity: a BinaryOp on np.minimum merges.
     """
     if v.length != u.length:
-        _require_length(v.length, u.length, "ewise_add operand")
+        raise ValueError(f"ewise_add operand: length {v.length} does not match {u.length}")
     if mask is u:
         pu, pv = _common(u.indices, v.indices, u.length)
         idx, out = u.indices, u.values.copy()
@@ -254,7 +249,7 @@ def ewise_mult_vector(u: SparseVector, v: SparseVector, op: BinaryOp) -> SparseV
     long one. Past that, an n-long workspace maps the smaller operand's
     positions in O(n + |u| + |v|)."""
     if v.length != u.length:
-        _require_length(v.length, u.length, "ewise_mult operand")
+        raise ValueError(f"ewise_mult operand: length {v.length} does not match {u.length}")
     if not (u.indices.size and v.indices.size):
         return SparseVector._adopt(u.length, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     pu, pv = _common(u.indices, v.indices, u.length)
@@ -285,7 +280,7 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     -0.0, so no signed-zero tie can tell two orders apart).
     """
     if v.length != matrix.n:
-        _require_length(v.length, matrix.n, "vxm operand")
+        raise ValueError(f"vxm operand: length {v.length} does not match {matrix.n}")
     if not (v.indices.size and matrix.col.size):
         return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, _INF, dtype=VALUE_DTYPE)

@@ -5,11 +5,12 @@ pull_vxm_min_plus gathers over every edge of the matrix's transpose,
 union1d_ewise_add_vector merges through np.union1d and two position
 lookups, and probe_all_ewise_mult_vector probes every entry of u into v,
 whatever their sizes. Each is a copy of the code the work-efficient
-kernels replaced, as are _gate, the union's mask probe, and
-_positions, the clipped binary search they probe with, which no kernel
-shares; the tests require the kernels to bit-equal them. transpose builds the coordinate
-swap the pull gathers over, afresh on every call. split_rows builds
-the light and heavy parts one row at a time.
+kernels replaced, as are _gate, the union's mask probe, _positions, the
+clipped binary search they probe with, and their length check and
+boolean finalize: they share no code with a kernel, and the tests require
+the kernels to bit-equal them. transpose builds the coordinate swap the
+pull gathers over, afresh on every call. split_rows builds the light and
+heavy parts one row at a time.
 """
 
 from __future__ import annotations
@@ -20,7 +21,18 @@ import numpy as np
 
 from deltasparse import SparseMatrix, SparseVector
 from deltasparse.core import INDEX_DTYPE, VALUE_DTYPE
-from deltasparse.ops import BinaryOp, _finalize_boolean, _require_length
+from deltasparse.ops import BinaryOp
+
+
+def _require_length(actual: int, expected: int, what: str) -> None:
+    if actual != expected:
+        raise ValueError(f"{what}: length {actual} does not match {expected}")
+
+
+def _finalize_boolean(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a comparison's 0.0 entries are dropped and the rest become 1.0
+    idx = idx[val != 0.0]
+    return idx, np.ones(idx.size, dtype=VALUE_DTYPE)
 
 
 def _positions(sorted_idx: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

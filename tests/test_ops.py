@@ -173,7 +173,7 @@ def test_ewise_add_boolean_drops_zero_valued_passthrough():
 
 def test_ewise_add_empty_and_errors():
     assert ewise_add_vector(SparseVector(3), SparseVector(3), MIN).nnz == 0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ewise_add operand: length 4 does not match 3$"):
         ewise_add_vector(SparseVector(3), SparseVector(4), MIN)
     with pytest.raises(ValueError):
         ewise_add_vector(SparseVector(3), SparseVector(3), MIN, mask=SparseVector(4))
@@ -244,7 +244,7 @@ def test_ewise_mult_comparison_is_not_commutative():
 
 
 def test_ewise_mult_rejects_mismatched_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^ewise_mult operand: length 4 does not match 3$"):
         ewise_mult_vector(SparseVector(3), SparseVector(4), TIMES)
 
 
@@ -358,5 +358,5 @@ def test_vxm_matches_dense_oracle():
 
 def test_vxm_rejects_mismatched_lengths():
     a = matrix_build(3, [(0, 1, 2.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^vxm operand: length 4 does not match 3$"):
         vxm_min_plus(SparseVector(4), a)

@@ -281,8 +281,6 @@ def vxm_min_plus(v: SparseVector, matrix: SparseMatrix) -> SparseVector:
     """
     if v.length != matrix.n:
         raise ValueError(f"vxm operand: length {v.length} does not match {matrix.n}")
-    if not (v.indices.size and matrix.col.size):
-        return SparseVector._adopt(matrix.n, np.empty(0, INDEX_DTYPE), np.empty(0, VALUE_DTYPE))
     dense = np.full(matrix.n, _INF, dtype=VALUE_DTYPE)
     _push(v.values, v.indices, matrix, dense, None)
     out_idx = (dense < _INF).nonzero()[0]

@@ -317,8 +317,10 @@ def test_vxm_relaxes_from_source():
 
 
 def test_vxm_empty_vector_annihilates():
+    # an empty vector, and a vector over an edgeless matrix, push no edges
     a = matrix_build(4, [(0, 1, 2.0)])
-    assert vxm_min_plus(SparseVector(4), a).nnz == 0
+    for v, m in ((SparseVector(4), a), (vector_build(4, [(0, 0.0), (2, 1.0)]), matrix_build(4, []))):
+        assert vxm_min_plus(v, m) == SparseVector(4)
 
 
 def test_vxm_reduces_competing_edges():

@@ -174,6 +174,8 @@ def _integral(column: np.ndarray, what: str) -> np.ndarray:
 def vector_build(length: int, pairs: Iterable[tuple[int, float]] | np.ndarray) -> SparseVector:
     """Validating constructor: sorts entries, min-combines duplicate indices,
     and drops +inf entries, the implicit identity of a distance vector."""
+    if length > 2**53:  # indices are read as float64, exact only up to 2**53
+        raise ValueError(f"vector length {length} exceeds 2**53")
     arr = _as_float_table(pairs, 2)
     idx = _integral(arr[:, 0], "vector indices")
     val = arr[:, 1]

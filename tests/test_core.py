@@ -66,6 +66,12 @@ def test_vector_build_rejects_bad_input():
         vector_build(4, [(1, -math.inf)])
     with pytest.raises(ValueError):
         vector_build(4, [(1, math.nan)])
+    # indices are read as float64, so 2**53 + 1 would merge into 2**53
+    with pytest.raises(ValueError):
+        vector_build(2**53 + 1, [(2**53, 2.0)])
+    with pytest.raises(ValueError):
+        vector_build(2**60, [(2**53 + 1, 1.0), (2**53, 2.0)])
+    assert vector_build(2**53, [(2**53 - 1, 1.0)]).indices.tolist() == [2**53 - 1]
 
 
 def test_vector_accessors():

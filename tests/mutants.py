@@ -434,6 +434,38 @@ MUTANTS = [
         "np.array_equal(a, b)",
         "tests/test_core.py::test_vector_equality_is_exact",
     ),
+    # vector_build takes no length past 2**53, where float64 indices merge
+    (
+        "core.py",
+        "if length > 2**53:",
+        "if length >= 2**53:",
+        "tests/test_core.py::test_vector_build_rejects_bad_input",
+    ),
+    (
+        "core.py",
+        "if length > 2**53:",
+        "if length > 2**54:",
+        "tests/test_core.py::test_vector_build_rejects_bad_input",
+    ),
+    # each kernel rejects operands of unequal lengths
+    (
+        "ops.py",
+        'if v.length != u.length:\n        raise ValueError(f"ewise_add',
+        'if v.length == u.length:\n        raise ValueError(f"ewise_add',
+        "tests/test_ops.py::test_ewise_add_empty_and_errors",
+    ),
+    (
+        "ops.py",
+        'if v.length != u.length:\n        raise ValueError(f"ewise_mult',
+        'if v.length == u.length:\n        raise ValueError(f"ewise_mult',
+        "tests/test_ops.py::test_ewise_mult_rejects_mismatched_lengths",
+    ),
+    (
+        "ops.py",
+        "if v.length != matrix.n:",
+        "if v.length == matrix.n:",
+        "tests/test_ops.py::test_vxm_rejects_mismatched_lengths",
+    ),
     # the package publishes each module's __all__
     (
         "sssp.py",
@@ -509,6 +541,19 @@ MUTANTS = [
         "entries[0].min() < 0 or ",
         "",
         "tests/test_io.py::test_edges_negative_labels",
+    ),
+    # Matrix Market labels are 1..n, and ids map back to their labels
+    (
+        "io.py",
+        "np.arange(1, n + 1, dtype=INDEX_DTYPE)",
+        "np.arange(n, dtype=INDEX_DTYPE)",
+        "tests/test_io.py::test_mtx_labels_are_implicit",
+    ),
+    (
+        "io.py",
+        "        return self._labels[internal]\n",
+        "        return internal\n",
+        "tests/test_io.py::test_label_map_searches_its_label_array",
     ),
     (
         "io.py",
